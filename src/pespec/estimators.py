@@ -176,13 +176,13 @@ def _pair_weights(sel: ModeSelector, alpha: float) -> Tuple[float, float, float]
 
 
 def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
-                       variant: str, n_obs: Optional[int] = None,
-                       convolution: str = "auto") -> float:
+                       variant: str, n_obs: Optional[int] = None) -> float:
     """Left-endpoint sum of the weighted pairing with P B(V, V).
 
     V1 uses the advection term of the full stored path (requires modes
     beyond N_obs), V2 recomputes it from the observed truncation.  The
-    hydrostatic Leray projection is applied before pairing, matching the
+    hydrostatic Leray projection is applied before pairing, and B is
+    evaluated with the trajectory's own advection backend, matching the
     drift actually integrated by the solver.
     """
     if variant == "V3":
@@ -203,7 +203,7 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     for i, dt in enumerate(dts):
         state = traj.states[i]
         src = state if variant == "V1" else _truncate(state, cut)
-        b = hydrostatic_leray(nonlinear_B(src, src, convolution)).coeffs[mask]
+        b = hydrostatic_leray(nonlinear_B(src, src, traj.config.convolution)).coeffs[mask]
         per = np.sum(state.coeffs[mask] * np.conj(b), axis=1).real
         acc += dt * float(per @ wgt)
     return acc
@@ -246,16 +246,14 @@ def _guard_denominator(d: float) -> float:
     return d
 
 
-def estimate_nu_h(traj: Trajectory, cfg: EstimatorConfig,
-                  convolution: str = "auto") -> EstimateResult:
+def estimate_nu_h(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
     """Horizontal viscosity from the horizontal-average modes."""
     _warn_regimes(cfg.alpha, traj.params.gamma)
     a = cfg.alpha
     ito = ito_integral(traj, (1.0 + a, 0.0, 0.0), BAROTROPIC, cfg.N_obs)
     nl = 0.0
     if cfg.variant != "V3":
-        nl = nonlinear_integral(traj, a, BAROTROPIC, cfg.variant, cfg.N_obs,
-                                convolution)
+        nl = nonlinear_integral(traj, a, BAROTROPIC, cfg.variant, cfg.N_obs)
     den = _guard_denominator(
         quadratic_integral(traj, (1.0 + a / 2.0, 0.0, 0.0), BAROTROPIC, cfg.N_obs))
     value = -(ito + nl) / den
@@ -268,15 +266,15 @@ def estimate_nu_h(traj: Trajectory, cfg: EstimatorConfig,
 
 
 def _estimate_nu_z_on(traj: Trajectory, cfg: EstimatorConfig,
-                      sel: ModeSelector, convolution: str) -> EstimateResult:
+                      sel: ModeSelector) -> EstimateResult:
     _warn_regimes(cfg.alpha, traj.params.gamma)
     a = cfg.alpha
     ito = ito_integral(traj, (0.0, 1.0, a), sel, cfg.N_obs)
     nl = 0.0
     if cfg.variant != "V3":
-        nl = nonlinear_integral(traj, a, sel, cfg.variant, cfg.N_obs, convolution)
+        nl = nonlinear_integral(traj, a, sel, cfg.variant, cfg.N_obs)
     cross = cross_integral(traj, a, sel, cfg.N_obs)
-    nu_h = estimate_nu_h(traj, cfg, convolution).value
+    nu_h = estimate_nu_h(traj, cfg).value
     den = _guard_denominator(
         quadratic_integral(traj, (0.0, 1.0, a / 2.0), sel, cfg.N_obs))
     value = -(ito + nl + nu_h * cross) / den
@@ -288,14 +286,13 @@ def _estimate_nu_z_on(traj: Trajectory, cfg: EstimatorConfig,
     )
 
 
-def estimate_nu_z(traj: Trajectory, cfg: EstimatorConfig,
-                  convolution: str = "auto") -> EstimateResult:
+def estimate_nu_z(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
     """Vertical viscosity from all k3 != 0 modes (tilde family).
 
     The rotation-induced cross term is removed with the same-variant
     horizontal estimate, following the substitution in the display.
     """
-    return _estimate_nu_z_on(traj, cfg, BAROCLINIC, convolution)
+    return _estimate_nu_z_on(traj, cfg, BAROCLINIC)
 
 
 def _two_squares(n: int) -> bool:
@@ -321,8 +318,7 @@ def _smallest_resonant_truncation(q: Fraction, limit: int = 64) -> Optional[int]
     return None
 
 
-def estimate_nu_z_hat(traj: Trajectory, cfg: EstimatorConfig,
-                      convolution: str = "auto") -> EstimateResult:
+def estimate_nu_z_hat(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
     """Vertical viscosity from the resonant modes |k'|^2 = q k3^2.
 
     On the resonant set the cross pairing equals q times the denominator
@@ -337,7 +333,7 @@ def estimate_nu_z_hat(traj: Trajectory, cfg: EstimatorConfig,
             f"; the smallest truncation with resonant modes is N={n_min}"
         raise ValueError(
             f"resonant selector q={sel.q} matches no modes at N_obs={cut}{hint}")
-    return _estimate_nu_z_on(traj, cfg, sel, convolution)
+    return _estimate_nu_z_on(traj, cfg, sel)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,9 @@ import numpy as np
 from scipy import stats
 
 from .estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z_hat, theoretical_covariance
-from .linear import (
-    decay_sq_integral,
-    mode_energy_mean,
-    mode_energy_variance,
-    strand_noise_chol,
-)
-from .modes import BAROTROPIC, ModeSelector, mode_table, random_field, selector_mask
-from .noise import NoiseSpec, noise_amplitude_array, noise_direction_array
+from .linear import StrandSampler, decay_sq_integral, mode_energy_mean, mode_energy_variance
+from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
+from .noise import NoiseSpec, noise_amplitude_array, noise_direction
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, simulate_path
 
@@ -132,7 +127,11 @@ def _config_from_dict(raw: Dict[str, str]) -> ExperimentConfig:
     if "store_every" in raw:
         sk["store_every"] = int(raw["store_every"])
     if "include_nonlinear" in raw:
-        sk["include_nonlinear"] = raw["include_nonlinear"].lower() in ("1", "true", "yes")
+        flag = raw["include_nonlinear"].lower()
+        if flag not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError("config key include_nonlinear must be one of 1/true/yes/0/false/no, "
+                             f"not {raw['include_nonlinear']!r}")
+        sk["include_nonlinear"] = flag in ("1", "true", "yes")
     solver = SolverConfig(**{"N": 8, "dt": 1e-3, **sk})
 
     ek: Dict[str, object] = {"alpha": params.alpha, "q": params.q,
@@ -185,14 +184,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
-        return repr(float(x))
-    return str(x)
-
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -267,77 +258,56 @@ def _estimation_grid(N: int, T: float) -> Tuple[float, int]:
 
 @dataclass
 class _StrandSystem:
-    """Vectorized exact-OU transition for the estimator's mode families."""
+    """The estimator's mode families as exact-OU strands, with their weights."""
 
-    decay: np.ndarray       # (S,) complex, exp(-(lam + i f0) dt)
-    s11: np.ndarray         # (S,) noise Cholesky factors per strand
-    s21: np.ndarray
-    s22: np.ndarray
-    rot_cols: np.ndarray    # indices of strands that need a second normal
+    sampler: StrandSampler
     ivec_h: np.ndarray      # (S,) Ito weights, zero off the barotropic set
     dvec_h: np.ndarray
     ivec_r: np.ndarray      # (S,) weights on the resonant set
     dvec_r: np.ndarray
-    lam: np.ndarray
-    f0: np.ndarray
-    dt: float
     n_steps: int
 
     @property
     def n_strands(self) -> int:
-        return self.decay.size
+        return self.sampler.n_strands
+
+
+def _mode_strands(params: ModelParams, N: int, cols):
+    """Unfold stored modes into strands: (owner, lam, f0, amp, zeta) per strand.
+
+    A self-paired mode is one strand; a conjugate-paired mode is two
+    independent strands of amplitude amp / sqrt(2), side by side.  `owner`
+    names each strand's stored mode.
+    """
+    tab = mode_table(N)
+    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
+    owner = np.repeat(np.asarray(cols, dtype=int), 2 - tab.self_paired[cols])
+    lam = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
+    f0 = np.where(tab.k3_sq > 0, params.f0, 0.0)
+    amp = noise_amplitude_array(spec, N)
+    amp = np.where(tab.self_paired, amp, amp / math.sqrt(2.0))
+    zeta = np.array([complex(*noise_direction(spec, tab.modes[c])) for c in owner])
+    return owner, lam[owner], f0[owner], amp[owner], zeta
 
 
 def _build_strands(params: ModelParams, N: int, alpha: float, q,
                    dt: float, n_steps: int) -> _StrandSystem:
     tab = mode_table(N)
-    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-    amp = noise_amplitude_array(spec, N)
-    dirs = noise_direction_array(spec, N)
-
     mask_h = np.array(selector_mask(N, BAROTROPIC))
     mask_r = np.array(selector_mask(N, ModeSelector.resonant(q)))
-    keep = mask_h | mask_r
-    idx = np.flatnonzero(keep)
     if not mask_h.any() or not mask_r.any():
         raise ValueError("estimator families need barotropic and resonant modes")
-    # both families exclude k' = 0, so every kept mode is conjugate-paired
-    # and unfolds into two strands of amplitude amp / sqrt(2)
-    assert not tab.self_paired[idx].any()
+    owner, *strands = _mode_strands(params, N, np.flatnonzero(mask_h | mask_r))
 
-    lam_m = params.nu_h * tab.kp_sq[idx] + params.nu_z * tab.k3_sq[idx]
-    f0_m = np.where(tab.k3_sq[idx] > 0, params.f0, 0.0)
-    amp_m = amp[idx] / math.sqrt(2.0)
-    zeta_m = dirs[idx, 0] + 1j * dirs[idx, 1]
-
-    mu_i_h = np.where(mask_h[idx], tab.kp_sq[idx] ** (1.0 + alpha), 0.0)
-    mu_d_h = np.where(mask_h[idx], tab.kp_sq[idx] ** (2.0 + alpha), 0.0)
-    on_r = mask_r[idx]
-    mu_i_r = np.where(on_r, tab.k3_sq[idx] * tab.k_sq[idx] ** alpha, 0.0)
-    mu_d_r = np.where(on_r, tab.k3_sq[idx] ** 2 * tab.k_sq[idx] ** alpha, 0.0)
-    w = tab.weight[idx]
-
-    chol = np.array([
-        strand_noise_chol(float(l), float(f), float(a), complex(zc), dt)
-        for l, f, a, zc in zip(lam_m, f0_m, amp_m, zeta_m)
-    ])
-
-    def per_strand(v):
-        return np.repeat(v, 2)
+    def per_strand(mask, mu):
+        return (tab.weight * np.where(mask, mu, 0.0))[owner]
 
     return _StrandSystem(
-        decay=per_strand(np.exp(-(lam_m + 1j * f0_m) * dt)),
-        s11=per_strand(chol[:, 0]),
-        s21=per_strand(chol[:, 1]),
-        s22=per_strand(chol[:, 2]),
-        rot_cols=np.flatnonzero(per_strand(f0_m) != 0.0),
-        ivec_h=per_strand(w * mu_i_h),
-        dvec_h=per_strand(w * mu_d_h),
-        ivec_r=per_strand(w * mu_i_r),
-        dvec_r=per_strand(w * mu_d_r),
-        lam=per_strand(lam_m),
-        f0=per_strand(f0_m),
-        dt=dt,
+        sampler=StrandSampler(*strands, dt),
+        ivec_h=per_strand(mask_h, tab.kp_sq ** (1.0 + alpha)),
+        dvec_h=per_strand(mask_h, tab.kp_sq ** (2.0 + alpha)),
+        ivec_r=per_strand(mask_r, tab.k3_sq * tab.k_sq ** alpha),
+        dvec_r=per_strand(mask_r, tab.k3_sq ** 2 * tab.k_sq ** alpha),
         n_steps=n_steps,
     )
 
@@ -365,12 +335,7 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
     I_r = np.zeros(reps)
     D_r = np.zeros(reps)
     for _ in range(sysm.n_steps):
-        n1 = rng.standard_normal(Z.shape)
-        eta = sysm.s11 * n1 + 1j * (sysm.s21 * n1)
-        if sysm.rot_cols.size:
-            n2 = rng.standard_normal((reps, sysm.rot_cols.size))
-            eta[:, sysm.rot_cols] += 1j * (sysm.s22[sysm.rot_cols] * n2)
-        Z_new = Z * sysm.decay + eta
+        Z_new = sysm.sampler.step(Z, rng)
         d = Z_new - Z
         re_pair = Z.real * d.real + Z.imag * d.imag
         I_h += re_pair @ sysm.ivec_h
@@ -715,42 +680,21 @@ def run_normality(cfg: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 # linear-model validation against closed-form moments
 
-def _strand_layout(tab, cols, amp_of, dir_of):
-    """Unfold stored modes into strands: (amplitude, direction, owner)."""
-    amps: List[float] = []
-    zetas: List[complex] = []
-    owner: List[int] = []
-    for c in cols:
-        n_str = 1 if tab.self_paired[c] else 2
-        a = amp_of(c) if tab.self_paired[c] else amp_of(c) / math.sqrt(2.0)
-        for _ in range(n_str):
-            amps.append(float(a))
-            zetas.append(dir_of(c))
-            owner.append(c)
-    return np.asarray(amps), zetas, np.asarray(owner)
+def _energy_sums(params: ModelParams, N: int, cols, dt: float, n_steps: int,
+                 reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Left-endpoint sums of |U_k|^2 on exact OU paths from zero, (reps, len(cols)).
 
-
-def _class_energy_sums(tab, cols, lam, f0, amp, dirs, dt, n_steps, reps, rng):
-    """Left-endpoint sums of |Z|^2 per strand for one transition class."""
-    amps, zetas, owner = _strand_layout(
-        tab, cols, lambda c: amp, lambda c: complex(dirs[c, 0], dirs[c, 1]))
-    s11 = np.empty(amps.size)
-    s21 = np.empty(amps.size)
-    s22 = np.empty(amps.size)
-    for j in range(amps.size):
-        s11[j], s21[j], s22[j] = strand_noise_chol(lam, f0, amps[j], zetas[j], dt)
-    decay = np.exp(-complex(lam, f0) * dt)
-
-    Z = np.zeros((reps, amps.size), dtype=complex)
-    acc = np.zeros((reps, amps.size))
+    Column j adds up the strands of stored mode cols[j]; the sums carry
+    no factor dt, which the callers apply.
+    """
+    owner, *strands = _mode_strands(params, N, cols)
+    sampler = StrandSampler(*strands, dt)
+    Z = np.zeros((reps, owner.size), dtype=complex)
+    acc = np.zeros((reps, owner.size))
     for _ in range(n_steps):
         acc += Z.real ** 2 + Z.imag ** 2
-        n1 = rng.standard_normal(Z.shape)
-        eta = s11 * n1 + 1j * (s21 * n1)
-        if f0 != 0.0:
-            eta += 1j * (s22 * rng.standard_normal(Z.shape))
-        Z = Z * decay + eta
-    return acc, owner
+        Z = sampler.step(Z, rng)
+    return np.stack([acc[:, owner == c].sum(axis=1) for c in cols], axis=1)
 
 
 def _grid_correction(lam: float, amp: float, exact: float, dt: float,
@@ -796,9 +740,7 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     far below its standard error.
     """
     tab = mode_table(N)
-    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-    amp_all = noise_amplitude_array(spec, N)
-    dirs = noise_direction_array(spec, N)
+    amp_all = noise_amplitude_array(NoiseSpec(sigma0=params.sigma0, gamma=params.gamma), N)
     lam_all = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
     f0_all = np.where(tab.k3_sq > 0, params.f0, 0.0)
 
@@ -813,7 +755,7 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
         key = (float(lam_all[i]), float(f0_all[i]), float(amp_all[i]))
         classes.setdefault(key, []).append(i)
 
-    for (lam, f0, amp), cols in sorted(classes.items()):
+    for (lam, _, amp), cols in sorted(classes.items()):
         n_steps = min(max(int(math.ceil(2.0 * lam * params.T)), 24), 64)
         dt = params.T / n_steps
         first = (int(tab.k1[cols[0]]), int(tab.k2[cols[0]]), int(tab.k3[cols[0]]))
@@ -821,11 +763,9 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
         corr = _grid_correction(lam, amp, exact, dt, n_steps)
         corr_max = max(corr_max, abs(corr - 1.0))
 
-        acc, owner = _class_energy_sums(tab, cols, lam, f0, amp, dirs, dt,
-                                        n_steps, reps, rng)
-        for c in cols:
-            integrals[:, c] = (dt * corr) * acc[:, owner == c].sum(axis=1)
-            expected[c] = exact
+        integrals[:, cols] = (dt * corr) * _energy_sums(params, N, cols, dt,
+                                                        n_steps, reps, rng)
+        expected[cols] = exact
 
     means = integrals.mean(axis=0)
     ses = integrals.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -840,16 +780,14 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     var_z = np.empty(pick_pos.size)
     var_keys = []
     for j, c in enumerate(order[pick_pos]):
-        lam, f0, amp = float(lam_all[c]), float(f0_all[c]), float(amp_all[c])
+        lam, amp = float(lam_all[c]), float(amp_all[c])
         k = (int(tab.k1[c]), int(tab.k2[c]), int(tab.k3[c]))
         var_keys.append(k)
         n_steps = min(max(int(math.ceil(40.0 * lam * params.T)), 256), 4096)
         dt = params.T / n_steps
         exact = mode_energy_mean(k, params, params.T)
         corr = _grid_correction(lam, amp, exact, dt, n_steps)
-        acc, _ = _class_energy_sums(tab, [int(c)], lam, f0, amp, dirs, dt,
-                                    n_steps, reps, rng)
-        vals = (dt * corr) * acc.sum(axis=1)
+        vals = (dt * corr) * _energy_sums(params, N, [c], dt, n_steps, reps, rng)[:, 0]
         v_emp = float(vals.var(ddof=1))
         centered = vals - vals.mean()
         m4 = float(np.mean(centered ** 4))
@@ -859,51 +797,6 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     mode_keys = [(int(tab.k1[i]), int(tab.k2[i]), int(tab.k3[i]))
                  for i in range(tab.n)]
     return LinearMomentReport(mode_keys, z, frac, var_keys, var_z, corr_max)
-
-
-def _riemann_energy_exact(params: ModelParams, N: int, reps: int, dt: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Left-endpoint time-energy samples from exact OU transitions.
-
-    No grid correction here on purpose: the solver cross-check compares
-    the same discrete statistic on both backends.
-    """
-    tab = mode_table(N)
-    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-    amp_all = noise_amplitude_array(spec, N)
-    dirs = noise_direction_array(spec, N)
-    n_steps = round(params.T / dt)
-    lam_all = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
-    f0_all = np.where(tab.k3_sq > 0, params.f0, 0.0)
-
-    amps, zetas, owner = _strand_layout(
-        tab, range(tab.n), lambda c: amp_all[c],
-        lambda c: complex(dirs[c, 0], dirs[c, 1]))
-    lam_s = lam_all[owner]
-    f0_s = f0_all[owner]
-    s11 = np.empty(amps.size)
-    s21 = np.empty(amps.size)
-    s22 = np.empty(amps.size)
-    for j in range(amps.size):
-        s11[j], s21[j], s22[j] = strand_noise_chol(
-            float(lam_s[j]), float(f0_s[j]), amps[j], zetas[j], dt)
-    decay = np.exp(-(lam_s + 1j * f0_s) * dt)
-    rot_cols = np.flatnonzero(f0_s != 0.0)
-
-    Z = np.zeros((reps, amps.size), dtype=complex)
-    acc = np.zeros((reps, amps.size))
-    for _ in range(n_steps):
-        acc += Z.real ** 2 + Z.imag ** 2
-        n1 = rng.standard_normal(Z.shape)
-        eta = s11 * n1 + 1j * (s21 * n1)
-        if rot_cols.size:
-            n2 = rng.standard_normal((reps, rot_cols.size))
-            eta[:, rot_cols] += 1j * (s22[rot_cols] * n2)
-        Z = Z * decay + eta
-    out = np.zeros((reps, tab.n))
-    for c in range(tab.n):
-        out[:, c] = dt * acc[:, owner == c].sum(axis=1)
-    return out
 
 
 def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
@@ -952,7 +845,10 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
         stack = traj.coefficient_stack()
         sums[rep] = dt_small * np.sum(
             np.abs(stack[:-1]) ** 2, axis=2).sum(axis=0)
-    exact = _riemann_energy_exact(params_small, n_small, reps_small, dt_small, rng)
+    # the same left-endpoint statistic from exact transitions, with no
+    # grid correction: both sides carry the same quadrature bias
+    exact = dt_small * _energy_sums(params_small, n_small, range(tab.n), dt_small,
+                                    round(params_small.T / dt_small), reps_small, rng)
     m_s, m_e = sums.mean(axis=0), exact.mean(axis=0)
     se = np.sqrt(sums.var(ddof=1, axis=0) / reps_small
                  + exact.var(ddof=1, axis=0) / reps_small)

@@ -27,6 +27,7 @@ __all__ = [
     "ou_exact_step",
     "ou_mean_factor",
     "strand_noise_chol",
+    "StrandSampler",
     "expected_time_energy",
     "variance_time_energy",
     "mode_energy_mean",
@@ -185,6 +186,42 @@ def strand_noise_chol(
         s21 = 0.0
         s22 = math.sqrt(eb2)
     return s11, s21, s22
+
+
+class StrandSampler:
+    """Exact one-step OU transition for a block of independent strands.
+
+    Built once from per-strand arrays (lam, f0, amp, zeta) and the step
+    dt; `step` advances a (replications, strands) complex block.  Every
+    strand draws one normal n1; the rotating strands (f0 != 0) draw a
+    second normal n2, after all the n1 of the step.  A strand without
+    rotation has rank-one noise (s22 = 0) and needs no second draw.
+    """
+
+    def __init__(self, lam, f0, amp, zeta, dt: float):
+        lam = np.asarray(lam, dtype=float)
+        f0 = np.asarray(f0, dtype=float)
+        self.decay = np.exp(-(lam + 1j * f0) * dt)
+        chol = np.array([
+            strand_noise_chol(float(l), float(f), float(a), complex(z), dt)
+            for l, f, a, z in zip(lam, f0, amp, zeta)
+        ]).reshape(-1, 3)
+        # contiguous rows: the factors broadcast over every replication
+        self.s11, self.s21, self.s22 = np.ascontiguousarray(chol.T)
+        self.rot = np.flatnonzero(f0 != 0.0)
+
+    @property
+    def n_strands(self) -> int:
+        return self.decay.size
+
+    def step(self, Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Z at the next grid time, with Z's rows independent replications."""
+        n1 = rng.standard_normal(Z.shape)
+        eta = self.s11 * n1 + 1j * (self.s21 * n1)
+        if self.rot.size:
+            n2 = rng.standard_normal((Z.shape[0], self.rot.size))
+            eta[:, self.rot] += 1j * (self.s22[self.rot] * n2)
+        return Z * self.decay + eta
 
 
 def ou_exact_step(

@@ -418,8 +418,11 @@ def random_field(
     return hydrostatic_leray(f)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """Text of one value; floats, NumPy's included, as their round-trip repr."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
 
 
 def field_to_text(f: SpectralField) -> str:
@@ -436,24 +439,34 @@ def field_to_text(f: SpectralField) -> str:
 
 
 def field_from_text(text: str) -> SpectralField:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0]
+    """Parse `field_to_text` output; malformed input raises ValueError naming the line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("empty field text: line 1 should hold the field header")
+    n0, header = lines[0]
     if not header.startswith(f"# {FIELD_FORMAT_TAG}"):
-        raise ValueError("unrecognized field header")
+        raise ValueError(f"line {n0}: unrecognized field header")
     fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
+    if not fields.get("N", "").isdigit():
+        raise ValueError(f"line {n0}: field header needs N=<truncation>, got {fields.get('N')!r}")
     N = int(fields["N"])
     if fields.get("basis") != BASIS_TAG:
-        raise ValueError(f"unsupported basis tag {fields.get('basis')!r}")
+        raise ValueError(f"line {n0}: unsupported basis tag {fields.get('basis')!r}")
     tab = mode_table(N)
     arr = np.zeros((tab.n, 2), dtype=complex)
     if len(lines) - 1 != tab.n:
         raise ValueError("row count does not match the truncation's mode set")
-    for i, ln in enumerate(lines[1:]):
+    for i, (n, ln) in enumerate(lines[1:]):
         parts = ln.split(",")
-        k = ModeIndex(int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            if len(parts) != 7:
+                raise ValueError(f"{len(parts)} values, not 7")
+            k = ModeIndex(int(parts[0]), int(parts[1]), int(parts[2]))
+            re_u, im_u, re_v, im_v = (float(p) for p in parts[3:])
+        except ValueError as exc:
+            raise ValueError(f"line {n}: malformed field row ({exc})") from None
         if k != tab.modes[i]:
-            raise ValueError(f"row {i} out of canonical order: {k}")
-        re_u, im_u, re_v, im_v = (float(p) for p in parts[3:7])
+            raise ValueError(f"line {n}: row {i} out of canonical order: {k}")
         arr[i, 0] = complex(re_u, im_u)
         arr[i, 1] = complex(re_v, im_v)
     return SpectralField(N, arr)

@@ -1,4 +1,4 @@
-"""Structured additive forcing: per-mode amplitudes and Wiener increments.
+"""Structured additive forcing: per-mode amplitudes and directions.
 
 Each stored mode k carries a unit direction c_k and amplitude
 sigma0 |k|^(-gamma).  Horizontal-average modes are forced along
@@ -11,21 +11,22 @@ pair of lattice sites, each driven in the full-lattice picture by its own
 scalar Wiener process.  Folded onto the canonical representative this is
 one complex Brownian increment with E|dW|^2 = dt (real and imaginary
 parts independent N(0, dt/2)).  Self-paired modes (k' = 0) keep a real
-increment N(0, dt).  This convention reproduces both the per-mode energy
-moments and the quadratic-variation constants of the estimator theory;
-see tests against the closed forms in `linear`.
+increment N(0, dt).  `solver.draw_increments` draws the increments.
+This convention reproduces both the per-mode energy moments and the
+quadratic-variation constants of the estimator theory; see tests
+against the closed forms in `linear`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .modes import ModeIndex, mode_table
 
-__all__ = ["NoiseSpec", "noise_coefficient", "noise_direction", "sample_increments"]
+__all__ = ["NoiseSpec", "noise_direction", "noise_amplitude_array", "noise_direction_array"]
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,6 @@ def noise_direction(spec: NoiseSpec, k: ModeIndex) -> np.ndarray:
     return np.array(spec.fixed_dir)
 
 
-def noise_coefficient(spec: NoiseSpec, k: ModeIndex) -> np.ndarray:
-    """Forcing coefficient sigma0 |k|^(-gamma) c_k for one mode."""
-    if not isinstance(k, ModeIndex):
-        k = ModeIndex(*k)
-    amp = spec.sigma0 * float(k.k_sq) ** (-spec.gamma / 2.0)
-    return amp * noise_direction(spec, k)
-
-
 def noise_amplitude_array(spec: NoiseSpec, N: int) -> np.ndarray:
     """sigma0 |k|^(-gamma) over the stored modes of truncation N."""
     return spec.sigma0 * mode_table(N).k_sq ** (-spec.gamma / 2.0)
@@ -85,47 +78,3 @@ def noise_direction_array(spec: NoiseSpec, N: int) -> np.ndarray:
     """Stacked unit directions c_k, shape (n_modes, 2)."""
     tab = mode_table(N)
     return np.stack([noise_direction(spec, k) for k in tab.modes])
-
-
-def sample_increments(
-    spec: NoiseSpec,
-    modes: Sequence[ModeIndex],
-    dt: float,
-    rng: np.random.Generator,
-) -> Dict[ModeIndex, complex]:
-    """One Wiener increment per requested mode.
-
-    Stored-pair representatives get a complex increment with total
-    variance dt; self-paired modes a real one of variance dt.  When both
-    members of a conjugate pair are requested they receive conjugate
-    values, mirroring the reality constraint of the field itself.
-    Increments are drawn in canonical mode order so the result only
-    depends on the seed and the requested set, not the argument order.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    canon_set = {}
-    for k in modes:
-        if not isinstance(k, ModeIndex):
-            k = ModeIndex(*k)
-        canon_set.setdefault(k.canonical(), None)
-    ordered = sorted(canon_set, key=ModeIndex.sort_key)
-    root = math.sqrt(dt)
-    half = math.sqrt(dt / 2.0)
-    draws: Dict[ModeIndex, complex] = {}
-    for canon in ordered:
-        if canon.is_self_paired:
-            draws[canon] = complex(root * rng.standard_normal(), 0.0)
-        else:
-            re, im = rng.standard_normal(2)
-            draws[canon] = complex(half * re, half * im)
-    out: Dict[ModeIndex, complex] = {}
-    for k in modes:
-        if not isinstance(k, ModeIndex):
-            k = ModeIndex(*k)
-        canon = k.canonical()
-        val = draws[canon]
-        if (k.k1, k.k2) != (canon.k1, canon.k2):
-            val = val.conjugate()
-        out[k] = val
-    return out

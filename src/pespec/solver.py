@@ -22,11 +22,12 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 from scipy import fft as sfft
 
-from .linear import _phi1, strand_noise_chol
+from .linear import StrandSampler, _phi1
 from .modes import (
     BASIS_TAG,
     ModeIndex,
     SpectralField,
+    _fmt,
     field_from_text,
     field_to_text,
     hydrostatic_leray,
@@ -327,18 +328,16 @@ class _StepFactors:
         f0 = np.where(tab.k3 != 0, params.f0, 0.0)
         self.n = tab.n
         self.z = lam + 1j * f0
-        self.decay = np.exp(-self.z * dt)
         self.phi = dt * np.array([_phi1(-zz * dt) for zz in self.z])
         self.lam_max = float(lam.max())
         self.amp = noise_amplitude_array(spec, N)
         self.dirs = noise_direction_array(spec, N)
         self.paired = ~tab.self_paired
-        amp_strand = np.where(self.paired, self.amp / _SQRT2, self.amp)
-        chol = np.array([
-            strand_noise_chol(la, ff, aa, complex(d1, d2), dt)
-            for la, ff, aa, (d1, d2) in zip(lam, f0, amp_strand, self.dirs)
-        ])
-        self.s11, self.s21, self.s22 = chol.T
+        # one sampler row per stored mode: both strands of a conjugate pair
+        # share the factors of amplitude amp / sqrt(2)
+        self.noise = StrandSampler(
+            lam, f0, np.where(self.paired, self.amp / _SQRT2, self.amp),
+            [complex(d1, d2) for d1, d2 in self.dirs], dt)
         self.n_paired = int(self.paired.sum())
 
 
@@ -355,8 +354,10 @@ def _apply_pair(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _strand_noise(fac: _StepFactors, z: np.ndarray) -> np.ndarray:
-    return fac.s11 * z[:, 0] + 1j * (fac.s21 * z[:, 0] + fac.s22 * z[:, 1])
+def _strand_noise(noise: StrandSampler, z: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """eta = s11 n1 + i (s21 n1 + s22 n2) on the sampler rows `rows`."""
+    return noise.s11[rows] * z[:, 0] + 1j * (noise.s21[rows] * z[:, 0]
+                                             + noise.s22[rows] * z[:, 1])
 
 
 def draw_increments(cfg: SolverConfig, params: ModelParams,
@@ -370,15 +371,11 @@ def draw_increments(cfg: SolverConfig, params: ModelParams,
     """
     fac = _step_factors(cfg.N, cfg.dt, params)
     if cfg.scheme == "ExponentialEuler":
-        eta_x = _strand_noise(fac, rng.standard_normal((fac.n, 2)))
+        eta_x = _strand_noise(fac.noise, rng.standard_normal((fac.n, 2)))
         eta_y = np.zeros(fac.n, dtype=complex)
         if fac.n_paired:
             zp = rng.standard_normal((fac.n_paired, 2))
-            eta_y[fac.paired] = (
-                fac.s11[fac.paired] * zp[:, 0]
-                + 1j * (fac.s21[fac.paired] * zp[:, 0]
-                        + fac.s22[fac.paired] * zp[:, 1])
-            )
+            eta_y[fac.paired] = _strand_noise(fac.noise, zp, fac.paired)
         out = np.empty((fac.n, 2), dtype=complex)
         out[:, 0] = eta_x.real + 1j * eta_y.real
         out[:, 1] = eta_x.imag + 1j * eta_y.imag
@@ -416,7 +413,7 @@ def step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
         b = hydrostatic_leray(bf).coeffs
     dt = cfg.dt
     if cfg.scheme == "ExponentialEuler":
-        new = _apply_pair(fac.decay, c)
+        new = _apply_pair(fac.noise.decay, c)
         if b is not None:
             new -= _apply_pair(fac.phi, b)
         new += incr
@@ -556,10 +553,6 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
 # ---------------------------------------------------------------------------
 # trajectory serialization
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trajectory_to_text(traj: Trajectory, include_noise: bool = False) -> str:
     """Versioned text dump: header, one field block per sample, optional
     per-step noise rows.  repr() float formatting keeps round trips exact."""
@@ -592,54 +585,92 @@ def trajectory_to_text(traj: Trajectory, include_noise: bool = False) -> str:
     return buf.getvalue()
 
 
-def _parse_kv(line: str, prefix: str) -> Dict[str, str]:
-    body = line[len(prefix):].strip()
-    return dict(part.split("=", 1) for part in body.split())
+def _line(lines: List[str], i: int, what: str) -> str:
+    """Line i (0-based) of a trajectory text, which should hold `what`."""
+    if i >= len(lines):
+        raise ValueError(f"trajectory text ends before line {i + 1}, which should hold {what}")
+    return lines[i]
+
+
+def _parse_kv(lines: List[str], i: int, prefix: str) -> Dict[str, str]:
+    line = _line(lines, i, f"the {prefix!r} header")
+    if not line.startswith(prefix):
+        raise ValueError(f"line {i + 1}: expected the {prefix!r} header")
+    parts = line[len(prefix):].split()
+    if not all("=" in part for part in parts):
+        raise ValueError(f"line {i + 1}: header fields must read key=value")
+    return dict(part.split("=", 1) for part in parts)
 
 
 def trajectory_from_text(text: str) -> Trajectory:
+    """Parse `trajectory_to_text` output; malformed input raises ValueError naming the line."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(f"# {TRAJECTORY_FORMAT_TAG}"):
         raise ValueError("unrecognized trajectory header")
-    pk = _parse_kv(lines[1], "# params")
-    params = ModelParams(
-        nu_h=float(pk["nu_h"]), nu_z=float(pk["nu_z"]), f0=float(pk["f0"]),
-        sigma0=float(pk["sigma0"]), gamma=float(pk["gamma"]),
-        q=Fraction(pk["q"]), alpha=float(pk["alpha"]), N=int(pk["N"]),
-        T=float(pk["T"]),
-    )
-    ck = _parse_kv(lines[2], "# config")
-    cfg = SolverConfig(
-        N=int(ck["N"]), dt=float(ck["dt"]), scheme=ck["scheme"],
-        convolution=ck["convolution"], store_every=int(ck["store_every"]),
-        include_nonlinear=ck["include_nonlinear"] == "True",
-    )
-    seed_txt = lines[3].split()[-1]
-    seed = None if seed_txt == "none" else int(seed_txt)
-    counts = lines[4].split()
-    n_samples, n_noise = int(counts[2]), int(counts[4])
+    pk = _parse_kv(lines, 1, "# params")
+    ck = _parse_kv(lines, 2, "# config")
+    try:
+        params = ModelParams(
+            nu_h=float(pk["nu_h"]), nu_z=float(pk["nu_z"]), f0=float(pk["f0"]),
+            sigma0=float(pk["sigma0"]), gamma=float(pk["gamma"]),
+            q=Fraction(pk["q"]), alpha=float(pk["alpha"]), N=int(pk["N"]),
+            T=float(pk["T"]),
+        )
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"line 2: bad params header ({exc!r})") from None
+    flag = ck.get("include_nonlinear")
+    if flag not in ("True", "False"):
+        raise ValueError(f"line 3: include_nonlinear must be True or False, not {flag!r}")
+    try:
+        cfg = SolverConfig(
+            N=int(ck["N"]), dt=float(ck["dt"]), scheme=ck["scheme"],
+            convolution=ck["convolution"], store_every=int(ck["store_every"]),
+            include_nonlinear=flag == "True",
+        )
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"line 3: bad config header ({exc!r})") from None
+    seed_line = _line(lines, 3, "the seed").split()
+    counts = _line(lines, 4, "the sample and noise counts").split()
+    try:
+        seed = None if seed_line[-1] == "none" else int(seed_line[-1])
+        n_samples, n_noise = int(counts[2]), int(counts[4])
+    except (IndexError, ValueError):
+        raise ValueError("lines 4-5: bad seed or count header") from None
     n_modes = mode_table(cfg.N).n
 
     pos = 5
     times: List[float] = []
     states: List[SpectralField] = []
     for _ in range(n_samples):
-        if not lines[pos].startswith("time "):
-            raise ValueError(f"expected a time marker at line {pos + 1}")
-        times.append(float(lines[pos].split()[1]))
+        marker = _line(lines, pos, "a time marker").split()
+        try:
+            if marker[0] != "time":
+                raise ValueError
+            times.append(float(marker[1]))
+        except (IndexError, ValueError):
+            raise ValueError(f"expected a time marker at line {pos + 1}") from None
         block = "\n".join(lines[pos + 1: pos + 2 + n_modes])
-        states.append(field_from_text(block))
+        try:
+            states.append(field_from_text(block))
+        except ValueError as exc:
+            raise ValueError(f"field block from line {pos + 2}: {exc}") from None
         pos += 1 + 1 + n_modes
     noise_log: Optional[List[np.ndarray]] = None
     if n_noise:
         noise_log = []
         for j in range(n_noise):
-            if lines[pos] != f"noise-step {j}":
+            if _line(lines, pos, f"noise-step {j}") != f"noise-step {j}":
                 raise ValueError(f"expected noise-step {j} at line {pos + 1}")
-            rows = np.array(
-                [[float(x) for x in ln.split(",")]
-                 for ln in lines[pos + 1: pos + 1 + n_modes]]
-            )
+            try:
+                rows = np.array(
+                    [[float(x) for x in ln.split(",")]
+                     for ln in lines[pos + 1: pos + 1 + n_modes]]
+                )
+                if rows.shape != (n_modes, 4):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"noise-step {j} at line {pos + 1} needs {n_modes} "
+                                 "rows of four numbers") from None
             # assemble by part assignment: complex arithmetic would
             # normalize signed zeros and break byte-exact round trips
             incr = np.empty((n_modes, 2), dtype=complex)

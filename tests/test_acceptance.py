@@ -80,7 +80,7 @@ class TestCriterion1ExactIdentity:
     def test_horizontal_reconstruction(self, traj):
         ecfg = EstimatorConfig(variant="V1", N_obs=5)
         a = ecfg.alpha
-        est = estimate_nu_h(traj, ecfg, PSEUDO).value
+        est = estimate_nu_h(traj, ecfg).value
         mart = martingale_term(traj, (1.0 + a, 0.0, 0.0), BAROTROPIC, 5)
         den = quadratic_integral(traj, (1.0 + a / 2.0, 0.0, 0.0), BAROTROPIC, 5)
         assert abs(est + mart / den - 1.0) <= 1e-8
@@ -88,7 +88,7 @@ class TestCriterion1ExactIdentity:
     def test_vertical_reconstruction_all_columns(self, traj):
         ecfg = EstimatorConfig(variant="V1", N_obs=5)
         a = ecfg.alpha
-        est = estimate_nu_z(traj, ecfg, PSEUDO).value
+        est = estimate_nu_z(traj, ecfg).value
         mart_h = martingale_term(traj, (1.0 + a, 0.0, 0.0), BAROTROPIC, 5)
         den_h = quadratic_integral(traj, (1.0 + a / 2.0, 0.0, 0.0), BAROTROPIC, 5)
         mart_z = martingale_term(traj, (0.0, 1.0, a), BAROCLINIC, 5)
@@ -101,7 +101,7 @@ class TestCriterion1ExactIdentity:
         ecfg = EstimatorConfig(variant="V1", N_obs=5)
         a, q = ecfg.alpha, float(ecfg.q)
         res = ModeSelector.resonant(ecfg.q)
-        est = estimate_nu_z_hat(traj, ecfg, PSEUDO).value
+        est = estimate_nu_z_hat(traj, ecfg).value
         mart_h = martingale_term(traj, (1.0 + a, 0.0, 0.0), BAROTROPIC, 5)
         den_h = quadratic_integral(traj, (1.0 + a / 2.0, 0.0, 0.0), BAROTROPIC, 5)
         mart_r = martingale_term(traj, (0.0, 1.0, a), res, 5)

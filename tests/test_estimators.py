@@ -35,7 +35,7 @@ from pespec.modes import (
     random_field,
 )
 from pespec.params import ModelParams
-from pespec.solver import SolverConfig, Trajectory, simulate_path
+from pespec.solver import SolverConfig, Trajectory, nonlinear_B, simulate_path
 
 
 def constant_trajectory(f, T=0.5):
@@ -198,6 +198,23 @@ class TestNonlinearIntegral:
         n1 = nonlinear_integral(traj, 4.0, BAROTROPIC, "V1", 3)
         n2 = nonlinear_integral(traj, 4.0, BAROTROPIC, "V2", 3)
         assert abs(n1 - n2) > 0.0
+
+    def test_advection_uses_the_trajectory_backend(self, monkeypatch):
+        from pespec import estimators
+
+        seen = []
+
+        def spy(f, g, method="auto"):
+            seen.append(method)
+            return nonlinear_B(f, g, method)
+
+        monkeypatch.setattr(estimators, "nonlinear_B", spy)
+        cfg = SolverConfig(N=4, dt=1e-3, convolution="PseudoSpectralDealiased")
+        traj = simulate_path(ModelParams(T=0.003), None, cfg, np.random.default_rng(3))
+        ecfg = EstimatorConfig(variant="V2")
+        for estimate in (estimate_nu_h, estimate_nu_z, estimate_nu_z_hat):
+            estimate(traj, ecfg)
+        assert len(seen) == 15 and set(seen) == {"PseudoSpectralDealiased"}
 
 
 class TestMartingaleDecomposition:

@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="without '='"):
             load_config(path)
 
+    def test_misspelt_boolean_rejected(self, tmp_path):
+        path = self.write(tmp_path, "include_nonlinear = flase\n")
+        with pytest.raises(ValueError, match="include_nonlinear"):
+            load_config(path)
+
     def test_shipped_defaults_parse(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.cfg")
         assert cfg.params == DEFAULTS.with_(N=DEFAULTS.N)
@@ -407,6 +412,19 @@ class TestCli:
         assert len(rows) == 4
         assert rows[1].split(",")[1] == "nu_h"
         assert "nu_h = " in capsys.readouterr().out
+
+    def test_estimate_csv_cells_are_numbers(self, tmp_path):
+        cfg = tmp_path / "estimate.cfg"
+        cfg.write_text("T = 0.005\nN = 4\ndt = 0.001\n")
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "estimates.csv").read_text().splitlines()
+        text_columns = {"run_id", "estimator", "variant"}
+        names = header.split(",")
+        assert len(rows) == 3
+        for row in rows:
+            for name, cell in zip(names, row.split(","), strict=True):
+                if name not in text_columns:
+                    float(cell)
 
     def test_seed_override_changes_trajectory(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

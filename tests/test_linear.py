@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pespec.linear import (
     OUMode,
+    StrandSampler,
     decay_sq_integral,
     exact_norm_sum,
     expected_norm_order,
@@ -125,6 +126,49 @@ class TestNoiseCovariance:
         m = OUMode(ModeIndex(1, 0, 0), lam=1.0, f0=0.0, amp=1.0)
         with pytest.raises(ValueError, match="dt"):
             ou_exact_step(m, np.zeros(2), 0.0, np.random.default_rng(0))
+
+
+class TestStrandSampler:
+    """The vectorised exact step against the scalar factors and oracle."""
+
+    # one rotating and one non-rotating strand
+    LAM, F0, AMP, DT = [1.0, 1.3], [1.7, 0.0], [1.0, 0.8], 0.3
+    ZETA = [complex(0.6, 0.8), complex(-0.8, 0.6)]
+
+    def test_one_step_covariance(self):
+        sampler = StrandSampler(self.LAM, self.F0, self.AMP, self.ZETA, self.DT)
+        n = 100_000
+        eta = sampler.step(np.zeros((n, 2), dtype=complex), np.random.default_rng(5))
+        for j in range(2):
+            ref = implied_cov(self.LAM[j], self.F0[j], self.AMP[j], self.ZETA[j], self.DT)
+            x = np.stack([eta[:, j].real, eta[:, j].imag])
+            emp = x @ x.T / n
+            # Var(x_a x_b) = s_aa s_bb + s_ab^2 for a centred normal pair
+            se = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref ** 2) / n)
+            assert np.all(np.abs(emp - ref) < 5.0 * se), (j, emp, ref)
+
+    def test_decay_is_the_mean_factor(self):
+        sampler = StrandSampler(self.LAM, self.F0, self.AMP, self.ZETA, self.DT)
+        for j in range(2):
+            m = OUMode(ModeIndex(1, 0, 1), lam=self.LAM[j], f0=self.F0[j], amp=self.AMP[j])
+            assert sampler.decay[j] == pytest.approx(ou_mean_factor(m, self.DT), rel=1e-15)
+
+    def test_rotating_strand_matches_scalar_oracle(self):
+        m = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=1.7, amp=1.0, direction=(0.6, 0.8))
+        sampler = StrandSampler([m.lam], [m.f0], [m.amp], [m.zeta], 0.3)
+        state = np.array([0.3, -0.4])
+        want = ou_exact_step(m, state, 0.3, np.random.default_rng(8))
+        got = sampler.step(np.array([[complex(*state)]]), np.random.default_rng(8))[0, 0]
+        np.testing.assert_allclose([got.real, got.imag], want, rtol=1e-14)
+
+    def test_non_rotating_block_draws_one_normal_per_strand(self):
+        sampler = StrandSampler([1.0, 2.0, 0.5], [0.0] * 3, [1.0] * 3,
+                                [1j, complex(0.6, 0.8), 1.0], 0.1)
+        Z = np.zeros((4, 3), dtype=complex)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        sampler.step(Z, a)
+        b.standard_normal(Z.shape)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestTimeEnergyMean:

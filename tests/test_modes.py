@@ -13,6 +13,7 @@ from pespec.modes import (
     SpectralField,
     apply_operator,
     enumerate_modes,
+    _fmt,
     field_from_text,
     field_norm,
     field_to_text,
@@ -161,6 +162,14 @@ class TestSpectralField:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             field_from_text("nonsense\n1,0,0,0,0,0,0\n")
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError, match="line 1"):
+            field_from_text("")
+
+    def test_formatter_writes_plain_numbers(self):
+        assert [_fmt(x) for x in (np.float64(0.5), 0.1, np.float32(2.0), 3, "V2")] == \
+            ["0.5", "0.1", "2.0", "3", "V2"]
 
 
 class TestOperators:

@@ -2,14 +2,10 @@
 import numpy as np
 import pytest
 
-from pespec.modes import ModeIndex, enumerate_modes, storage_modes
-from pespec.noise import (
-    NoiseSpec,
-    noise_amplitude_array,
-    noise_coefficient,
-    noise_direction,
-    sample_increments,
-)
+from pespec.modes import ModeIndex, enumerate_modes, mode_table, storage_modes
+from pespec.noise import NoiseSpec, noise_amplitude_array, noise_direction
+from pespec.params import ModelParams
+from pespec.solver import SCHEMES, SolverConfig, draw_increments
 
 
 class TestDirections:
@@ -42,18 +38,19 @@ class TestDirections:
 class TestAmplitudes:
     def test_power_law(self):
         spec = NoiseSpec(sigma0=2.0, gamma=3.0)
-        c = noise_coefficient(spec, ModeIndex(1, 2, 3))
-        np.testing.assert_allclose(np.linalg.norm(c), 2.0 * 14.0 ** -1.5)
+        i = storage_modes(4).index(ModeIndex(1, 2, 3))
+        np.testing.assert_allclose(noise_amplitude_array(spec, 4)[i], 2.0 * 14.0 ** -1.5)
 
     def test_unit_mode_amplitude_equals_sigma0(self):
-        c = noise_coefficient(NoiseSpec(sigma0=1.0, gamma=4.5), ModeIndex(1, 0, 0))
-        np.testing.assert_allclose(np.linalg.norm(c), 1.0)
+        # every stored mode of the N = 1 truncation has |k| = 1
+        amps = noise_amplitude_array(NoiseSpec(sigma0=1.0, gamma=4.5), 1)
+        np.testing.assert_allclose(amps, 1.0)
 
     def test_amplitude_array_matches_scalar(self):
         spec = NoiseSpec(sigma0=0.7, gamma=2.5)
         amps = noise_amplitude_array(spec, 3)
         for i, k in enumerate(storage_modes(3)):
-            assert amps[i] == pytest.approx(np.linalg.norm(noise_coefficient(spec, k)))
+            assert amps[i] == pytest.approx(0.7 * float(k.k_sq) ** -1.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,34 +62,32 @@ class TestAmplitudes:
 
 
 class TestIncrements:
+    """The per-mode noise the solver applies, from `draw_increments`."""
+
     def test_self_paired_increment_is_real(self):
         rng = np.random.default_rng(0)
-        dw = sample_increments(NoiseSpec(), [ModeIndex(0, 0, 1)], 0.01, rng)
-        assert dw[ModeIndex(0, 0, 1)].imag == 0.0
-
-    def test_conjugate_site_gets_conjugate_draw(self):
-        rng = np.random.default_rng(1)
-        k = ModeIndex(1, 0, 1)
-        dw = sample_increments(NoiseSpec(), [k, k.conjugate_partner()], 0.01, rng)
-        assert dw[k.conjugate_partner()] == np.conj(dw[k])
-
-    def test_order_insensitive(self):
-        modes = enumerate_modes(2)
-        a = sample_increments(NoiseSpec(), modes, 0.1, np.random.default_rng(7))
-        b = sample_increments(NoiseSpec(), list(reversed(modes)), 0.1, np.random.default_rng(7))
-        assert a == b
+        sp = mode_table(2).self_paired
+        assert sp.any()
+        for scheme in SCHEMES:
+            cfg = SolverConfig(N=2, dt=0.01, scheme=scheme)
+            assert np.all(draw_increments(cfg, ModelParams(), rng)[sp].imag == 0.0)
 
     def test_moments(self):
         """E dW = 0 and E|dW|^2 = dt for both pairing classes."""
         rng = np.random.default_rng(123)
         dt, n = 0.25, 20_000
-        paired = np.empty(n, dtype=complex)
-        real_ax = np.empty(n)
-        kp, ks = ModeIndex(1, 0, 1), ModeIndex(0, 0, 1)
-        for i in range(n):
-            dw = sample_increments(NoiseSpec(), [kp, ks], dt, rng)
-            paired[i] = dw[kp]
-            real_ax[i] = dw[ks].real
+        cfg = SolverConfig(N=1, dt=dt, scheme="EulerMaruyama")
+        spec = NoiseSpec()
+        amp = noise_amplitude_array(spec, 1)
+        dirs = np.stack([noise_direction(spec, k) for k in storage_modes(1)])
+        # increments are amp dW c_k with a unit real c_k, so c_k . incr = amp dW
+        dw = np.array([np.sum(draw_increments(cfg, ModelParams(), rng) * dirs, axis=1) / amp
+                       for _ in range(n)])
+        sp = mode_table(1).self_paired
+        paired = dw[:, np.flatnonzero(~sp)[0]]
+        real_ax = dw[:, np.flatnonzero(sp)[0]]
+        assert np.all(real_ax.imag == 0.0)
+        real_ax = real_ax.real
         # allow Monte Carlo wiggle at five standard errors
         se2 = dt * np.sqrt(2.0 / n)
         assert abs(np.mean(np.abs(paired) ** 2) - dt) < 5 * se2
@@ -101,10 +96,6 @@ class TestIncrements:
         # real and imaginary parts split the variance evenly
         assert np.var(paired.real) == pytest.approx(dt / 2, rel=0.05)
         assert np.var(paired.imag) == pytest.approx(dt / 2, rel=0.05)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            sample_increments(NoiseSpec(), [ModeIndex(1, 0, 0)], 0.0, np.random.default_rng(0))
 
 
 if __name__ == "__main__":

@@ -370,6 +370,18 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError, match="unrecognized trajectory header"):
             trajectory_from_text("# some-other-format v9\n")
 
+    def test_header_only_rejected(self):
+        first = trajectory_to_text(self.make()).splitlines()[0]
+        with pytest.raises(ValueError, match="line 2"):
+            trajectory_from_text(first + "\n")
+
+    def test_unknown_include_nonlinear_rejected(self):
+        txt = trajectory_to_text(self.make())
+        assert "include_nonlinear=False" in txt
+        with pytest.raises(ValueError, match="line 3: include_nonlinear"):
+            trajectory_from_text(txt.replace("include_nonlinear=False",
+                                             "include_nonlinear=flase"))
+
     def test_trajectory_invariants(self):
         p = ModelParams()
         s = SpectralField.zeros(2)
