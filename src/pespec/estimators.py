@@ -27,12 +27,11 @@ from .modes import (
     BAROCLINIC,
     BAROTROPIC,
     ModeSelector,
-    SpectralField,
     mode_table,
     selector_mask,
 )
 from .params import ModelParams, RationalLike, as_fraction
-from .solver import Trajectory, hydrostatic_leray, nonlinear_B
+from .solver import Trajectory
 
 __all__ = [
     "EstimatorConfig",
@@ -162,11 +161,6 @@ def cross_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     return float(dts @ (per @ wgt))
 
 
-def _truncate(f: SpectralField, n_obs: int) -> SpectralField:
-    keep = f.table.k_sq <= n_obs * n_obs
-    return f.with_coeffs(f.coeffs * keep[:, None])
-
-
 def _pair_weights(sel: ModeSelector, alpha: float) -> Tuple[float, float, float]:
     # the estimator displays pair A_h^{1+alpha} on the horizontal average
     # and A_z A^alpha on the k3 != 0 families
@@ -181,9 +175,11 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
 
     V1 uses the advection term of the full stored path (requires modes
     beyond N_obs), V2 recomputes it from the observed truncation.  The
-    hydrostatic Leray projection is applied before pairing, and B is
-    evaluated with the trajectory's own advection backend, matching the
-    drift actually integrated by the solver.
+    hydrostatic Leray projection is applied before pairing.  The per-mode
+    pairings come from `Trajectory.advection_pairing`, which evaluates B
+    once per stored sample and truncation for all estimators; on a
+    simulated path the full-truncation pairing is the drift the solver
+    actually integrated.
     """
     if variant == "V3":
         raise ValueError("variant V3 drops the advection terms; nothing to integrate")
@@ -198,13 +194,9 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     mask = _observed_mask(traj.N, sel, n_obs)
     eig = _masked_eigs(traj.N, mask, *_pair_weights(sel, alpha))
     wgt = mode_table(traj.N).weight[mask] * eig
-    dts = np.diff(traj.times)
+    pairing = traj.advection_pairing(None if variant == "V1" else cut)[:, mask]
     acc = 0.0
-    for i, dt in enumerate(dts):
-        state = traj.states[i]
-        src = state if variant == "V1" else _truncate(state, cut)
-        b = hydrostatic_leray(nonlinear_B(src, src, traj.config.convolution)).coeffs[mask]
-        per = np.sum(state.coeffs[mask] * np.conj(b), axis=1).real
+    for dt, per in zip(np.diff(traj.times), pairing):
         acc += dt * float(per @ wgt)
     return acc
 

@@ -103,6 +103,18 @@ def load_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentC
     return _config_from_dict(raw)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number"}
+
+
+def _number(raw: Dict[str, str], key: str, kind, what: str = ""):
+    """raw[key] parsed by `kind`; a malformed value raises a ValueError naming the key."""
+    try:
+        return kind(raw[key])
+    except (ValueError, ZeroDivisionError):
+        what = what or _KIND_NAMES[kind]
+        raise ValueError(f"config key {key} must be {what}, not {raw[key]!r}") from None
+
+
 def _config_from_dict(raw: Dict[str, str]) -> ExperimentConfig:
     known = (_PARAM_KEYS | _SOLVER_KEYS
              | {"q", "variant", "N_obs", "replications", "N_sweep", "seed",
@@ -111,21 +123,21 @@ def _config_from_dict(raw: Dict[str, str]) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    pk = {k: float(raw[k]) for k in _PARAM_KEYS if k in raw}
+    pk = {k: _number(raw, k, float) for k in _PARAM_KEYS if k in raw}
     if "q" in raw:
-        pk["q"] = as_fraction(Fraction(raw["q"]))
+        pk["q"] = as_fraction(_number(raw, "q", Fraction))
     params = ModelParams(**pk)
 
     sk: Dict[str, object] = {}
     if "N" in raw:
-        sk["N"] = int(raw["N"])
+        sk["N"] = _number(raw, "N", int)
     if "dt" in raw:
-        sk["dt"] = float(raw["dt"])
+        sk["dt"] = _number(raw, "dt", float)
     for key in ("scheme", "convolution"):
         if key in raw:
             sk[key] = raw[key]
     if "store_every" in raw:
-        sk["store_every"] = int(raw["store_every"])
+        sk["store_every"] = _number(raw, "store_every", int)
     if "include_nonlinear" in raw:
         flag = raw["include_nonlinear"].lower()
         if flag not in ("1", "true", "yes", "0", "false", "no"):
@@ -137,17 +149,19 @@ def _config_from_dict(raw: Dict[str, str]) -> ExperimentConfig:
     ek: Dict[str, object] = {"alpha": params.alpha, "q": params.q,
                              "variant": raw.get("variant", "V2")}
     if raw.get("N_obs"):
-        ek["N_obs"] = int(raw["N_obs"])
+        ek["N_obs"] = _number(raw, "N_obs", int)
     estimator = EstimatorConfig(**ek)
 
     kwargs: Dict[str, object] = {"params": params, "solver": solver,
                                  "estimator": estimator}
     if "replications" in raw:
-        kwargs["replications"] = int(raw["replications"])
+        kwargs["replications"] = _number(raw, "replications", int)
     if "N_sweep" in raw:
-        kwargs["N_sweep"] = tuple(int(x) for x in raw["N_sweep"].split(",") if x.strip())
+        kwargs["N_sweep"] = _number(
+            raw, "N_sweep", lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
+            "a comma-separated list of integers")
     if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
+        kwargs["seed"] = _number(raw, "seed", int)
     if "mode" in raw:
         kwargs["mode"] = raw["mode"]
     if "output_dir" in raw:

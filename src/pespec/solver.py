@@ -3,18 +3,18 @@
 The state is a SpectralField of horizontal-velocity coefficients.  Its
 drift splits into the per-mode linear part (diffusion plus rotation,
 solved exactly in the complex-rate picture of `linear`) and the
-projected advection term P B(V, V).  B is computed either by an exact
-convolution over lattice sites (Direct) or on a dealiased collocation
-grid (PseudoSpectralDealiased); the two implementations act as mutual
-oracles.  All schemes take the per-step noise vectors as an argument,
-so trajectories are reproducible and the applied increments can be
-logged for the estimator validation identities.
+projected advection term P B(V, V).  B is computed on a collocation
+grid dealiased by the 3/2 rule, which is exact on the truncation; the
+exact convolution over lattice site pairs (Direct) survives only as a
+test oracle.  All schemes take the per-step noise vectors as an
+argument, so trajectories are reproducible and the applied increments
+can be logged for the estimator validation identities.
 """
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Union
@@ -73,10 +73,12 @@ class SolverConfig:
     diffusion-rotation part exactly per mode, SemiImplicitEuler solves it
     implicitly, EulerMaruyama is fully explicit (kept because the
     estimator reconstruction identities are exact only for plain
-    left-endpoint increments).  `convolution` selects the advection
-    implementation; "auto" resolves to Direct for N <= 8 and the
-    dealiased grid above.  `include_nonlinear` switches the advection
-    term off entirely for linear-regime studies.
+    left-endpoint increments).  `convolution` is a legacy key kept so
+    that old config files and trajectory headers still parse: every
+    accepted name ("auto", "Direct", "PseudoSpectralDealiased") resolves
+    to the dealiased grid, the one production advection backend.
+    `include_nonlinear` switches the advection term off entirely for
+    linear-regime studies.
     """
 
     N: int
@@ -99,9 +101,7 @@ class SolverConfig:
             raise ValueError("store_every must be >= 1")
 
     def resolved_convolution(self) -> str:
-        if self.convolution != "auto":
-            return self.convolution
-        return "Direct" if self.N <= 8 else "PseudoSpectralDealiased"
+        return "PseudoSpectralDealiased"
 
 
 # ---------------------------------------------------------------------------
@@ -204,46 +204,6 @@ def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.where(m3 != 0, -div / np.where(m3 != 0, m3, 1), 0.0)
 
 
-def _convolve_direct(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """B(f, g) by exact summation over exponential site pairs.
-
-    For sites m + n = p the integrand contributes
-    i [ (F_m . n') + w_m n3 ] G_n, accumulated on a dense (2N+1)^3 cube.
-    Quadratic in the site count, so reserved for small N and oracle use.
-    """
-    N = f.N
-    lay = _site_layout(N)
-    fv = _site_values(lay, f)
-    gv = _site_values(lay, g)
-    wv = _w_site_values(lay.sites, fv)
-
-    side = 2 * N + 1
-    acc = np.zeros((side ** 3, 2), dtype=complex)
-    gsites = lay.sites
-    lin_base = (gsites[:, 0] + N) * side * side + (gsites[:, 1] + N) * side + (
-        gsites[:, 2] + N
-    )
-    active = np.nonzero(np.abs(fv).sum(axis=1) + np.abs(wv) > 0.0)[0]
-    Nsq = N * N
-    for i in active:
-        m = lay.sites[i]
-        p = gsites + m
-        keep = (p * p).sum(axis=1) <= Nsq
-        keep &= np.any(p != 0, axis=1)
-        coef = 1j * (fv[i, 0] * gsites[:, 0] + fv[i, 1] * gsites[:, 1]
-                     + wv[i] * gsites[:, 2])
-        contrib = coef[:, None] * gv
-        lin = lin_base[keep] + (m[0] * side * side + m[1] * side + m[2])
-        np.add.at(acc, lin, contrib[keep])
-
-    def read(sites: np.ndarray) -> np.ndarray:
-        lin = ((sites[:, 0] + N) * side * side + (sites[:, 1] + N) * side
-               + (sites[:, 2] + N))
-        return acc[lin]
-
-    return _fold_sites(lay, read)
-
-
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     """B(f, g) on a zero-padded collocation grid.
 
@@ -294,19 +254,17 @@ def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> Spe
     zero mode discarded.  The output is generally not divergence-free in
     its horizontal average; the solver applies the hydrostatic Leray
     projection separately.  The horizontal average of `f` is assumed
-    divergence-free (it then contributes nothing to w).
+    divergence-free (it then contributes nothing to w).  B is always
+    evaluated on the dealiased grid: `method` accepts the legacy names
+    of `SolverConfig.convolution` and rejects any other.  The exact
+    Direct sum over lattice site pairs, O(sites^2), lives with the tests
+    as the oracle this grid is checked against.
     """
     if f.N != g.N:
         raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")
-    if method == "auto":
-        method = "Direct" if f.N <= 8 else "PseudoSpectralDealiased"
-    if method == "Direct":
-        coeffs = _convolve_direct(f, g)
-    elif method == "PseudoSpectralDealiased":
-        coeffs = _convolve_pseudospectral(f, g)
-    else:
+    if method not in CONVOLUTIONS:
         raise ValueError(f"unknown convolution method {method!r}")
-    return SpectralField(f.N, coeffs)
+    return SpectralField(f.N, _convolve_pseudospectral(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +358,13 @@ def step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
     this step, in stored-mode order (see `draw_increments`); the caller
     owns the randomness so paths can be replayed and logged.
     """
+    return _step(state, cfg, params, increments)[0]
+
+
+def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
+          increments):
+    """`step`, also returning the projected advection term P B(state, state)
+    it applied (None when the advection term is switched off)."""
     if state.N != cfg.N:
         raise ValueError(f"state truncation {state.N} != config N {cfg.N}")
     fac = _step_factors(cfg.N, cfg.dt, params)
@@ -428,7 +393,17 @@ def step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
             new -= dt * b
     if not np.all(np.isfinite(new.view(float))):
         raise BlowUpError("non-finite coefficients after a time step")
-    return state.with_coeffs(new)
+    return state.with_coeffs(new), b
+
+
+def _truncate(f: SpectralField, cut: int) -> SpectralField:
+    keep = f.table.k_sq <= cut * cut
+    return f.with_coeffs(f.coeffs * keep[:, None])
+
+
+def _advection_pairing(state: SpectralField, b: np.ndarray) -> np.ndarray:
+    """Re sum_c V_k,c conj(b_k,c) per stored mode k."""
+    return np.sum(state.coeffs * np.conj(b), axis=1).real
 
 
 @dataclass(eq=False)
@@ -438,7 +413,8 @@ class Trajectory:
     `times` and `states` hold every store_every-th step including the
     initial condition; `noise_log` (when kept) holds the applied noise
     vectors of every internal step, which the estimator module uses to
-    reconstruct martingale terms exactly.
+    reconstruct martingale terms exactly.  The states are not meant to
+    change after construction: `advection_pairing` memoizes on them.
     """
 
     times: np.ndarray
@@ -447,6 +423,8 @@ class Trajectory:
     config: SolverConfig
     seed: Optional[int] = None
     noise_log: Optional[List[np.ndarray]] = None
+    # advection_pairing memo, keyed by the source truncation
+    _pairing: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -486,6 +464,29 @@ class Trajectory:
             raise ValueError("noise log length inconsistent with samples")
         return stack.reshape(self.n_samples - 1, se, *stack.shape[1:]).sum(axis=1)
 
+    def advection_pairing(self, cut: Optional[int] = None) -> np.ndarray:
+        """Per-sample, per-mode pairing of each state with its advection term.
+
+        Row i, column k holds Re sum_c V_i,k,c conj(P B(src_i, src_i))_k,c
+        for the left-endpoint samples i = 0 .. n_samples - 2, where src_i
+        is V_i truncated to |k| <= `cut` (all of V_i when `cut` is None
+        or reaches N).  B is evaluated once per sample and truncation:
+        `simulate_path` hands over the full-truncation rows from the
+        steps it took, and any other truncation, or a path built
+        elsewhere, is computed on first use and kept.
+        """
+        key = self.N if cut is None else min(int(cut), self.N)
+        pairing = self._pairing.get(key)
+        if pairing is None:
+            method = self.config.resolved_convolution()
+            pairing = np.empty((self.n_samples - 1, len(self.states[0].coeffs)))
+            for i, state in enumerate(self.states[:-1]):
+                src = state if key == self.N else _truncate(state, key)
+                b = hydrostatic_leray(nonlinear_B(src, src, method)).coeffs
+                pairing[i] = _advection_pairing(state, b)
+            self._pairing[key] = pairing
+        return pairing
+
 
 def simulate_path(params: ModelParams, V0: Optional[SpectralField],
                   cfg: SolverConfig, rng: Union[int, np.random.Generator],
@@ -522,14 +523,18 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
     times = [0.0]
     states = [V0]
     noise_log: List[np.ndarray] = []
+    # the pairing of each stored left-endpoint state with the advection
+    # term its step applied, so the estimators need not evaluate B again
+    pairing = np.empty((n_steps // cfg.store_every, fac.n)) if cfg.include_nonlinear else None
     state = V0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             incr = draw_increments(cfg, params, gen)
             if log_noise:
                 noise_log.append(incr)
+            left = state
             try:
-                state = step(state, cfg, params, incr)
+                state, b = _step(state, cfg, params, incr)
             except BlowUpError:
                 raise BlowUpError(
                     f"trajectory blew up at step {i + 1} of {n_steps} "
@@ -537,10 +542,12 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
                     step_index=i + 1,
                     time=(i + 1) * cfg.dt,
                 ) from None
+            if b is not None and i % cfg.store_every == 0:
+                pairing[i // cfg.store_every] = _advection_pairing(left, b)
             if (i + 1) % cfg.store_every == 0:
                 times.append((i + 1) * cfg.dt)
                 states.append(state)
-    return Trajectory(
+    traj = Trajectory(
         times=np.array(times),
         states=states,
         params=params,
@@ -548,6 +555,9 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
         seed=seed,
         noise_log=noise_log if log_noise else None,
     )
+    if pairing is not None:
+        traj._pairing[cfg.N] = pairing
+    return traj
 
 
 # ---------------------------------------------------------------------------

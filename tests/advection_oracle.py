@@ -1,0 +1,55 @@
+"""The Direct advection sum: the exact oracle for the dealiased grid.
+
+`direct_B(f, g)` sums the advection term over every pair of exponential
+lattice sites, with no transform and no grid, so it shares nothing with
+the production backend but the map between stored modes and sites.  It
+is quadratic in the site count (about 0.6 s per call at N = 8), which is
+why the program evaluates B on the dealiased grid only and this sum
+lives with the tests.
+"""
+import numpy as np
+
+from pespec.modes import SpectralField
+from pespec.solver import _fold_sites, _site_layout, _site_values, _w_site_values
+
+
+def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:
+    """B(f, g) = f . grad_h g + w(f) dz g by exact summation over site pairs.
+
+    For sites m + n = p the integrand contributes
+    i [ (F_m . n') + w_m n3 ] G_n, accumulated on a dense (2N+1)^3 cube,
+    and the result is folded onto the stored basis like `nonlinear_B`'s.
+    """
+    if f.N != g.N:
+        raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")
+    N = f.N
+    lay = _site_layout(N)
+    fv = _site_values(lay, f)
+    gv = _site_values(lay, g)
+    wv = _w_site_values(lay.sites, fv)
+
+    side = 2 * N + 1
+    acc = np.zeros((side ** 3, 2), dtype=complex)
+    gsites = lay.sites
+    lin_base = (gsites[:, 0] + N) * side * side + (gsites[:, 1] + N) * side + (
+        gsites[:, 2] + N
+    )
+    active = np.nonzero(np.abs(fv).sum(axis=1) + np.abs(wv) > 0.0)[0]
+    Nsq = N * N
+    for i in active:
+        m = lay.sites[i]
+        p = gsites + m
+        keep = (p * p).sum(axis=1) <= Nsq
+        keep &= np.any(p != 0, axis=1)
+        coef = 1j * (fv[i, 0] * gsites[:, 0] + fv[i, 1] * gsites[:, 1]
+                     + wv[i] * gsites[:, 2])
+        contrib = coef[:, None] * gv
+        lin = lin_base[keep] + (m[0] * side * side + m[1] * side + m[2])
+        np.add.at(acc, lin, contrib[keep])
+
+    def read(sites: np.ndarray) -> np.ndarray:
+        lin = ((sites[:, 0] + N) * side * side + (sites[:, 1] + N) * side
+               + (sites[:, 2] + N))
+        return acc[lin]
+
+    return SpectralField(N, _fold_sites(lay, read))

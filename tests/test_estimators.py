@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pespec import solver
 from pespec.estimators import (
     EstimateResult,
     EstimatorConfig,
@@ -35,7 +36,13 @@ from pespec.modes import (
     random_field,
 )
 from pespec.params import ModelParams
-from pespec.solver import SolverConfig, Trajectory, nonlinear_B, simulate_path
+from pespec.solver import (
+    SolverConfig,
+    Trajectory,
+    simulate_path,
+    trajectory_from_text,
+    trajectory_to_text,
+)
 
 
 def constant_trajectory(f, T=0.5):
@@ -200,21 +207,97 @@ class TestNonlinearIntegral:
         assert abs(n1 - n2) > 0.0
 
     def test_advection_uses_the_trajectory_backend(self, monkeypatch):
-        from pespec import estimators
-
-        seen = []
-
-        def spy(f, g, method="auto"):
-            seen.append(method)
-            return nonlinear_B(f, g, method)
-
-        monkeypatch.setattr(estimators, "nonlinear_B", spy)
-        cfg = SolverConfig(N=4, dt=1e-3, convolution="PseudoSpectralDealiased")
+        # a path read back from text carries no advection pairing, so the
+        # estimators evaluate B themselves: on the dealiased grid, even
+        # under the legacy header convolution=Direct, once per left sample
+        cfg = SolverConfig(N=4, dt=1e-3, convolution="Direct")
         traj = simulate_path(ModelParams(T=0.003), None, cfg, np.random.default_rng(3))
+        loaded = trajectory_from_text(trajectory_to_text(traj))
+        assert loaded.config.convolution == "Direct"
+        kernel = solver._convolve_pseudospectral
+        calls = []
+
+        def spy(f, g):
+            calls.append(f.N)
+            return kernel(f, g)
+
+        monkeypatch.setattr(solver, "_convolve_pseudospectral", spy)
         ecfg = EstimatorConfig(variant="V2")
         for estimate in (estimate_nu_h, estimate_nu_z, estimate_nu_z_hat):
-            estimate(traj, ecfg)
-        assert len(seen) == 15 and set(seen) == {"PseudoSpectralDealiased"}
+            estimate(loaded, ecfg)
+        assert calls == [4] * (loaded.n_samples - 1)
+
+
+class TestAdvectionOncePerState:
+    """The solver's advection term feeds every estimator; B runs once per state."""
+
+    @staticmethod
+    def spy_on_B(monkeypatch):
+        calls = []
+        real = solver.nonlinear_B
+
+        def spy(f, g, method="auto"):
+            calls.append(f.coeffs.copy())
+            return real(f, g, method)
+
+        monkeypatch.setattr(solver, "nonlinear_B", spy)
+        return calls
+
+    @staticmethod
+    def path(store_every=1, include_nonlinear=True):
+        params = ModelParams(T=0.008)
+        V0 = random_field(4, np.random.default_rng(21), amplitude=0.3)
+        cfg = SolverConfig(N=4, dt=1e-3, scheme="EulerMaruyama", store_every=store_every,
+                           include_nonlinear=include_nonlinear)
+        return simulate_path(params, V0, cfg, np.random.default_rng(22))
+
+    @staticmethod
+    def estimates(traj, ecfg):
+        return [fn(traj, ecfg) for fn in (estimate_nu_h, estimate_nu_z, estimate_nu_z_hat)]
+
+    @pytest.mark.parametrize("store_every", [1, 2])
+    def test_one_call_per_step_then_one_per_loaded_sample(self, monkeypatch, store_every):
+        calls = self.spy_on_B(monkeypatch)
+        traj = self.path(store_every)
+        n_steps = 8
+        assert len(calls) == n_steps
+        ecfg = EstimatorConfig(variant="V2")
+        self.estimates(traj, ecfg)
+        self.estimates(traj, EstimatorConfig(variant="V1", N_obs=3))
+        assert len(calls) == n_steps
+        loaded = trajectory_from_text(trajectory_to_text(traj))
+        self.estimates(loaded, ecfg)
+        self.estimates(loaded, ecfg)
+        assert len(calls) == n_steps + loaded.n_samples - 1
+
+    @pytest.mark.parametrize("store_every", [1, 2])
+    def test_in_memory_and_round_trip_estimates_agree(self, store_every):
+        traj = self.path(store_every)
+        loaded = trajectory_from_text(trajectory_to_text(traj))
+        for ecfg in (EstimatorConfig(variant="V2"), EstimatorConfig(variant="V1", N_obs=3)):
+            for a, b in zip(self.estimates(traj, ecfg), self.estimates(loaded, ecfg)):
+                assert b.value == pytest.approx(a.value, rel=1e-12, abs=0.0)
+                assert b.numerator_parts["nonlinear"] == pytest.approx(
+                    a.numerator_parts["nonlinear"], rel=1e-12, abs=0.0)
+                assert a.numerator_parts["nonlinear"] != 0.0
+
+    def test_v2_below_the_truncation_evaluates_the_truncated_source(self, monkeypatch):
+        traj = self.path()
+        calls = self.spy_on_B(monkeypatch)
+        ecfg = EstimatorConfig(variant="V2", N_obs=3)
+        self.estimates(traj, ecfg)
+        assert len(calls) == traj.n_samples - 1
+        outside = traj.states[0].table.k_sq > 9
+        for src, state in zip(calls, traj.states):
+            assert not src[outside].any()
+            np.testing.assert_array_equal(src[~outside], state.coeffs[~outside])
+
+    def test_linear_path_records_nothing(self, monkeypatch):
+        calls = self.spy_on_B(monkeypatch)
+        traj = self.path(include_nonlinear=False)
+        assert calls == []
+        estimate_nu_h(traj, EstimatorConfig(variant="V2"))
+        assert len(calls) == traj.n_samples - 1
 
 
 class TestMartingaleDecomposition:

@@ -7,6 +7,7 @@ would land far outside the band.
 """
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -85,6 +86,16 @@ class TestConfig:
         path = self.write(tmp_path, "include_nonlinear = flase\n")
         with pytest.raises(ValueError, match="include_nonlinear"):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", "x"), ("nu_h", "abc"), ("seed", "1.5"), ("N_sweep", "4,eight"),
+        ("N_obs", "3.0"), ("replications", "many"), ("store_every", "2x"),
+        ("dt", "1e-3s"), ("q", "1/0"), ("q", "one"), ("T", ""),
+    ])
+    def test_malformed_number_names_its_key(self, tmp_path, key, value):
+        path = self.write(tmp_path, f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"config key {key} must be .*{re.escape(repr(value))}"):
+            load_config(path, {key: value})
 
     def test_shipped_defaults_parse(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.cfg")

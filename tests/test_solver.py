@@ -2,19 +2,25 @@
 
 The nonlinear-term reference coefficients were computed symbolically
 (literal expansion of f.grad_h g + w(f) dz g for a two-mode field,
-exact rationals) and are asserted against both convolution backends.
+exact rationals) and are asserted against the production advection
+term and against the Direct site-pair sum kept as its test oracle.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from advection_oracle import direct_B
 from pespec.linear import OUMode, ou_exact_step
 from pespec.modes import (
     ModeIndex,
     SpectralField,
+    field_from_text,
     field_norm,
+    field_to_text,
     hydrostatic_leray,
     inner_product,
     mode_table,
@@ -34,7 +40,9 @@ from pespec.solver import (
     vertical_velocity,
 )
 
-METHODS = ("Direct", "PseudoSpectralDealiased")
+# the Direct oracle and the production dealiased grid, under the names
+# the two backends went by when both were selectable
+METHODS = {"Direct": direct_B, "PseudoSpectralDealiased": nonlinear_B}
 
 
 def two_mode_field(N=3):
@@ -86,7 +94,7 @@ class TestVerticalVelocity:
 class TestNonlinearB:
     @pytest.mark.parametrize("method", METHODS)
     def test_frozen_coefficients(self, method):
-        B = nonlinear_B(two_mode_field(), two_mode_field(), method)
+        B = METHODS[method](two_mode_field(), two_mode_field())
         for i, k in enumerate(B.table.modes):
             want = FROZEN_B.get(k.as_tuple(), (0.0, 0.0))
             np.testing.assert_allclose(B.coeffs[i], want, atol=1e-13)
@@ -95,29 +103,29 @@ class TestNonlinearB:
     def test_bilinearity_at_zero(self, method):
         f = two_mode_field()
         z = SpectralField.zeros(3)
-        assert field_norm(nonlinear_B(z, f, method)) == 0.0
-        assert field_norm(nonlinear_B(f, z, method)) == 0.0
+        assert field_norm(METHODS[method](z, f)) == 0.0
+        assert field_norm(METHODS[method](f, z)) == 0.0
 
     def test_methods_agree_on_random_fields(self):
-        # the two backends are mutual oracles at 1e-10 relative
+        # the dealiased grid matches the Direct oracle at 1e-10 relative
         for seed in (0, 1, 2):
             f = random_field(4, np.random.default_rng(seed))
-            bd = nonlinear_B(f, f, "Direct")
-            bp = nonlinear_B(f, f, "PseudoSpectralDealiased")
+            bd = direct_B(f, f)
+            bp = nonlinear_B(f, f)
             diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
             assert diff <= 1e-10 * field_norm(bd)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_energy_orthogonality(self, method):
         f = random_field(4, np.random.default_rng(11))
-        B = nonlinear_B(f, f, method)
+        B = METHODS[method](f, f)
         rel = abs(inner_product(B, f)) / (field_norm(B) * field_norm(f))
         assert rel < 1e-12
 
     def test_output_needs_projection(self):
         # the raw advection term has a pressure-gradient component in its
         # horizontal average; the hydrostatic Leray projection removes it
-        B = nonlinear_B(two_mode_field(), two_mode_field(), "Direct")
+        B = nonlinear_B(two_mode_field(), two_mode_field())
         assert not B.is_divergence_free()
         assert hydrostatic_leray(B).is_divergence_free()
 
@@ -129,11 +137,21 @@ class TestNonlinearB:
         f = two_mode_field()
         with pytest.raises(ValueError, match="unknown convolution"):
             nonlinear_B(f, f, "Spectral")
+        with pytest.raises(ValueError, match="unknown convolution"):
+            SolverConfig(N=4, dt=0.1, convolution="Spectral")
 
     def test_auto_resolution(self):
-        assert SolverConfig(N=4, dt=0.1).resolved_convolution() == "Direct"
-        assert (SolverConfig(N=9, dt=0.1).resolved_convolution()
-                == "PseudoSpectralDealiased")
+        # every accepted name, legacy ones included, resolves to the
+        # dealiased grid at every truncation, and nonlinear_B evaluates
+        # each of them there
+        for N in (1, 4, 8, 9):
+            for name in ("auto", "Direct", "PseudoSpectralDealiased"):
+                cfg = SolverConfig(N=N, dt=0.1, convolution=name)
+                assert cfg.resolved_convolution() == "PseudoSpectralDealiased"
+        f = random_field(4, np.random.default_rng(5))
+        want = nonlinear_B(f, f, "PseudoSpectralDealiased").coeffs
+        for name in ("auto", "Direct"):
+            assert nonlinear_B(f, f, name).coeffs.tobytes() == want.tobytes()
 
 
 class TestConfigValidation:
@@ -390,6 +408,72 @@ class TestTrajectoryIO:
             Trajectory(times=[0.0, 0.0], states=[s, s], params=p, config=cfg)
         with pytest.raises(ValueError, match="equal length"):
             Trajectory(times=[0.0], states=[s, s], params=p, config=cfg)
+
+
+# single edits of a valid text: cut it short, or delete, duplicate or
+# replace one line, or replace or delete one character of a line.  Edits
+# never add a digit to a number, so an edited truncation N stays below
+# 10 and no edit asks for a mode table of absurd size.
+_EDIT_CHARS = "0123456789-+.,=e# Ntimesplnoiraxv\t"
+
+
+@st.composite
+def _edited(draw, text):
+    kind = draw(st.sampled_from(["cut", "drop", "dup", "line", "char", "del"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    lines = text.splitlines()
+    j = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[j]
+    elif kind == "dup":
+        lines.insert(j, lines[j])
+    elif kind == "line":
+        lines[j] = draw(st.text(alphabet=_EDIT_CHARS, max_size=30))
+    else:
+        line = lines[j]
+        if not line:
+            return text
+        c = draw(st.integers(0, len(line) - 1))
+        new = draw(st.sampled_from(_EDIT_CHARS)) if kind == "char" else ""
+        lines[j] = line[:c] + new + line[c + 1:]
+    return "\n".join(lines) + "\n"
+
+
+def _valid_trajectory_text():
+    p = ModelParams(q="1/2", T=0.5)
+    cfg = SolverConfig(N=2, dt=0.125, store_every=2, scheme="EulerMaruyama")
+    V0 = random_field(2, np.random.default_rng(1), amplitude=0.3)
+    return trajectory_to_text(simulate_path(p, V0, cfg, 4), include_noise=True)
+
+
+_TRAJECTORY_TEXT = _valid_trajectory_text()
+_FIELD_TEXT = field_to_text(random_field(2, np.random.default_rng(2)))
+
+
+class TestTextParsersFuzz:
+    """Edited texts parse or raise ValueError, never anything else."""
+
+    def test_unedited_texts_parse(self):
+        assert trajectory_to_text(trajectory_from_text(_TRAJECTORY_TEXT),
+                                  include_noise=True) == _TRAJECTORY_TEXT
+        assert field_to_text(field_from_text(_FIELD_TEXT)) == _FIELD_TEXT
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edited(_TRAJECTORY_TEXT))
+    def test_trajectory_from_text(self, text):
+        try:
+            trajectory_from_text(text)
+        except ValueError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edited(_FIELD_TEXT))
+    def test_field_from_text(self, text):
+        try:
+            field_from_text(text)
+        except ValueError:
+            pass
 
 
 if __name__ == "__main__":
