@@ -1,7 +1,9 @@
 """Viscosity estimators built from quadratic path functionals.
 
 All time integrals are strictly left-endpoint Riemann/Ito sums over the
-stored samples of a trajectory; mixing endpoint conventions shifts the
+stored samples of a trajectory, each one weighted sum over a per-sample,
+per-mode pairing that the trajectory builds once for all estimators
+(`Trajectory.left_pairing`); mixing endpoint conventions shifts the
 estimates by an O(1) quadratic-variation term, which the tests probe
 deliberately.  The estimator of the horizontal viscosity pairs the
 horizontal-average modes against A_h-weighted increments; the vertical
@@ -27,6 +29,7 @@ from .modes import (
     BAROCLINIC,
     BAROTROPIC,
     ModeSelector,
+    eigenvalue_array,
     mode_table,
     selector_mask,
 )
@@ -105,14 +108,28 @@ def _observed_mask(N: int, sel: ModeSelector, n_obs: Optional[int]) -> np.ndarra
     return mask
 
 
-def _masked_eigs(N: int, mask: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    tab = mode_table(N)
-    hsq, zsq, ksq = tab.kp_sq[mask], tab.k3_sq[mask], tab.k_sq[mask]
-    if a < 0 and np.any(hsq == 0.0):
-        raise ValueError("negative horizontal exponent meets a k'=0 mode")
-    if b < 0 and np.any(zsq == 0.0):
-        raise ValueError("negative vertical exponent meets a barotropic mode")
-    return hsq ** a * zsq ** b * ksq ** c
+# time integrals carry dt_i; the Ito sums' increments already do
+_RIEMANN_KINDS = ("energy", "advection")
+
+
+def _left_sum(traj: Trajectory, kind: str, exponents: Tuple[float, float, float],
+              sel: ModeSelector, n_obs: Optional[int] = None, squared: bool = False,
+              cut: Optional[int] = None) -> float:
+    """Weighted left-endpoint sum of one per-sample, per-mode pairing.
+
+    Sums w_k lambda_k X_i,k over the observed modes k of `sel` and the
+    left samples i, times dt_i for the time integrals, where X is
+    `traj.left_pairing(kind, cut)`, w_k the conjugate-pair weight of
+    `inner_product` and lambda_k the operator eigenvalue with
+    `exponents`, squared when `squared`.
+    """
+    mask = _observed_mask(traj.N, sel, n_obs)
+    eig = eigenvalue_array(traj.N, *exponents, mask=mask)
+    wgt = mode_table(traj.N).weight[mask] * (eig * eig if squared else eig)
+    per_sample = traj.left_pairing(kind, cut)[:, mask] @ wgt
+    if kind in _RIEMANN_KINDS:
+        return float(np.diff(traj.times) @ per_sample)
+    return float(per_sample.sum())
 
 
 def ito_integral(traj: Trajectory, weights: Tuple[float, float, float],
@@ -123,25 +140,13 @@ def ito_integral(traj: Trajectory, weights: Tuple[float, float, float],
     pairs carry their implicit partner with weight two, as in
     `inner_product`.
     """
-    mask = _observed_mask(traj.N, sel, n_obs)
-    eig = _masked_eigs(traj.N, mask, *weights)
-    wgt = mode_table(traj.N).weight[mask] * eig
-    stack = traj.coefficient_stack()[:, mask, :]
-    df = np.diff(stack, axis=0)
-    per = np.sum(stack[:-1] * np.conj(df), axis=2).real
-    return float((per @ wgt).sum())
+    return _left_sum(traj, "ito", weights, sel, n_obs)
 
 
 def quadratic_integral(traj: Trajectory, weights: Tuple[float, float, float],
                        sel: ModeSelector, n_obs: Optional[int] = None) -> float:
     """Left-endpoint Riemann sum of ||W f(t)||^2 over `sel`."""
-    mask = _observed_mask(traj.N, sel, n_obs)
-    eig = _masked_eigs(traj.N, mask, *weights)
-    wgt = mode_table(traj.N).weight[mask] * eig * eig
-    stack = traj.coefficient_stack()[:-1, mask, :]
-    per = np.sum(np.abs(stack) ** 2, axis=2)
-    dts = np.diff(traj.times)
-    return float(dts @ (per @ wgt))
+    return _left_sum(traj, "energy", weights, sel, n_obs, squared=True)
 
 
 def cross_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
@@ -151,14 +156,7 @@ def cross_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     On a resonant selector with ratio q this equals q times the
     quadratic integral with weights A_z A^{alpha/2}, exactly.
     """
-    mask = _observed_mask(traj.N, sel, n_obs)
-    tab = mode_table(traj.N)
-    eig = tab.kp_sq[mask] * tab.k3_sq[mask] * tab.k_sq[mask] ** alpha
-    wgt = tab.weight[mask] * eig
-    stack = traj.coefficient_stack()[:-1, mask, :]
-    per = np.sum(np.abs(stack) ** 2, axis=2)
-    dts = np.diff(traj.times)
-    return float(dts @ (per @ wgt))
+    return _left_sum(traj, "energy", (1.0, 1.0, alpha), sel, n_obs)
 
 
 def _pair_weights(sel: ModeSelector, alpha: float) -> Tuple[float, float, float]:
@@ -176,10 +174,10 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     V1 uses the advection term of the full stored path (requires modes
     beyond N_obs), V2 recomputes it from the observed truncation.  The
     hydrostatic Leray projection is applied before pairing.  The per-mode
-    pairings come from `Trajectory.advection_pairing`, which evaluates B
-    once per stored sample and truncation for all estimators; on a
-    simulated path the full-truncation pairing is the drift the solver
-    actually integrated.
+    pairings come from `Trajectory.left_pairing`, which evaluates B once
+    per stored sample and truncation for all estimators; on a simulated
+    path the full-truncation pairing is the drift the solver actually
+    integrated.
     """
     if variant == "V3":
         raise ValueError("variant V3 drops the advection terms; nothing to integrate")
@@ -191,14 +189,8 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
             "full path unavailable: V1 needs the trajectory to carry modes "
             f"beyond N_obs={cut}"
         )
-    mask = _observed_mask(traj.N, sel, n_obs)
-    eig = _masked_eigs(traj.N, mask, *_pair_weights(sel, alpha))
-    wgt = mode_table(traj.N).weight[mask] * eig
-    pairing = traj.advection_pairing(None if variant == "V1" else cut)[:, mask]
-    acc = 0.0
-    for dt, per in zip(np.diff(traj.times), pairing):
-        acc += dt * float(per @ wgt)
-    return acc
+    return _left_sum(traj, "advection", _pair_weights(sel, alpha), sel, n_obs,
+                     cut=None if variant == "V1" else cut)
 
 
 def martingale_term(traj: Trajectory, weights: Tuple[float, float, float],
@@ -209,19 +201,14 @@ def martingale_term(traj: Trajectory, weights: Tuple[float, float, float],
     weights isolates the martingale part of the Ito numerator; the
     reconstruction identities in the tests rest on this.
     """
-    mask = _observed_mask(traj.N, sel, n_obs)
-    eig = _masked_eigs(traj.N, mask, *weights)
-    wgt = mode_table(traj.N).weight[mask] * eig
-    noise = traj.aggregated_noise()[:, mask, :]
-    stack = traj.coefficient_stack()[:-1, mask, :]
-    per = np.sum(stack * np.conj(noise), axis=2).real
-    return float((per @ wgt).sum())
+    return _left_sum(traj, "noise", weights, sel, n_obs)
 
 
 # ---------------------------------------------------------------------------
 # the estimators
 
 def _warn_regimes(alpha: float, gamma: float) -> None:
+    # stacklevel 3 names the caller of the public estimator
     if alpha <= gamma - 2.0:
         warnings.warn(
             f"alpha={alpha} is outside the consistency regime alpha > gamma-2"
@@ -238,44 +225,31 @@ def _guard_denominator(d: float) -> float:
     return d
 
 
-def estimate_nu_h(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
-    """Horizontal viscosity from the horizontal-average modes."""
-    _warn_regimes(cfg.alpha, traj.params.gamma)
+def _estimate(traj: Trajectory, cfg: EstimatorConfig, sel: ModeSelector) -> EstimateResult:
     a = cfg.alpha
-    ito = ito_integral(traj, (1.0 + a, 0.0, 0.0), BAROTROPIC, cfg.N_obs)
-    nl = 0.0
-    if cfg.variant != "V3":
-        nl = nonlinear_integral(traj, a, BAROTROPIC, cfg.variant, cfg.N_obs)
-    den = _guard_denominator(
-        quadratic_integral(traj, (1.0 + a / 2.0, 0.0, 0.0), BAROTROPIC, cfg.N_obs))
-    value = -(ito + nl) / den
-    return EstimateResult(
-        value=value,
-        numerator_parts={"ito": ito, "nonlinear": nl, "cross": 0.0},
-        denominator=den,
-        variant=cfg.variant,
-    )
-
-
-def _estimate_nu_z_on(traj: Trajectory, cfg: EstimatorConfig,
-                      sel: ModeSelector) -> EstimateResult:
-    _warn_regimes(cfg.alpha, traj.params.gamma)
-    a = cfg.alpha
-    ito = ito_integral(traj, (0.0, 1.0, a), sel, cfg.N_obs)
+    horizontal = sel.kind == "barotropic"
+    ito = ito_integral(traj, _pair_weights(sel, a), sel, cfg.N_obs)
     nl = 0.0
     if cfg.variant != "V3":
         nl = nonlinear_integral(traj, a, sel, cfg.variant, cfg.N_obs)
-    cross = cross_integral(traj, a, sel, cfg.N_obs)
-    nu_h = estimate_nu_h(traj, cfg).value
-    den = _guard_denominator(
-        quadratic_integral(traj, (0.0, 1.0, a / 2.0), sel, cfg.N_obs))
-    value = -(ito + nl + nu_h * cross) / den
+    cross = 0.0
+    if not horizontal:
+        cross = (_estimate(traj, cfg, BAROTROPIC).value
+                 * cross_integral(traj, a, sel, cfg.N_obs))
+    den_weights = (1.0 + a / 2.0, 0.0, 0.0) if horizontal else (0.0, 1.0, a / 2.0)
+    den = _guard_denominator(quadratic_integral(traj, den_weights, sel, cfg.N_obs))
     return EstimateResult(
-        value=value,
-        numerator_parts={"ito": ito, "nonlinear": nl, "cross": nu_h * cross},
+        value=-(ito + nl + cross) / den,
+        numerator_parts={"ito": ito, "nonlinear": nl, "cross": cross},
         denominator=den,
         variant=cfg.variant,
     )
+
+
+def estimate_nu_h(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
+    """Horizontal viscosity from the horizontal-average modes."""
+    _warn_regimes(cfg.alpha, traj.params.gamma)
+    return _estimate(traj, cfg, BAROTROPIC)
 
 
 def estimate_nu_z(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
@@ -284,7 +258,8 @@ def estimate_nu_z(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
     The rotation-induced cross term is removed with the same-variant
     horizontal estimate, following the substitution in the display.
     """
-    return _estimate_nu_z_on(traj, cfg, BAROCLINIC)
+    _warn_regimes(cfg.alpha, traj.params.gamma)
+    return _estimate(traj, cfg, BAROCLINIC)
 
 
 def _two_squares(n: int) -> bool:
@@ -325,7 +300,8 @@ def estimate_nu_z_hat(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
             f"; the smallest truncation with resonant modes is N={n_min}"
         raise ValueError(
             f"resonant selector q={sel.q} matches no modes at N_obs={cut}{hint}")
-    return _estimate_nu_z_on(traj, cfg, sel)
+    _warn_regimes(cfg.alpha, traj.params.gamma)
+    return _estimate(traj, cfg, sel)
 
 
 # ---------------------------------------------------------------------------

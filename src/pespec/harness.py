@@ -174,7 +174,9 @@ def config_text(cfg: ExperimentConfig) -> str:
 
     The output directory is deliberately absent: where a run lands does
     not change what it computes, and the reports of two runs into
-    different directories are meant to be byte-identical.
+    different directories are meant to be byte-identical.  For the same
+    reason the advection backend enters by its resolved name, so the
+    legacy `convolution` spellings of one backend share a hash.
     """
     p, s, e = cfg.params, cfg.solver, cfg.estimator
     lines = [
@@ -182,7 +184,7 @@ def config_text(cfg: ExperimentConfig) -> str:
         f"sigma0 = {p.sigma0!r}", f"gamma = {p.gamma!r}", f"q = {p.q}",
         f"alpha = {p.alpha!r}", f"T = {p.T!r}",
         f"N = {s.N}", f"dt = {s.dt!r}", f"scheme = {s.scheme}",
-        f"convolution = {s.convolution}", f"store_every = {s.store_every}",
+        f"convolution = {s.resolved_convolution()}", f"store_every = {s.store_every}",
         f"include_nonlinear = {s.include_nonlinear}",
         f"variant = {e.variant}", f"N_obs = {'' if e.N_obs is None else e.N_obs}",
         f"replications = {cfg.replications}",
@@ -856,9 +858,7 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
     sums = np.zeros((reps_small, tab.n))
     for rep in range(reps_small):
         traj = simulate_path(params_small, None, solver_cfg, rng, log_noise=False)
-        stack = traj.coefficient_stack()
-        sums[rep] = dt_small * np.sum(
-            np.abs(stack[:-1]) ** 2, axis=2).sum(axis=0)
+        sums[rep] = dt_small * traj.left_pairing("energy").sum(axis=0)
     # the same left-endpoint statistic from exact transitions, with no
     # grid correction: both sides carry the same quadrature bias
     exact = dt_small * _energy_sums(params_small, n_small, range(tab.n), dt_small,

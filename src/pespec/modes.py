@@ -343,15 +343,22 @@ def operator_eigenvalue(k: ModeIndex, a: float, b: float, c: float) -> float:
     return hsq ** a * zsq ** b * float(k.k_sq) ** c
 
 
-def eigenvalue_array(N: int, a: float, b: float, c: float) -> np.ndarray:
-    """Vector of operator eigenvalues over the stored modes of truncation N."""
+def eigenvalue_array(N: int, a: float, b: float, c: float,
+                     mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vector of operator eigenvalues over the stored modes of truncation N.
+
+    With a boolean `mask` only the selected modes are evaluated, and only
+    they must keep a negative exponent off a zero wavenumber.
+    """
     tab = mode_table(N)
-    if a < 0 and np.any(tab.kp_sq == 0.0):
+    sel = slice(None) if mask is None else mask
+    hsq, zsq, ksq = tab.kp_sq[sel], tab.k3_sq[sel], tab.k_sq[sel]
+    if a < 0 and np.any(hsq == 0.0):
         raise ValueError("negative horizontal exponent meets a k'=0 mode")
-    if b < 0 and np.any(tab.k3_sq == 0.0):
+    if b < 0 and np.any(zsq == 0.0):
         raise ValueError("negative vertical exponent meets a barotropic mode")
     # 0.0 ** 0.0 evaluates to 1.0, which is the wanted convention here
-    return tab.kp_sq ** a * tab.k3_sq ** b * tab.k_sq ** c
+    return hsq ** a * zsq ** b * ksq ** c
 
 
 def apply_operator(f: SpectralField, a: float, b: float, c: float) -> SpectralField:

@@ -401,9 +401,12 @@ def _truncate(f: SpectralField, cut: int) -> SpectralField:
     return f.with_coeffs(f.coeffs * keep[:, None])
 
 
-def _advection_pairing(state: SpectralField, b: np.ndarray) -> np.ndarray:
-    """Re sum_c V_k,c conj(b_k,c) per stored mode k."""
-    return np.sum(state.coeffs * np.conj(b), axis=1).real
+def _pairing_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re sum_c v_k,c conj(x_k,c) per stored mode k, over the last axis c."""
+    # Re(v conj(x)) = Re(conj(v) x), with conj(v) as the product buffer
+    prod = np.conj(v)
+    prod *= x
+    return prod.real.sum(axis=-1)
 
 
 @dataclass(eq=False)
@@ -414,7 +417,7 @@ class Trajectory:
     initial condition; `noise_log` (when kept) holds the applied noise
     vectors of every internal step, which the estimator module uses to
     reconstruct martingale terms exactly.  The states are not meant to
-    change after construction: `advection_pairing` memoizes on them.
+    change after construction: `left_pairing` memoizes on them.
     """
 
     times: np.ndarray
@@ -423,8 +426,9 @@ class Trajectory:
     config: SolverConfig
     seed: Optional[int] = None
     noise_log: Optional[List[np.ndarray]] = None
-    # advection_pairing memo, keyed by the source truncation
-    _pairing: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    # left_pairing memo, keyed by kind or, for advection, source truncation
+    _pairing: Dict[Union[int, str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -437,6 +441,9 @@ class Trajectory:
         Ns = {s.N for s in self.states}
         if len(Ns) > 1:
             raise ValueError("all states must share one truncation")
+        if (self.noise_log is not None
+                and len(self.noise_log) != (self.n_samples - 1) * self.config.store_every):
+            raise ValueError("noise log length inconsistent with samples")
 
     @property
     def N(self) -> int:
@@ -458,34 +465,45 @@ class Trajectory:
         """
         if self.noise_log is None:
             raise ValueError("trajectory carries no noise log")
-        se = self.config.store_every
         stack = np.stack(self.noise_log)
-        if len(stack) != (self.n_samples - 1) * se:
-            raise ValueError("noise log length inconsistent with samples")
-        return stack.reshape(self.n_samples - 1, se, *stack.shape[1:]).sum(axis=1)
+        return stack.reshape(self.n_samples - 1, -1, *stack.shape[1:]).sum(axis=1)
 
-    def advection_pairing(self, cut: Optional[int] = None) -> np.ndarray:
-        """Per-sample, per-mode pairing of each state with its advection term.
+    def left_pairing(self, kind: str, cut: Optional[int] = None) -> np.ndarray:
+        """Re sum_c V_i,k,c conj(X_i,k,c) per left sample i and mode k, kept.
 
-        Row i, column k holds Re sum_c V_i,k,c conj(P B(src_i, src_i))_k,c
-        for the left-endpoint samples i = 0 .. n_samples - 2, where src_i
-        is V_i truncated to |k| <= `cut` (all of V_i when `cut` is None
-        or reaches N).  B is evaluated once per sample and truncation:
-        `simulate_path` hands over the full-truncation rows from the
-        steps it took, and any other truncation, or a path built
-        elsewhere, is computed on first use and kept.
+        X is V_i itself for "energy", V_{i+1} - V_i for "ito", the noise
+        applied between samples i and i+1 for "noise" (built only when a
+        noise log is kept), and P B(src_i, src_i) for "advection", with
+        src_i = V_i truncated to |k| <= `cut` (all of V_i when `cut` is
+        None).  The first three come from one `coefficient_stack` call.
+        B is evaluated once per sample and truncation: `simulate_path`
+        hands over the full-truncation rows from the steps it took.
         """
-        key = self.N if cut is None else min(int(cut), self.N)
-        pairing = self._pairing.get(key)
-        if pairing is None:
+        key: Union[int, str] = kind
+        if kind == "advection":
+            key = self.N if cut is None else min(int(cut), self.N)
+        elif kind not in ("energy", "ito", "noise"):
+            raise ValueError(f"unknown pairing kind {kind!r}")
+        elif kind == "noise" and self.noise_log is None:
+            raise ValueError("trajectory carries no noise log")
+        if key in self._pairing:
+            return self._pairing[key]
+        if kind == "advection":
             method = self.config.resolved_convolution()
-            pairing = np.empty((self.n_samples - 1, len(self.states[0].coeffs)))
+            rows = np.empty((self.n_samples - 1, len(self.states[0].coeffs)))
             for i, state in enumerate(self.states[:-1]):
                 src = state if key == self.N else _truncate(state, key)
                 b = hydrostatic_leray(nonlinear_B(src, src, method)).coeffs
-                pairing[i] = _advection_pairing(state, b)
-            self._pairing[key] = pairing
-        return pairing
+                rows[i] = _pairing_rows(state.coeffs, b)
+            self._pairing[key] = rows
+        else:
+            stack = self.coefficient_stack()
+            left = stack[:-1]
+            self._pairing["energy"] = np.sum(np.abs(left) ** 2, axis=2)
+            self._pairing["ito"] = _pairing_rows(left, np.diff(stack, axis=0))
+            if self.noise_log is not None:
+                self._pairing["noise"] = _pairing_rows(left, self.aggregated_noise())
+        return self._pairing[key]
 
 
 def simulate_path(params: ModelParams, V0: Optional[SpectralField],
@@ -543,7 +561,7 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
                     time=(i + 1) * cfg.dt,
                 ) from None
             if b is not None and i % cfg.store_every == 0:
-                pairing[i // cfg.store_every] = _advection_pairing(left, b)
+                pairing[i // cfg.store_every] = _pairing_rows(left.coeffs, b)
             if (i + 1) % cfg.store_every == 0:
                 times.append((i + 1) * cfg.dt)
                 states.append(state)

@@ -111,6 +111,7 @@ class TestCriterion1ExactIdentity:
         assert abs(rec - 0.5) <= 1e-8 * 0.5
 
 
+@pytest.mark.slow
 class TestCriterion2LinearMoments:
     def test_per_mode_time_energy(self):
         """Ensemble means of the per-mode time energy against the closed
@@ -153,6 +154,7 @@ def normality_gates(tmp_path_factory):
     return {g.name: g for g in report.gates}
 
 
+@pytest.mark.slow
 class TestCriterion4Normality:
     def test_sigma11_within_25_percent(self, normality_gates):
         gate = normality_gates["cov11_within_25pct"]

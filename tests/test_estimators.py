@@ -6,7 +6,9 @@ only for the explicit Euler-Maruyama scheme with every step stored,
 which the suite verifies both ways (exact there, first-order off
 elsewhere).
 """
+import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,10 @@ from pespec.modes import (
     BAROTROPIC,
     ModeSelector,
     SpectralField,
+    apply_operator,
+    hydrostatic_leray,
+    inner_product,
+    project,
     random_field,
 )
 from pespec.params import ModelParams
@@ -206,6 +212,19 @@ class TestNonlinearIntegral:
         n2 = nonlinear_integral(traj, 4.0, BAROTROPIC, "V2", 3)
         assert abs(n1 - n2) > 0.0
 
+    @pytest.mark.parametrize("sel, weights", [(BAROTROPIC, (5.0, 0.0, 0.0)),
+                                              (BAROCLINIC, (0.0, 1.0, 4.0))])
+    def test_matches_the_per_sample_loop(self, em_trajectory, sel, weights):
+        # reference: sum_i dt_i <W P_sel V_i, P B(V_i, V_i)>, accumulated
+        # one sample at a time; only the summation order differs
+        traj = em_trajectory
+        ref = 0.0
+        for dt, f in zip(np.diff(traj.times), traj.states[:-1]):
+            b = hydrostatic_leray(solver.nonlinear_B(f, f))
+            ref += dt * inner_product(apply_operator(project(f, sel), *weights), b)
+        got = nonlinear_integral(traj, 4.0, sel, "V2")
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_advection_uses_the_trajectory_backend(self, monkeypatch):
         # a path read back from text carries no advection pairing, so the
         # estimators evaluate B themselves: on the dealiased grid, even
@@ -298,6 +317,40 @@ class TestAdvectionOncePerState:
         assert calls == []
         estimate_nu_h(traj, EstimatorConfig(variant="V2"))
         assert len(calls) == traj.n_samples - 1
+
+
+class TestOnePassPerTrajectory:
+    """The path functionals of every estimator share one read of the path."""
+
+    def test_one_coefficient_stack_for_all_estimators(self, monkeypatch):
+        calls = []
+        real = Trajectory.coefficient_stack
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Trajectory, "coefficient_stack", spy)
+        traj = TestAdvectionOncePerState.path()
+        TestAdvectionOncePerState.estimates(traj, EstimatorConfig(variant="V2"))
+        assert len(calls) == 1 and calls[0] is traj
+
+    def test_pairings_match_the_stored_path(self, em_trajectory):
+        stack = em_trajectory.coefficient_stack()
+        left, incr = stack[:-1], np.diff(stack, axis=0)
+        noise = em_trajectory.aggregated_noise()
+        np.testing.assert_allclose(em_trajectory.left_pairing("energy"),
+                                   np.sum(np.abs(left) ** 2, axis=2), rtol=1e-14)
+        np.testing.assert_allclose(em_trajectory.left_pairing("ito"),
+                                   np.sum(left * np.conj(incr), axis=2).real,
+                                   rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(em_trajectory.left_pairing("noise"),
+                                   np.sum(left * np.conj(noise), axis=2).real,
+                                   rtol=1e-14, atol=1e-300)
+
+    def test_unknown_pairing_kind_rejected(self, em_trajectory):
+        with pytest.raises(ValueError, match="pairing kind"):
+            em_trajectory.left_pairing("drift")
 
 
 class TestMartingaleDecomposition:
@@ -499,10 +552,21 @@ class TestEstimators:
             estimate_nu_h(traj, EstimatorConfig(alpha=2.0, variant="V3"))
         with pytest.warns(UserWarning, match="normality"):
             estimate_nu_h(traj, EstimatorConfig(alpha=3.0, variant="V3"))
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             estimate_nu_h(traj, EstimatorConfig(alpha=4.0, variant="V3"))
+
+    @pytest.mark.parametrize("estimator", [estimate_nu_h, estimate_nu_z, estimate_nu_z_hat])
+    def test_regime_warning_once_at_the_caller(self, estimator):
+        params = ModelParams(T=0.1)
+        cfg = SolverConfig(N=2, dt=1e-3, include_nonlinear=False)
+        traj = simulate_path(params, None, cfg, np.random.default_rng(1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            estimator(traj, EstimatorConfig(alpha=3.0, variant="V3"))
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+        assert "normality regime" in str(caught[0].message)
 
     def test_numerator_parts_add_up(self, em_trajectory):
         cfg = EstimatorConfig(variant="V1", N_obs=3)

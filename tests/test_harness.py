@@ -109,6 +109,13 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         assert "output_dir" not in config_text(a)
 
+    def test_hash_ignores_the_legacy_backend_name(self):
+        # every accepted convolution name computes on the dealiased grid
+        hashes = {config_hash(ExperimentConfig(solver=SolverConfig(N=8, dt=1e-3,
+                                                                   convolution=name)))
+                  for name in ("auto", "Direct", "PseudoSpectralDealiased")}
+        assert len(hashes) == 1
+
     def test_sweep_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             ExperimentConfig(N_sweep=(4, 4))

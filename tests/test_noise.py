@@ -15,19 +15,13 @@ class TestDirections:
         np.testing.assert_allclose(d, np.array([-2.0, 1.0]) / np.sqrt(5.0))
 
     def test_baroclinic_perp_rule(self):
-        spec = NoiseSpec(ck_rule="perp")
+        spec = NoiseSpec()
         d = noise_direction(spec, ModeIndex(3, -4, 2))
         np.testing.assert_allclose(d, np.array([4.0, 3.0]) / 5.0)
 
     def test_vertical_axis_falls_back_to_fixed(self):
         spec = NoiseSpec()
         np.testing.assert_allclose(noise_direction(spec, ModeIndex(0, 0, 3)), [1.0, 0.0])
-
-    def test_fixed_rule_keeps_barotropic_divergence_free(self):
-        spec = NoiseSpec(ck_rule="fixed", fixed_dir=(0.0, 2.0))
-        np.testing.assert_allclose(noise_direction(spec, ModeIndex(1, 0, 2)), [0.0, 1.0])
-        d = noise_direction(spec, ModeIndex(1, 1, 0))
-        assert abs(d @ np.array([1.0, 1.0])) < 1e-14
 
     def test_directions_are_unit(self):
         spec = NoiseSpec()
@@ -57,8 +51,6 @@ class TestAmplitudes:
             NoiseSpec(sigma0=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec(gamma=1.0)
-        with pytest.raises(ValueError):
-            NoiseSpec(ck_rule="bogus")
 
 
 class TestIncrements:

@@ -313,6 +313,14 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="no noise log"):
             traj.aggregated_noise()
 
+    def test_noise_log_length_checked_on_construction(self):
+        p = ModelParams()
+        cfg = SolverConfig(N=2, dt=0.1, store_every=5, include_nonlinear=False)
+        traj = simulate_path(p, None, cfg, 7)
+        with pytest.raises(ValueError, match="noise log length"):
+            Trajectory(times=traj.times, states=traj.states, params=p, config=cfg,
+                       noise_log=traj.noise_log[:-1])
+
     def test_same_seed_same_bytes(self):
         p = ModelParams(T=0.5)
         cfg = SolverConfig(N=2, dt=0.05)
