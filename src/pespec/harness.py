@@ -28,9 +28,10 @@ import numpy as np
 from scipy import stats
 
 from .estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z_hat, theoretical_covariance
-from .linear import StrandSampler, decay_sq_integral, mode_energy_mean, mode_energy_variance
+from .linear import (StrandSampler, decay_sq_integral, mode_energy_mean,
+                     mode_energy_variance, mode_rates)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
-from .noise import NoiseSpec, noise_amplitude_array, noise_direction
+from .noise import noise_amplitude_array, noise_direction
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, simulate_path
 
@@ -103,13 +104,17 @@ def load_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentC
     return _config_from_dict(raw)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", Fraction: "a rational number"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", Fraction: "a rational number"}
 
 
 def _number(raw: Dict[str, str], key: str, kind, what: str = ""):
-    """raw[key] parsed by `kind`; a malformed value raises a ValueError naming the key."""
+    """raw[key] parsed by `kind`; a malformed or non-finite value raises a
+    ValueError naming the key."""
     try:
-        return kind(raw[key])
+        value = kind(raw[key])
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except (ValueError, ZeroDivisionError):
         what = what or _KIND_NAMES[kind]
         raise ValueError(f"config key {key} must be {what}, not {raw[key]!r}") from None
@@ -296,13 +301,10 @@ def _mode_strands(params: ModelParams, N: int, cols):
     names each strand's stored mode.
     """
     tab = mode_table(N)
-    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
     owner = np.repeat(np.asarray(cols, dtype=int), 2 - tab.self_paired[cols])
-    lam = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
-    f0 = np.where(tab.k3_sq > 0, params.f0, 0.0)
-    amp = noise_amplitude_array(spec, N)
+    lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
     amp = np.where(tab.self_paired, amp, amp / math.sqrt(2.0))
-    zeta = np.array([complex(*noise_direction(spec, tab.modes[c])) for c in owner])
+    zeta = np.array([complex(*noise_direction(tab.modes[c])) for c in owner])
     return owner, lam[owner], f0[owner], amp[owner], zeta
 
 
@@ -391,8 +393,7 @@ def _predicted_grid_bias(params: ModelParams, N: int, alpha: float, q,
     expectations predicts where the ensemble mean sits at finite dt.
     """
     tab = mode_table(N)
-    spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-    amp = noise_amplitude_array(spec, N)
+    amp = noise_amplitude_array(params, N)
     lam = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
     f0 = np.where(tab.k3_sq > 0, params.f0, 0.0)
     # sum_i dt E|c(t_i)|^2 with E|c(t)|^2 = amp^2 (1 - e^{-2 lam t})/(2 lam)
@@ -437,7 +438,7 @@ def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
     two-dimensional ball.
     """
     tab = mode_table(N)
-    amp = noise_amplitude_array(NoiseSpec(sigma0=params.sigma0, gamma=params.gamma), N)
+    amp = noise_amplitude_array(params, N)
     horizon = dt * n_steps
 
     def left_sums(z: complex) -> Tuple[complex, complex]:
@@ -756,9 +757,7 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     far below its standard error.
     """
     tab = mode_table(N)
-    amp_all = noise_amplitude_array(NoiseSpec(sigma0=params.sigma0, gamma=params.gamma), N)
-    lam_all = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
-    f0_all = np.where(tab.k3_sq > 0, params.f0, 0.0)
+    lam_all, f0_all, amp_all = mode_rates(params, tab.kp_sq, tab.k3_sq)
 
     integrals = np.empty((reps, tab.n))
     expected = np.empty(tab.n)

@@ -18,11 +18,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .modes import ModeIndex, ModeSelector, enumerate_modes
-from .noise import NoiseSpec, noise_direction
+from .modes import ModeIndex, ModeSelector
+from .noise import noise_direction
 from .params import ModelParams
 
 __all__ = [
+    "mode_rates",
     "OUMode",
     "ou_exact_step",
     "ou_mean_factor",
@@ -97,6 +98,23 @@ def decay_sq_integral(z: complex, dt: float) -> complex:
 # ---------------------------------------------------------------------------
 # mode description
 
+def mode_rates(params: ModelParams, kp_sq, k3_sq):
+    """(lam, f0, amp) of the modes with |k'|^2 = kp_sq and k3^2 = k3_sq.
+
+    lam = nu_h |k'|^2 + nu_z k3^2 is the decay rate; the rotation f0 acts
+    only on k3 != 0 modes (the averaged rotation is a pure pressure
+    gradient and drops under the horizontal Leray projection); amp =
+    sigma0 |k|^-gamma is the noise amplitude.  Elementwise on arrays and
+    on Python integers; the latter keep lam and amp Python floats, taken
+    with Python's float power (numpy's array power can differ in the
+    last bit), while f0 always comes back as an array.
+    """
+    lam = params.nu_h * kp_sq + params.nu_z * k3_sq
+    f0 = np.where(k3_sq > 0, params.f0, 0.0)
+    amp = params.sigma0 * (kp_sq + k3_sq) ** (-params.gamma / 2.0)
+    return lam, f0, amp
+
+
 @dataclass(frozen=True)
 class OUMode:
     """One real 2-vector strand: drift rate lam, rotation f0, noise
@@ -118,25 +136,14 @@ class OUMode:
             raise ValueError("noise direction must be a unit vector")
 
     @classmethod
-    def from_params(
-        cls,
-        k: ModeIndex,
-        params: ModelParams,
-        spec: Optional[NoiseSpec] = None,
-    ) -> "OUMode":
-        """Rates for mode k: lam = nu_h |k'|^2 + nu_z k3^2, rotation only on
-        k3 != 0 modes (the averaged rotation is a pure pressure gradient and
-        drops under the horizontal Leray projection), amp = sigma0|k|^-gamma.
-        """
+    def from_params(cls, k: ModeIndex, params: ModelParams) -> "OUMode":
+        """The strand of mode k, with the rates of `mode_rates`."""
         if not isinstance(k, ModeIndex):
             k = ModeIndex(*k)
-        if spec is None:
-            spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-        lam = params.nu_h * k.kp_sq + params.nu_z * k.k3 * k.k3
-        f0 = params.f0 if k.k3 != 0 else 0.0
-        amp = spec.sigma0 * float(k.k_sq) ** (-spec.gamma / 2.0)
-        c = noise_direction(spec, k)
-        return cls(k=k, lam=lam, f0=f0, amp=amp, direction=(float(c[0]), float(c[1])))
+        lam, f0, amp = mode_rates(params, k.kp_sq, k.k3 * k.k3)
+        c = noise_direction(k)
+        return cls(k=k, lam=lam, f0=float(f0), amp=amp,
+                   direction=(float(c[0]), float(c[1])))
 
     @property
     def zeta(self) -> complex:
@@ -371,10 +378,14 @@ def expected_norm_order(
     Continuum approximations of the lattice sums of |k|^(4 beta) times the
     per-site energy: the horizontal-average family scales like
     N^(4 beta - 2 gamma) with prefactor sigma0^2 T pi / (2 nu_h (2 beta -
-    gamma)); the resonant family carries the same power with the mixed
-    viscosity nu_h + nu_z/q; the k3 != 0 family gains one power of N from
-    the extra lattice direction.
+    gamma)); the k3 != 0 family gains one power of N from the extra
+    lattice direction.  The resonant cone |k'|^2 = q k3^2 holds about
+    N log N sites, not the N^2 of a disc, so it has no such continuum
+    form and is rejected; `exact_norm_sum` evaluates its lattice sum.
     """
+    if selector.kind == "resonant":
+        raise ValueError("the resonant family has no continuum norm order; "
+                         "use exact_norm_sum")
     g = params.gamma
     if beta <= g / 2.0:
         raise ValueError("need beta > gamma/2 for a convergent prefactor")
@@ -382,9 +393,6 @@ def expected_norm_order(
     p_flat = 4.0 * beta - 2.0 * g
     if selector.kind == "barotropic":
         return s2T / (2.0 * params.nu_h) * math.pi / (2.0 * beta - g) * N ** p_flat
-    if selector.kind == "resonant":
-        mixed = params.nu_h + params.nu_z / float(selector.q)
-        return s2T / mixed * math.pi / (2.0 * beta - g) * N ** p_flat
     if selector.kind == "baroclinic":
         p = p_flat + 1.0
         return (

@@ -1,7 +1,9 @@
 """Structured additive forcing: per-mode amplitudes and directions.
 
 Each stored mode k carries a unit direction c_k and amplitude
-sigma0 |k|^(-gamma).  Horizontal-average modes are forced along
+sigma0 |k|^(-gamma), with sigma0 and gamma read from `ModelParams`; the
+sampling side takes the amplitude, with the decay and rotation rates,
+from `linear.mode_rates`.  Horizontal-average modes are forced along
 k'perp/|k'| so the forcing stays divergence-free; the same perpendicular
 rule is kept for k' != 0, k3 != 0, with the fixed unit vector (1, 0) for
 the k'=0 column where no perpendicular exists.
@@ -19,38 +21,21 @@ against the closed forms in `linear`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import ModeIndex, mode_table
+from .params import ModelParams
 
-__all__ = ["NoiseSpec", "noise_direction", "noise_amplitude_array", "noise_direction_array"]
+__all__ = ["noise_direction", "noise_amplitude_array", "noise_direction_array"]
 
 
 # the direction of the k' = 0 column, where no perpendicular exists
 _VERTICAL_AXIS_DIR = (1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Amplitude sigma0 and spectral decay gamma of the forcing."""
-
-    sigma0: float = 1.0
-    gamma: float = 4.5
-
-    def __post_init__(self) -> None:
-        if self.sigma0 < 0:
-            raise ValueError("sigma0 must be nonnegative")
-        if self.gamma <= 1.5:
-            raise ValueError("gamma must exceed 3/2")
-
-
-def noise_direction(spec: NoiseSpec, k: ModeIndex) -> np.ndarray:
-    """Unit direction c_k in R^2: k'perp/|k'|, or (1, 0) when k' = 0.
-
-    The direction does not depend on `spec`.
-    """
+def noise_direction(k: ModeIndex) -> np.ndarray:
+    """Unit direction c_k in R^2: k'perp/|k'|, or (1, 0) when k' = 0."""
     if not isinstance(k, ModeIndex):
         k = ModeIndex(*k)
     if k.kp_sq > 0:
@@ -59,12 +44,11 @@ def noise_direction(spec: NoiseSpec, k: ModeIndex) -> np.ndarray:
     return np.array(_VERTICAL_AXIS_DIR)
 
 
-def noise_amplitude_array(spec: NoiseSpec, N: int) -> np.ndarray:
+def noise_amplitude_array(params: ModelParams, N: int) -> np.ndarray:
     """sigma0 |k|^(-gamma) over the stored modes of truncation N."""
-    return spec.sigma0 * mode_table(N).k_sq ** (-spec.gamma / 2.0)
+    return params.sigma0 * mode_table(N).k_sq ** (-params.gamma / 2.0)
 
 
-def noise_direction_array(spec: NoiseSpec, N: int) -> np.ndarray:
+def noise_direction_array(N: int) -> np.ndarray:
     """Stacked unit directions c_k, shape (n_modes, 2)."""
-    tab = mode_table(N)
-    return np.stack([noise_direction(spec, k) for k in tab.modes])
+    return np.stack([noise_direction(k) for k in mode_table(N).modes])

@@ -1,6 +1,7 @@
 """Shared physical and statistical parameters."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
@@ -39,6 +40,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", as_fraction(self.q))
+        for name in ("nu_h", "nu_z", "f0", "sigma0", "gamma", "alpha", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.nu_h <= 0 or self.nu_z <= 0:
             raise ValueError("viscosities must be positive")
         if self.sigma0 < 0:

@@ -22,10 +22,9 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 from scipy import fft as sfft
 
-from .linear import StrandSampler, _phi1
+from .linear import StrandSampler, _phi1, mode_rates
 from .modes import (
     BASIS_TAG,
-    ModeIndex,
     SpectralField,
     _fmt,
     field_from_text,
@@ -33,14 +32,13 @@ from .modes import (
     hydrostatic_leray,
     mode_table,
 )
-from .noise import NoiseSpec, noise_amplitude_array, noise_direction_array
+from .noise import noise_direction_array
 from .params import ModelParams
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowUpError",
-    "vertical_velocity",
     "nonlinear_B",
     "step",
     "simulate_path",
@@ -91,8 +89,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("truncation N must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.convolution not in CONVOLUTIONS:
@@ -105,25 +103,7 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# vertical velocity and the advection term
-
-def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
-    """Sine-series coefficients of w = -int_0^z div_h u.
-
-    Integrating the cos(k3 z) column of the divergence gives sin(k3 z)/k3,
-    so each stored mode with k3 > 0 maps to -i (k' . f_k) / k3 on the
-    matching sine element.  The horizontal average is divergence-free and
-    contributes nothing; w is odd in z with zero vertical mean.
-    """
-    tab = f.table
-    out: Dict[ModeIndex, complex] = {}
-    for i, k in enumerate(tab.modes):
-        if k.k3 == 0:
-            continue
-        div = k.k1 * f.coeffs[i, 0] + k.k2 * f.coeffs[i, 1]
-        out[k] = complex(-1j * div / k.k3)
-    return out
-
+# the advection term
 
 class _SiteLayout:
     """Stored modes unfolded onto the full exponential lattice.
@@ -281,15 +261,12 @@ class _StepFactors:
 
     def __init__(self, N: int, dt: float, params: ModelParams):
         tab = mode_table(N)
-        spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-        lam = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
-        f0 = np.where(tab.k3 != 0, params.f0, 0.0)
+        lam, f0, self.amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
         self.n = tab.n
         self.z = lam + 1j * f0
         self.phi = dt * np.array([_phi1(-zz * dt) for zz in self.z])
         self.lam_max = float(lam.max())
-        self.amp = noise_amplitude_array(spec, N)
-        self.dirs = noise_direction_array(spec, N)
+        self.dirs = noise_direction_array(N)
         self.paired = ~tab.self_paired
         # one sampler row per stored mode: both strands of a conjugate pair
         # share the factors of amplitude amp / sqrt(2)
@@ -472,11 +449,12 @@ class Trajectory:
         """Re sum_c V_i,k,c conj(X_i,k,c) per left sample i and mode k, kept.
 
         X is V_i itself for "energy", V_{i+1} - V_i for "ito", the noise
-        applied between samples i and i+1 for "noise" (built only when a
-        noise log is kept), and P B(src_i, src_i) for "advection", with
-        src_i = V_i truncated to |k| <= `cut` (all of V_i when `cut` is
-        None).  The first three come from one `coefficient_stack` call.
-        B is evaluated once per sample and truncation: `simulate_path`
+        applied between samples i and i+1 for "noise" (needs a noise log),
+        and P B(src_i, src_i) for "advection", with src_i = V_i truncated
+        to |k| <= `cut` (all of V_i when `cut` is None).  "energy" and
+        "ito" come from one `coefficient_stack` call; "noise", which no
+        estimator reads, is built only when asked for, from its own.  B
+        is evaluated once per sample and truncation: `simulate_path`
         hands over the full-truncation rows from the steps it took.
         """
         key: Union[int, str] = kind
@@ -496,13 +474,14 @@ class Trajectory:
                 b = hydrostatic_leray(nonlinear_B(src, src, method)).coeffs
                 rows[i] = _pairing_rows(state.coeffs, b)
             self._pairing[key] = rows
+        elif kind == "noise":
+            self._pairing[key] = _pairing_rows(self.coefficient_stack()[:-1],
+                                               self.aggregated_noise())
         else:
             stack = self.coefficient_stack()
             left = stack[:-1]
             self._pairing["energy"] = np.sum(np.abs(left) ** 2, axis=2)
             self._pairing["ito"] = _pairing_rows(left, np.diff(stack, axis=0))
-            if self.noise_log is not None:
-                self._pairing["noise"] = _pairing_rows(left, self.aggregated_noise())
         return self._pairing[key]
 
 

@@ -5,12 +5,34 @@ lattice sites, with no transform and no grid, so it shares nothing with
 the production backend but the map between stored modes and sites.  It
 is quadratic in the site count (about 0.6 s per call at N = 8), which is
 why the program evaluates B on the dealiased grid only and this sum
-lives with the tests.
+lives with the tests.  Both backends take w from `_w_site_values`, so
+`vertical_velocity`, which builds w per stored mode instead, is the
+separate oracle for that map.
 """
+from typing import Dict
+
 import numpy as np
 
-from pespec.modes import SpectralField
+from pespec.modes import ModeIndex, SpectralField
 from pespec.solver import _fold_sites, _site_layout, _site_values, _w_site_values
+
+
+def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
+    """Sine-series coefficients of w = -int_0^z div_h u.
+
+    Integrating the cos(k3 z) column of the divergence gives sin(k3 z)/k3,
+    so each stored mode with k3 > 0 maps to -i (k' . f_k) / k3 on the
+    matching sine element.  The horizontal average is divergence-free and
+    contributes nothing; w is odd in z with zero vertical mean.
+    """
+    tab = f.table
+    out: Dict[ModeIndex, complex] = {}
+    for i, k in enumerate(tab.modes):
+        if k.k3 == 0:
+            continue
+        div = k.k1 * f.coeffs[i, 0] + k.k2 * f.coeffs[i, 1]
+        out[k] = complex(-1j * div / k.k3)
+    return out
 
 
 def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -50,7 +50,7 @@ from pespec.modes import (
     mode_table,
     random_field,
 )
-from pespec.noise import NoiseSpec, noise_amplitude_array, noise_direction_array
+from pespec.noise import noise_amplitude_array, noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import SolverConfig, nonlinear_B, simulate_path
 
@@ -231,9 +231,8 @@ class TestCriterion5SolverOracles:
         rng = np.random.default_rng(SEED)
         reps = 300
         tab = mode_table(3)
-        spec = NoiseSpec(sigma0=params.sigma0, gamma=params.gamma)
-        amp = noise_amplitude_array(spec, 3)
-        dirs = noise_direction_array(spec, 3)
+        amp = noise_amplitude_array(params, 3)
+        dirs = noise_direction_array(3)
         finals = np.empty((reps, tab.n, 2), dtype=complex)
         for r in range(reps):
             finals[r] = simulate_path(params, None, cfg, rng,

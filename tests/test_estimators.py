@@ -332,8 +332,11 @@ class TestOnePassPerTrajectory:
 
         monkeypatch.setattr(Trajectory, "coefficient_stack", spy)
         traj = TestAdvectionOncePerState.path()
+        assert traj.noise_log is not None
         TestAdvectionOncePerState.estimates(traj, EstimatorConfig(variant="V2"))
         assert len(calls) == 1 and calls[0] is traj
+        # the noise pairing is for the martingale term only: no estimator builds it
+        assert "noise" not in traj._pairing
 
     def test_pairings_match_the_stored_path(self, em_trajectory):
         stack = em_trajectory.coefficient_stack()

@@ -97,6 +97,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config key {key} must be .*{re.escape(repr(value))}"):
             load_config(path, {key: value})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["nu_h", "nu_z", "f0", "sigma0", "gamma", "T",
+                                     "alpha", "dt"])
+    def test_non_finite_number_names_its_key(self, tmp_path, key, value):
+        path = self.write(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"config key {key} must be a finite number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["nu_h", "nu_z", "f0", "sigma0", "gamma", "alpha", "T"])
+    def test_params_reject_non_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ModelParams(**{key: value})
+
     def test_shipped_defaults_parse(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.cfg")
         assert cfg.params == DEFAULTS.with_(N=DEFAULTS.N)

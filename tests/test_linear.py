@@ -279,11 +279,10 @@ class TestNormOrders:
         ref = 0.5 * np.pi / 2.0 * 64.0**4
         assert val == pytest.approx(ref, rel=1e-12)
 
-    def test_resonant_to_barotropic_ratio(self):
-        r = expected_norm_order(self.BETA, ModeSelector.resonant(1), DEFAULTS, 32) / expected_norm_order(
-            self.BETA, BAROTROPIC, DEFAULTS, 32
-        )
-        assert r == pytest.approx(4.0 / 3.0, rel=1e-12)
+    def test_resonant_family_rejected(self):
+        # the resonant cone is not a disc: no continuum order, not the "all" sum
+        with pytest.raises(ValueError, match="resonant"):
+            expected_norm_order(self.BETA, ModeSelector.resonant(1), DEFAULTS, 32)
 
     def test_all_is_sum_of_parts(self):
         tot = expected_norm_order(self.BETA, ALL, DEFAULTS, 16)

@@ -3,54 +3,49 @@ import numpy as np
 import pytest
 
 from pespec.modes import ModeIndex, enumerate_modes, mode_table, storage_modes
-from pespec.noise import NoiseSpec, noise_amplitude_array, noise_direction
+from pespec.noise import noise_amplitude_array, noise_direction
 from pespec.params import ModelParams
 from pespec.solver import SCHEMES, SolverConfig, draw_increments
 
 
 class TestDirections:
     def test_barotropic_direction_is_perpendicular(self):
-        spec = NoiseSpec()
-        d = noise_direction(spec, ModeIndex(1, 2, 0))
+        d = noise_direction(ModeIndex(1, 2, 0))
         np.testing.assert_allclose(d, np.array([-2.0, 1.0]) / np.sqrt(5.0))
 
     def test_baroclinic_perp_rule(self):
-        spec = NoiseSpec()
-        d = noise_direction(spec, ModeIndex(3, -4, 2))
+        d = noise_direction(ModeIndex(3, -4, 2))
         np.testing.assert_allclose(d, np.array([4.0, 3.0]) / 5.0)
 
     def test_vertical_axis_falls_back_to_fixed(self):
-        spec = NoiseSpec()
-        np.testing.assert_allclose(noise_direction(spec, ModeIndex(0, 0, 3)), [1.0, 0.0])
+        np.testing.assert_allclose(noise_direction(ModeIndex(0, 0, 3)), [1.0, 0.0])
 
     def test_directions_are_unit(self):
-        spec = NoiseSpec()
         for k in enumerate_modes(3):
-            assert np.linalg.norm(noise_direction(spec, k)) == pytest.approx(1.0)
+            assert np.linalg.norm(noise_direction(k)) == pytest.approx(1.0)
 
 
 class TestAmplitudes:
     def test_power_law(self):
-        spec = NoiseSpec(sigma0=2.0, gamma=3.0)
+        params = ModelParams(sigma0=2.0, gamma=3.0)
         i = storage_modes(4).index(ModeIndex(1, 2, 3))
-        np.testing.assert_allclose(noise_amplitude_array(spec, 4)[i], 2.0 * 14.0 ** -1.5)
+        np.testing.assert_allclose(noise_amplitude_array(params, 4)[i], 2.0 * 14.0 ** -1.5)
 
     def test_unit_mode_amplitude_equals_sigma0(self):
         # every stored mode of the N = 1 truncation has |k| = 1
-        amps = noise_amplitude_array(NoiseSpec(sigma0=1.0, gamma=4.5), 1)
+        amps = noise_amplitude_array(ModelParams(sigma0=1.0, gamma=4.5), 1)
         np.testing.assert_allclose(amps, 1.0)
 
     def test_amplitude_array_matches_scalar(self):
-        spec = NoiseSpec(sigma0=0.7, gamma=2.5)
-        amps = noise_amplitude_array(spec, 3)
+        amps = noise_amplitude_array(ModelParams(sigma0=0.7, gamma=2.5), 3)
         for i, k in enumerate(storage_modes(3)):
             assert amps[i] == pytest.approx(0.7 * float(k.k_sq) ** -1.25)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(sigma0=-1.0)
-        with pytest.raises(ValueError):
-            NoiseSpec(gamma=1.0)
+        with pytest.raises(ValueError, match="sigma0"):
+            ModelParams(sigma0=-1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            ModelParams(gamma=1.0)
 
 
 class TestIncrements:
@@ -69,9 +64,8 @@ class TestIncrements:
         rng = np.random.default_rng(123)
         dt, n = 0.25, 20_000
         cfg = SolverConfig(N=1, dt=dt, scheme="EulerMaruyama")
-        spec = NoiseSpec()
-        amp = noise_amplitude_array(spec, 1)
-        dirs = np.stack([noise_direction(spec, k) for k in storage_modes(1)])
+        amp = noise_amplitude_array(ModelParams(), 1)
+        dirs = np.stack([noise_direction(k) for k in storage_modes(1)])
         # increments are amp dW c_k with a unit real c_k, so c_k . incr = amp dW
         dw = np.array([np.sum(draw_increments(cfg, ModelParams(), rng) * dirs, axis=1) / amp
                        for _ in range(n)])

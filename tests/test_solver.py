@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from advection_oracle import direct_B
+from advection_oracle import direct_B, vertical_velocity
 from pespec.linear import OUMode, ou_exact_step
 from pespec.modes import (
     ModeIndex,
@@ -31,13 +31,15 @@ from pespec.solver import (
     BlowUpError,
     SolverConfig,
     Trajectory,
+    _site_layout,
+    _site_values,
+    _w_site_values,
     draw_increments,
     nonlinear_B,
     simulate_path,
     step,
     trajectory_from_text,
     trajectory_to_text,
-    vertical_velocity,
 )
 
 # the Direct oracle and the production dealiased grid, under the names
@@ -89,6 +91,24 @@ class TestVerticalVelocity:
         keys = set(vertical_velocity(f))
         expected = {k for k in mode_table(2).modes if k.k3 != 0}
         assert keys == expected
+
+    @pytest.mark.parametrize("N,seed", [(3, 0), (5, 1)])
+    def test_site_values_match_the_stored_mode_oracle(self, N, seed):
+        # the sine element sqrt(2) w_k sin(k3 z) puts +-w_k / (i sqrt(2)) on
+        # the sites (k', +-k3); the reality partner (-k', -+k3) conjugates
+        f = random_field(N, np.random.default_rng(seed))
+        lay = _site_layout(N)
+        w = _w_site_values(lay.sites, _site_values(lay, f))
+        oracle = vertical_velocity(f)
+        m3 = lay.sites[:, 2]
+        assert np.all(w[m3 == 0] == 0)
+        for j in np.flatnonzero(m3 != 0):
+            k = mode_table(N).modes[lay.rows[j]]
+            sign = np.sign(m3[j]) * (-1 if lay.conj[j] else 1)
+            want = sign * oracle[k] / (1j * math.sqrt(2.0))
+            if lay.conj[j]:
+                want = np.conj(want)
+            assert abs(w[j] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestNonlinearB:
@@ -156,8 +176,9 @@ class TestNonlinearB:
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            SolverConfig(N=4, dt=0.0)
+        for dt in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                SolverConfig(N=4, dt=dt)
         with pytest.raises(ValueError, match="unknown scheme"):
             SolverConfig(N=4, dt=0.1, scheme="Milstein")
         with pytest.raises(ValueError, match="store_every"):
@@ -400,6 +421,13 @@ class TestTrajectoryIO:
         first = trajectory_to_text(self.make()).splitlines()[0]
         with pytest.raises(ValueError, match="line 2"):
             trajectory_from_text(first + "\n")
+
+    @pytest.mark.parametrize("field", ["nu_h=1.0", "T=0.5"])
+    def test_non_finite_params_header_rejected(self, field):
+        txt = trajectory_to_text(self.make())
+        assert field in txt
+        with pytest.raises(ValueError, match="line 2: bad params header"):
+            trajectory_from_text(txt.replace(field, field.split("=")[0] + "=nan"))
 
     def test_unknown_include_nonlinear_rejected(self):
         txt = trajectory_to_text(self.make())
