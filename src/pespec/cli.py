@@ -1,8 +1,10 @@
-"""Command line front end.
+"""Command line front end: a parser and one dispatch.
 
-Every subcommand resolves one ExperimentConfig from an optional flat
-config file plus flag overrides, runs, writes its reports under the
-output directory, and prints the gate lines.  The exit code is 0 when
+Every subcommand but `ntcheck` resolves one ExperimentConfig from an
+optional flat config file plus flag overrides and hands it to its
+harness runner in `RUNNERS`; `ntcheck` takes only its own three flags.
+Each command returns a RunReport, printed the same way: result lines,
+gate lines, warnings, then the files written.  The exit code is 0 when
 all hard gates pass and 1 otherwise, so shell pipelines can chain on
 success.
 """
@@ -11,25 +13,29 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
-from .estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat
 from .harness import (
+    MODES,
     ExperimentConfig,
     RunReport,
     _config_from_dict,
-    _write_csv,
-    _write_manifest,
-    config_hash,
     load_config,
     number_theory_checks,
     run_consistency,
+    run_estimate,
     run_linear_validation,
     run_normality,
+    run_simulate,
 )
-from .solver import simulate_path, trajectory_to_text
+
+RUNNERS: Dict[str, Callable[[ExperimentConfig], RunReport]] = {
+    "simulate": run_simulate,
+    "estimate": run_estimate,
+    "consistency": run_consistency,
+    "normality": run_normality,
+    "linear-validate": run_linear_validation,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--replications", type=int, default=None,
                        help="Monte Carlo replication count override")
-        p.add_argument("--mode", default=None,
-                       choices=["LinearExact", "LinearViaSolver", "FullNonlinear"],
+        p.add_argument("--mode", default=None, choices=MODES,
                        help="sampling backend override")
 
     common(sub.add_parser("simulate", help="write one trajectory file"))
@@ -56,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("linear-validate",
                           help="linear-model moments against closed forms"))
     nt = sub.add_parser("ntcheck", help="lattice counting checks")
-    common(nt)
+    nt.add_argument("--out", type=Path, default=ExperimentConfig.output_dir,
+                    help="output directory")
     nt.add_argument("--n-max", type=int, default=10000,
                     help="upper bound for the representation scan")
     nt.add_argument("--lattice-N", type=int, default=50,
@@ -80,6 +86,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _print_report(report: RunReport) -> None:
+    for note in report.notes:
+        print(note)
     for gate in report.gates:
         status = "pass" if gate.passed else "FAIL"
         print(f"gate {gate.name}: {status} (observed={gate.observed:.6g}, "
@@ -90,76 +98,13 @@ def _print_report(report: RunReport) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    traj = simulate_path(cfg.params.with_(N=cfg.solver.N), None, cfg.solver, rng)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "trajectory.txt"
-    path.write_text(trajectory_to_text(traj))
-    _write_manifest(out / "simulate_manifest.jsonl", {
-        "command": "simulate",
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "outputs": [path.name],
-    })
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_estimate(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    traj = simulate_path(cfg.params.with_(N=cfg.solver.N), None, cfg.solver, rng)
-    variant = cfg.estimator.variant if cfg.solver.include_nonlinear else "V3"
-    ecfg = EstimatorConfig(alpha=cfg.params.alpha, q=cfg.params.q,
-                           variant=variant, N_obs=cfg.estimator.N_obs)
-    run_id = config_hash(cfg)[:12]
-    rows: List[List] = []
-    for name, fn in (("nu_h", estimate_nu_h), ("nu_z", estimate_nu_z),
-                     ("nu_z_hat", estimate_nu_z_hat)):
-        res = fn(traj, ecfg)
-        rows.append([run_id, name, res.variant, cfg.params.alpha,
-                     str(cfg.params.q), ecfg.N_obs if ecfg.N_obs else cfg.solver.N,
-                     res.value, res.denominator,
-                     res.numerator_parts["ito"], res.numerator_parts["nonlinear"],
-                     res.numerator_parts["cross"]])
-        print(f"{name} = {res.value:.6f}")
-    out = cfg.output_dir
-    path = _write_csv(out / "estimates.csv",
-                      ["run_id", "estimator", "variant", "alpha", "q", "N_obs",
-                       "value", "denominator", "ito", "nonlinear", "cross"], rows)
-    _write_manifest(out / "estimate_manifest.jsonl", {
-        "command": "estimate",
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "outputs": [path.name],
-    })
-    print(f"wrote {path}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "ntcheck":
-        out = args.out if args.out is not None else Path("runs")
-        nt = number_theory_checks(n_max=args.n_max, N=args.lattice_N,
-                                  output_dir=out)
-        print(f"gate characterization: {'pass' if nt.characterization_ok else 'FAIL'}")
-        print(f"gate lattice_ratios_within_2pct: {'pass' if nt.ratios_ok else 'FAIL'}")
-        print(f"fitted linear bound C = {nt.fitted_C:g} attained at n = {nt.argmax_n}")
-        for path in nt.outputs:
-            print(f"wrote {path}")
-        return 0 if nt.hard_ok else 1
-
-    cfg = _resolve_config(args)
-    if args.command == "simulate":
-        return _cmd_simulate(cfg)
-    if args.command == "estimate":
-        return _cmd_estimate(cfg)
-    runner = {"consistency": run_consistency,
-              "normality": run_normality,
-              "linear-validate": run_linear_validation}[args.command]
-    report = runner(cfg)
+        report = number_theory_checks(n_max=args.n_max, N=args.lattice_N,
+                                      output_dir=args.out)
+    else:
+        report = RUNNERS[args.command](_resolve_config(args))
     _print_report(report)
     return 0 if report.hard_ok else 1
 

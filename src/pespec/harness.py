@@ -1,17 +1,17 @@
 """Monte Carlo orchestration, report writers, and appendix checks.
 
-The harness runs three kinds of experiment.  LinearExact mode samples
-the linear model exactly at the estimation grid, strand by strand, so
-consistency and normality sweeps measure estimator behaviour free of
-solver bias.  LinearViaSolver and FullNonlinear route through the time
-stepper and the trajectory estimators.  Separate entry points validate
-the linear moments against their closed forms and check the lattice
-counting facts used by the asymptotic constants.
+Every CLI command is one run here that returns a RunReport.  LinearExact
+mode samples the linear model exactly at the estimation grid, strand by
+strand, so consistency and normality sweeps measure estimator behaviour
+free of solver bias.  Every other path, those of `run_simulate` and
+`run_estimate` included, comes from one builder, `_simulate`.  Separate
+entry points validate the linear moments against their closed forms and
+check the lattice counting facts used by the asymptotic constants.
 
 Reports are plain CSV plus a one-line JSON manifest carrying the config
-hash and seed; nothing timestamped, so a rerun with the same seed is
-byte-identical.  Statistical gates are hard (they decide the exit code
-of the CLI); sweep-shape checks are soft warnings.
+hash, seed, outputs, gates and warnings; nothing timestamped, so a rerun
+with the same seed is byte-identical.  Statistical gates are hard (they
+decide the exit code of the CLI); sweep-shape checks are soft warnings.
 """
 from __future__ import annotations
 
@@ -27,19 +27,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from .estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z_hat, theoretical_covariance
+from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
+                         theoretical_covariance)
 from .linear import (StrandSampler, decay_sq_integral, mode_energy_mean,
                      mode_energy_variance, mode_rates)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
 from .noise import noise_amplitude_array, noise_direction
 from .params import ModelParams, as_fraction
-from .solver import SolverConfig, simulate_path
+from .solver import SolverConfig, Trajectory, simulate_path, trajectory_to_text
 
 __all__ = [
     "ExperimentConfig",
     "load_config",
     "config_text",
     "config_hash",
+    "run_simulate",
+    "run_estimate",
     "run_consistency",
     "run_normality",
     "run_linear_validation",
@@ -181,14 +184,15 @@ def config_text(cfg: ExperimentConfig) -> str:
     not change what it computes, and the reports of two runs into
     different directories are meant to be byte-identical.  For the same
     reason the advection backend enters by its resolved name, so the
-    legacy `convolution` spellings of one backend share a hash.
+    legacy `convolution` spellings of one backend share a hash.  Floats
+    go through `_fmt`, so a NumPy float and the equal Python float do too.
     """
     p, s, e = cfg.params, cfg.solver, cfg.estimator
     lines = [
-        f"nu_h = {p.nu_h!r}", f"nu_z = {p.nu_z!r}", f"f0 = {p.f0!r}",
-        f"sigma0 = {p.sigma0!r}", f"gamma = {p.gamma!r}", f"q = {p.q}",
-        f"alpha = {p.alpha!r}", f"T = {p.T!r}",
-        f"N = {s.N}", f"dt = {s.dt!r}", f"scheme = {s.scheme}",
+        f"nu_h = {_fmt(p.nu_h)}", f"nu_z = {_fmt(p.nu_z)}", f"f0 = {_fmt(p.f0)}",
+        f"sigma0 = {_fmt(p.sigma0)}", f"gamma = {_fmt(p.gamma)}", f"q = {p.q}",
+        f"alpha = {_fmt(p.alpha)}", f"T = {_fmt(p.T)}",
+        f"N = {s.N}", f"dt = {_fmt(s.dt)}", f"scheme = {s.scheme}",
         f"convolution = {s.resolved_convolution()}", f"store_every = {s.store_every}",
         f"include_nonlinear = {s.include_nonlinear}",
         f"variant = {e.variant}", f"N_obs = {'' if e.N_obs is None else e.N_obs}",
@@ -247,6 +251,7 @@ class RunReport:
     outputs: List[Path] = field(default_factory=list)
     gates: List[GateResult] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)     # result lines, not in the manifest
 
     @property
     def hard_ok(self) -> bool:
@@ -470,26 +475,72 @@ def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
 
 
 # ---------------------------------------------------------------------------
-# replication loops for the solver-backed modes
+# solver-backed paths: the one builder, the single-path commands and the
+# replications
+
+def _simulate(cfg: ExperimentConfig, N: int, nonlinear: bool,
+              rng: np.random.Generator) -> Tuple[Trajectory, EstimatorConfig]:
+    """The configured path at truncation N and the estimator config that fits it.
+
+    Without noise a zero start stays at zero, so sigma0 = 0 starts from a
+    random smooth state; a linear path's estimators drop advection (V3).
+    """
+    params = cfg.params.with_(N=N)
+    solver = replace(cfg.solver, N=N, include_nonlinear=nonlinear)
+    V0 = random_field(N, rng) if params.sigma0 == 0.0 else None
+    traj = simulate_path(params, V0, solver, rng, log_noise=False)
+    ecfg = EstimatorConfig(alpha=cfg.params.alpha, q=cfg.params.q,
+                           variant=cfg.estimator.variant if nonlinear else "V3",
+                           N_obs=cfg.estimator.N_obs)
+    return traj, ecfg
+
+
+def run_simulate(cfg: ExperimentConfig) -> RunReport:
+    """Simulate one path at the configured truncation into trajectory.txt."""
+    report = RunReport(command="simulate")
+    traj, _ = _simulate(cfg, cfg.solver.N, cfg.solver.include_nonlinear,
+                        np.random.default_rng(cfg.seed))
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "trajectory.txt"
+    path.write_text(trajectory_to_text(traj))
+    report.outputs.append(path)
+    report.outputs.append(_write_manifest(
+        out / "simulate_manifest.jsonl", report.manifest_entry(cfg)))
+    return report
+
+
+def run_estimate(cfg: ExperimentConfig) -> RunReport:
+    """Simulate one path and write each estimator's value and parts to estimates.csv."""
+    report = RunReport(command="estimate")
+    N = cfg.solver.N
+    traj, ecfg = _simulate(cfg, N, cfg.solver.include_nonlinear,
+                           np.random.default_rng(cfg.seed))
+    run_id = config_hash(cfg)[:12]
+    rows: List[List] = []
+    for name, fn in (("nu_h", estimate_nu_h), ("nu_z", estimate_nu_z),
+                     ("nu_z_hat", estimate_nu_z_hat)):
+        res = fn(traj, ecfg)
+        rows.append([run_id, name, res.variant, cfg.params.alpha,
+                     str(cfg.params.q), ecfg.N_obs if ecfg.N_obs else N,
+                     res.value, res.denominator,
+                     res.numerator_parts["ito"], res.numerator_parts["nonlinear"],
+                     res.numerator_parts["cross"]])
+        report.notes.append(f"{name} = {res.value:.6f}")
+    out = cfg.output_dir
+    report.outputs.append(_write_csv(
+        out / "estimates.csv",
+        ["run_id", "estimator", "variant", "alpha", "q", "N_obs",
+         "value", "denominator", "ito", "nonlinear", "cross"], rows))
+    report.outputs.append(_write_manifest(
+        out / "estimate_manifest.jsonl", report.manifest_entry(cfg)))
+    return report
+
 
 def _solver_estimates(cfg: ExperimentConfig, N: int, rep_rng: np.random.Generator):
     """One replication through the time stepper; returns (nu_h, nu_z_hat)."""
-    params = cfg.params.with_(N=N)
-    nonlinear = cfg.mode == "FullNonlinear"
-    solver = replace(cfg.solver, N=N, include_nonlinear=nonlinear)
-    if params.sigma0 == 0.0:
-        # a zero start would stay at zero; degenerate configs decay from a
-        # random smooth state instead so the estimates stay well posed
-        V0 = random_field(N, rep_rng)
-    else:
-        V0 = None
-    traj = simulate_path(params, V0, solver, rep_rng, log_noise=False)
-    variant = cfg.estimator.variant if nonlinear else "V3"
-    ecfg = EstimatorConfig(alpha=cfg.params.alpha, q=cfg.params.q,
-                           variant=variant, N_obs=cfg.estimator.N_obs)
-    nu_h = estimate_nu_h(traj, ecfg).value
-    nu_z = estimate_nu_z_hat(traj, ecfg).value
-    return nu_h, nu_z
+    traj, ecfg = _simulate(cfg, N, cfg.mode == "FullNonlinear", rep_rng)
+    return estimate_nu_h(traj, ecfg).value, estimate_nu_z_hat(traj, ecfg).value
 
 
 def run_consistency(cfg: ExperimentConfig) -> RunReport:
@@ -913,19 +964,13 @@ def _lattice_sum(d: int, alpha: float, N: int) -> float:
     return float(np.sum(ksq.astype(float) ** (alpha / 2.0)))
 
 
-@dataclass
-class NumberTheoryReport:
-    n_max: int
-    characterization_ok: bool
+@dataclass(kw_only=True)
+class NumberTheoryReport(RunReport):
+    """The lattice checks: two hard gates, the fitted bound and the ratio rows."""
+
     fitted_C: float
     argmax_n: int
     lattice_rows: List[List]
-    ratios_ok: bool
-    outputs: List[Path] = field(default_factory=list)
-
-    @property
-    def hard_ok(self) -> bool:
-        return self.characterization_ok and self.ratios_ok
 
 
 def number_theory_checks(n_max: int = 10000, N: int = 50,
@@ -939,19 +984,21 @@ def number_theory_checks(n_max: int = 10000, N: int = 50,
     three.  The default grid keeps every ratio within 2% at N=50 (the
     slowest case, d=1 with alpha=1, sits exactly on the boundary, so the
     comparison carries a relative epsilon); slower alpha decay needs a
-    larger N for the boundary shell to fade.
+    larger N for the boundary shell to fade.  The gates observe the count
+    of misclassified n and the largest |ratio - 1|.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     counts = _r3_counts(n_max)
-    ok = all((counts[n] == 0) == _three_square_excluded(n)
-             for n in range(1, n_max + 1))
+    mismatches = sum(bool(counts[n] == 0) != _three_square_excluded(n)
+                     for n in range(1, n_max + 1))
     ratios = counts[1:] / np.arange(1, n_max + 1, dtype=float)
     fitted_c = float(ratios.max())
     argmax_n = int(ratios.argmax()) + 1
 
     rows = []
-    ratios_ok = True
     for d, grid in sorted((alphas or _DEFAULT_ALPHAS).items()):
         for alpha in grid:
             if alpha <= -d:
@@ -960,18 +1007,23 @@ def number_theory_checks(n_max: int = 10000, N: int = 50,
             pred = d * _BALL_VOLUME[d] / (d + alpha) * float(N) ** (d + alpha)
             ratio = s / pred
             rows.append([d, alpha, N, s, pred, ratio])
-            ratios_ok &= abs(ratio - 1.0) <= 0.02 * (1.0 + 1e-9)
+    worst = max((abs(row[5] - 1.0) for row in rows), default=0.0)
+    ok = mismatches == 0
+    ratios_ok = worst <= 0.02 * (1.0 + 1e-9)
 
-    outputs: List[Path] = []
+    report = NumberTheoryReport(command="ntcheck", fitted_C=fitted_c,
+                                argmax_n=argmax_n, lattice_rows=rows)
+    report.gates.append(GateResult("characterization", ok, mismatches, 0.0))
+    report.gates.append(GateResult("lattice_ratios_within_2pct", ratios_ok, worst, 0.02))
+    report.notes.append(f"fitted linear bound C = {fitted_c:g} attained at n = {argmax_n}")
     if output_dir is not None:
         out = Path(output_dir)
-        outputs.append(_write_csv(
+        report.outputs.append(_write_csv(
             out / "number_theory_lattice.csv",
             ["d", "alpha", "N", "lattice_sum", "prediction", "ratio"], rows))
-        outputs.append(_write_csv(
+        report.outputs.append(_write_csv(
             out / "number_theory_summary.csv", ["key", "value"],
             [["n_max", n_max], ["characterization_ok", ok],
              ["fitted_C", fitted_c], ["argmax_n", argmax_n],
              ["ratios_within_2pct", ratios_ok]]))
-    return NumberTheoryReport(n_max, bool(ok), fitted_c, argmax_n, rows,
-                              bool(ratios_ok), outputs)
+    return report

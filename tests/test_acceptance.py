@@ -272,8 +272,9 @@ class TestCriterion6LatticeCounts:
         worst = max(abs(r[5] - 1.0) for r in nt.lattice_rows)
         print(f"\n  linear bound C = {nt.fitted_C:g} at n = {nt.argmax_n}; "
               f"worst ball-sum deviation {worst:.2%}")
-        assert nt.characterization_ok
-        assert nt.ratios_ok
+        gates = {g.name: g.passed for g in nt.gates}
+        assert gates["characterization"]
+        assert gates["lattice_ratios_within_2pct"]
         assert nt.fitted_C == 6.0
 
 

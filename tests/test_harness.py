@@ -39,7 +39,7 @@ from pespec.harness import (
     run_normality,
 )
 from pespec.params import ModelParams
-from pespec.solver import SolverConfig
+from pespec.solver import SolverConfig, trajectory_from_text
 from pespec import cli
 
 DEFAULTS = ModelParams()
@@ -129,6 +129,14 @@ class TestConfig:
                                                                    convolution=name)))
                   for name in ("auto", "Direct", "PseudoSpectralDealiased")}
         assert len(hashes) == 1
+
+    def test_hash_ignores_numpy_float_types(self):
+        plain = ExperimentConfig(params=ModelParams(nu_h=1.0),
+                                 solver=SolverConfig(N=8, dt=1e-3))
+        numpy = ExperimentConfig(params=ModelParams(nu_h=np.float64(1.0)),
+                                 solver=SolverConfig(N=8, dt=np.float64(1e-3)))
+        assert config_text(numpy) == config_text(plain)
+        assert config_hash(numpy) == config_hash(plain)
 
     def test_sweep_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -371,7 +379,8 @@ class TestNumberTheory:
 
     def test_characterization_and_linear_bound(self):
         nt = number_theory_checks(n_max=4000, N=16)
-        assert nt.characterization_ok
+        gate = {g.name: g for g in nt.gates}["characterization"]
+        assert gate.passed and gate.observed == 0
         assert nt.fitted_C == 6.0
         assert nt.argmax_n == 1
 
@@ -389,9 +398,15 @@ class TestNumberTheory:
 
     def test_default_grid_within_two_percent(self):
         nt = number_theory_checks(n_max=100)
-        assert nt.ratios_ok
+        assert {g.name: g for g in nt.gates}["lattice_ratios_within_2pct"].passed
         # the d=1, alpha=1 ratio is exactly 1 + 1/N, right on the bound
         assert max(abs(r[5] - 1.0) for r in nt.lattice_rows) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("kwargs,name", [({"N": 0}, "N"), ({"N": -3}, "N"),
+                                             ({"n_max": 0}, "n_max")])
+    def test_nonpositive_size_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            number_theory_checks(**{"n_max": 10, **kwargs})
 
     def test_alpha_at_or_below_minus_d_rejected(self):
         with pytest.raises(ValueError, match="alpha must exceed -d"):
@@ -457,6 +472,38 @@ class TestCli:
             for name, cell in zip(names, row.split(","), strict=True):
                 if name not in text_columns:
                     float(cell)
+
+    @pytest.mark.parametrize("flag", [["--config", "c.cfg"], ["--seed", "5"],
+                                      ["--mode", "FullNonlinear"], ["--replications", "3"]])
+    def test_ntcheck_takes_only_its_own_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ntcheck", "--n-max", "50", "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+
+    def test_noiseless_simulate_and_estimate_start_from_a_random_field(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, "sigma0 = 0\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        traj = trajectory_from_text((tmp_path / "trajectory.txt").read_text())
+        assert np.abs(traj.coefficient_stack()).max() > 0
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, *rows = (tmp_path / "estimates.csv").read_text().splitlines()
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
+
+    def test_every_manifest_has_the_same_keys(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("T = 0.05\nN = 2\ndt = 0.01\nN_sweep = 2\n"
+                       "replications = 20\nseed = 6\n")
+        keys = {}
+        for command in cli.RUNNERS:
+            out = tmp_path / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cli.main([command, "--config", str(cfg), "--out", str(out)])
+            (manifest,) = out.glob("*_manifest.jsonl")
+            keys[command] = set(json.loads(manifest.read_text()))
+        assert keys == dict.fromkeys(cli.RUNNERS, {"command", "config_hash", "seed",
+                                                   "outputs", "gates", "warnings"})
 
     def test_seed_override_changes_trajectory(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

@@ -1,10 +1,12 @@
-"""The package's public names: every exported name resolves."""
+"""The package's public names resolve, and every CLI command has one run path."""
+import argparse
 import importlib
 import pkgutil
 
 import pytest
 
 import pespec
+from pespec import cli
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pespec.__path__))
 
@@ -18,3 +20,9 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"pespec.{name}")
     exported = getattr(module, "__all__", [])
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_every_subcommand_runs_through_the_harness():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli.RUNNERS) | {"ntcheck"}
