@@ -2,7 +2,9 @@
 
 Every subcommand but `ntcheck` resolves one ExperimentConfig from an
 optional flat config file plus flag overrides and hands it to its
-harness runner in `RUNNERS`; `ntcheck` takes only its own three flags.
+harness runner in `RUNNERS`; `simulate` and `estimate`, which run one
+path, take no `--replications` or `--mode`, and `ntcheck` takes only
+its own three flags.
 Each command returns a RunReport, printed the same way: result lines,
 gate lines, warnings, then the files written.  The exit code is 0 when
 all hard gates pass and 1 otherwise, so shell pipelines can chain on
@@ -44,18 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate the spectral model and validate its viscosity estimators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, study: bool = True) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--replications", type=int, default=None,
-                       help="Monte Carlo replication count override")
-        p.add_argument("--mode", default=None, choices=MODES,
-                       help="sampling backend override")
+        if study:
+            p.add_argument("--replications", type=int, default=None,
+                           help="Monte Carlo replication count override")
+            p.add_argument("--mode", default=None, choices=MODES,
+                           help="sampling backend override")
 
-    common(sub.add_parser("simulate", help="write one trajectory file"))
-    common(sub.add_parser("estimate", help="simulate once and print the estimates"))
+    # one path each, linear or not as the config's include_nonlinear says
+    common(sub.add_parser("simulate", help="write one trajectory file"), study=False)
+    common(sub.add_parser("estimate", help="simulate once and print the estimates"),
+           study=False)
     common(sub.add_parser("consistency", help="error sweep across truncations"))
     common(sub.add_parser("normality", help="scaled-error distribution checks"))
     common(sub.add_parser("linear-validate",
@@ -76,9 +81,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = str(args.seed)
     if args.out is not None:
         overrides["output_dir"] = str(args.out)
-    if args.replications is not None:
+    if getattr(args, "replications", None) is not None:
         overrides["replications"] = str(args.replications)
-    if args.mode is not None:
+    if getattr(args, "mode", None) is not None:
         overrides["mode"] = args.mode
     if args.config is not None:
         return load_config(args.config, overrides)

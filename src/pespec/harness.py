@@ -1,12 +1,14 @@
 """Monte Carlo orchestration, report writers, and appendix checks.
 
 Every CLI command is one run here that returns a RunReport.  LinearExact
-mode samples the linear model exactly at the estimation grid, strand by
-strand, so consistency and normality sweeps measure estimator behaviour
-free of solver bias.  Every other path, those of `run_simulate` and
-`run_estimate` included, comes from one builder, `_simulate`.  Separate
-entry points validate the linear moments against their closed forms and
-check the lattice counting facts used by the asymptotic constants.
+mode samples the linear model's estimator sums exactly at the estimation
+grid, one squared norm per lattice-shell class of non-rotating strands
+and one complex path per rotating strand, so consistency and normality
+sweeps measure estimator behaviour free of solver bias.  Every other
+path, those of `run_simulate` and `run_estimate` included, comes from
+one builder, `_simulate`.  Separate entry points validate the linear
+moments against their closed forms and check the lattice counting facts
+used by the asymptotic constants.
 
 Reports are plain CSV plus a one-line JSON manifest carrying the config
 hash, seed, outputs, gates and warnings; nothing timestamped, so a rerun
@@ -29,7 +31,7 @@ from scipy import stats
 
 from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
                          theoretical_covariance)
-from .linear import (StrandSampler, decay_sq_integral, mode_energy_mean,
+from .linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_energy_mean,
                      mode_energy_variance, mode_rates)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
 from .noise import noise_amplitude_array, noise_direction
@@ -284,18 +286,26 @@ def _estimation_grid(N: int, T: float) -> Tuple[float, int]:
 
 @dataclass
 class _StrandSystem:
-    """The estimator's mode families as exact-OU strands, with their weights."""
+    """The estimator's two mode families as exact samplers, with their weights.
 
-    sampler: StrandSampler
-    ivec_h: np.ndarray      # (S,) Ito weights, zero off the barotropic set
-    dvec_h: np.ndarray
-    ivec_r: np.ndarray      # (S,) weights on the resonant set
-    dvec_r: np.ndarray
+    A strand without rotation is a real chain along its noise axis, and
+    the estimator reads it only through |Z|^2 and Re(conj Z dZ); strands
+    that share decay, noise scale and all four weights form one class,
+    sampled by its squared norm (`shells`).  The rotating strands stay
+    complex, one column each (`rotating`).  `ito` and `den` are
+    (columns, 2) weights over the classes, then the rotating strands:
+    column 0 is the barotropic family, column 1 the resonant one.
+    """
+
+    shells: ShellSampler
+    rotating: StrandSampler
+    ito: np.ndarray         # weights of the sums of Re(conj Z dZ)
+    den: np.ndarray         # weights of the sums of |Z|^2
     n_steps: int
 
     @property
     def n_strands(self) -> int:
-        return self.sampler.n_strands
+        return self.shells.n_strands + self.rotating.n_strands
 
 
 def _mode_strands(params: ModelParams, N: int, cols):
@@ -313,8 +323,13 @@ def _mode_strands(params: ModelParams, N: int, cols):
     return owner, lam[owner], f0[owner], amp[owner], zeta
 
 
-def _build_strands(params: ModelParams, N: int, alpha: float, q,
-                   dt: float, n_steps: int) -> _StrandSystem:
+def _family_strands(params: ModelParams, N: int, alpha: float, q):
+    """The estimator families' strands and weights.
+
+    Returns the per-strand (lam, f0, amp, zeta) of `_mode_strands` and
+    (strands, 2) Ito and denominator weights: column 0 the barotropic
+    family, column 1 the resonant one, zero off each family.
+    """
     tab = mode_table(N)
     mask_h = np.array(selector_mask(N, BAROTROPIC))
     mask_r = np.array(selector_mask(N, ModeSelector.resonant(q)))
@@ -325,12 +340,27 @@ def _build_strands(params: ModelParams, N: int, alpha: float, q,
     def per_strand(mask, mu):
         return (tab.weight * np.where(mask, mu, 0.0))[owner]
 
+    ito = np.column_stack([per_strand(mask_h, tab.kp_sq ** (1.0 + alpha)),
+                           per_strand(mask_r, tab.k3_sq * tab.k_sq ** alpha)])
+    den = np.column_stack([per_strand(mask_h, tab.kp_sq ** (2.0 + alpha)),
+                           per_strand(mask_r, tab.k3_sq ** 2 * tab.k_sq ** alpha)])
+    return strands, ito, den
+
+
+def _build_strands(params: ModelParams, N: int, alpha: float, q,
+                   dt: float, n_steps: int) -> _StrandSystem:
+    """Group the non-rotating strands into classes; see `_StrandSystem`."""
+    (lam, f0, amp, zeta), ito, den = _family_strands(params, N, alpha, q)
+    rot, flat = f0 != 0.0, f0 == 0.0
+    strands = StrandSampler(lam[flat], f0[flat], amp[flat], zeta[flat], dt)
+    keys = np.column_stack([strands.decay.real, np.hypot(strands.s11, strands.s21),
+                            ito[flat], den[flat]])
+    classes, size = np.unique(keys, axis=0, return_counts=True)
     return _StrandSystem(
-        sampler=StrandSampler(*strands, dt),
-        ivec_h=per_strand(mask_h, tab.kp_sq ** (1.0 + alpha)),
-        dvec_h=per_strand(mask_h, tab.kp_sq ** (2.0 + alpha)),
-        ivec_r=per_strand(mask_r, tab.k3_sq * tab.k_sq ** alpha),
-        dvec_r=per_strand(mask_r, tab.k3_sq ** 2 * tab.k_sq ** alpha),
+        shells=ShellSampler(classes[:, 0], classes[:, 1], size),
+        rotating=StrandSampler(lam[rot], f0[rot], amp[rot], zeta[rot], dt),
+        ito=np.vstack([classes[:, 2:4], ito[rot]]),
+        den=np.vstack([classes[:, 4:6], den[rot]]),
         n_steps=n_steps,
     )
 
@@ -343,7 +373,11 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
     The linear model is sampled without any time-stepping error at the
     estimation grid; with linear dynamics the advection terms do not
     belong in the model, so the estimates match the drop-advection
-    variant applied to a linear trajectory.
+    variant applied to a linear trajectory.  Each step draws, in this
+    order, one normal and one chi-square per class of non-rotating
+    strands, then the rotating strands' normals; the class sums give
+    the law of the estimator pair exactly (see `ShellSampler`).  The
+    weights are applied once, after the last step.
     """
     if dt is None:
         dt, n_steps = _estimation_grid(N, params.T)
@@ -351,24 +385,27 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
         n_steps = max(1, round(params.T / dt))
         dt = params.T / n_steps
     sysm = _build_strands(params, N, alpha, q, dt, n_steps)
+    shells, rotating = sysm.shells, sysm.rotating
 
-    Z = np.zeros((reps, sysm.n_strands), dtype=complex)
-    I_h = np.zeros(reps)
-    D_h = np.zeros(reps)
-    I_r = np.zeros(reps)
-    D_r = np.zeros(reps)
+    R = np.zeros((reps, shells.size.size))
+    sum_R = np.zeros_like(R)
+    sum_cross = np.zeros_like(R)
+    Z = np.zeros((reps, rotating.n_strands), dtype=complex)
+    sum_sq = np.zeros(Z.shape)
+    sum_pair = np.zeros(Z.shape)
     for _ in range(sysm.n_steps):
-        Z_new = sysm.sampler.step(Z, rng)
+        sum_R += R
+        R, cross = shells.step(R, rng)
+        sum_cross += cross
+        Z_new = rotating.step(Z, rng)
         d = Z_new - Z
-        re_pair = Z.real * d.real + Z.imag * d.imag
-        I_h += re_pair @ sysm.ivec_h
-        I_r += re_pair @ sysm.ivec_r
-        sq = Z.real ** 2 + Z.imag ** 2
-        D_h += sq @ sysm.dvec_h
-        D_r += sq @ sysm.dvec_r
+        sum_pair += Z.real * d.real + Z.imag * d.imag
+        sum_sq += Z.real ** 2 + Z.imag ** 2
         Z = Z_new
-    D_h *= dt
-    D_r *= dt
+    # over a class, sum x (x' - x) = (a - 1) R + r sqrt(R) g
+    pair = np.hstack([(shells.decay - 1.0) * sum_R + shells.scale * sum_cross, sum_pair])
+    I_h, I_r = (pair @ sysm.ito).T
+    D_h, D_r = dt * (np.hstack([sum_R, sum_sq]) @ sysm.den).T
     if not (D_h > 0).all() or not (D_r > 0).all():
         raise ValueError("degenerate denominator in exact linear sampling")
     nu_h = -I_h / D_h

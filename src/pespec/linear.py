@@ -6,6 +6,8 @@ Identifying R^2 with C via x1 + i x2 turns M into the complex rate
 z = lam + i f0 and the noise direction c into zeta = c1 + i c2, so the
 exact one-step update is multiplication by exp(-z dt) plus a Gaussian
 whose 2x2 covariance comes from the integrated, rotated rank-one forcing.
+Strands without rotation that share their rates can also be advanced as
+one class, through their squared norm alone (`ShellSampler`).
 All moment formulas below are exact in dt and T; the Monte Carlo suite
 treats them as oracles.
 """
@@ -14,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .modes import ModeIndex, ModeSelector
+from .modes import ModeIndex
 from .noise import noise_direction
 from .params import ModelParams
 
@@ -29,12 +31,11 @@ __all__ = [
     "ou_mean_factor",
     "strand_noise_chol",
     "StrandSampler",
+    "ShellSampler",
     "expected_time_energy",
     "variance_time_energy",
     "mode_energy_mean",
     "mode_energy_variance",
-    "expected_norm_order",
-    "exact_norm_sum",
 ]
 
 
@@ -231,6 +232,45 @@ class StrandSampler:
         return Z * self.decay + eta
 
 
+class ShellSampler:
+    """Exact one-step law of the squared norm of classes of real OU chains.
+
+    A strand without rotation, started at zero, never leaves its noise
+    axis: it is a real AR(1) chain x' = a x + r n with a = exp(-lam dt)
+    and r the exact one-step noise scale.  A class of m iid such chains
+    enters a quadratic statistic only through R = |x|^2 and x.n; by the
+    rotational invariance of the Gaussian increment,
+
+        R' = (a sqrt(R) + r g)^2 + r^2 chi^2_{m-1},    x.n = sqrt(R) g,
+
+    with g ~ N(0, 1) independent of the chi-square: the squared-Bessel
+    construction of exact CIR sampling (Glasserman 2004, section 3.4).
+    So a class costs one normal and one chi-square per step, not m
+    normals, and the law of every such statistic is unchanged.  The
+    chi-square is 2 Gamma((m-1)/2), which is 0 for m = 1.  Built from
+    per-class (a, r, m); `step` advances a (replications, classes) block
+    of R, all the normals of a step before its chi-squares.
+    """
+
+    def __init__(self, decay, scale, size):
+        self.decay = np.asarray(decay, dtype=float)   # a per class
+        self.scale = np.asarray(scale, dtype=float)   # r per class
+        self.size = np.asarray(size, dtype=int)       # m per class
+        self.half_dof = (self.size - 1) / 2.0
+        self._twice_var = 2.0 * self.scale ** 2   # r^2 chi^2 = 2 r^2 Gamma
+
+    @property
+    def n_strands(self) -> int:
+        return int(self.size.sum())
+
+    def step(self, R: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """(R at the next grid time, sqrt(R) g = x.n over the step)."""
+        g = rng.standard_normal(R.shape)
+        half_chi2 = rng.standard_gamma(self.half_dof, R.shape)
+        root = np.sqrt(R)
+        return (self.decay * root + self.scale * g) ** 2 + self._twice_var * half_chi2, root * g
+
+
 def ou_exact_step(
     mode: OUMode, state, dt: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -353,91 +393,3 @@ def mode_energy_variance(k: ModeIndex, params: ModelParams, T: float) -> float:
     mode = OUMode.from_params(k, params)
     v = variance_time_energy(mode, T)
     return v if k.is_self_paired else v / 2.0
-
-
-# ---------------------------------------------------------------------------
-# leading-order lattice energy sums
-
-def _angular_factor(nu_h: float, nu_z: float) -> float:
-    """int_0^pi sin(t) dt / (nu_h sin^2 t + nu_z cos^2 t)."""
-    delta = nu_h - nu_z
-    if abs(delta) < 1e-12 * nu_h:
-        return 2.0 / nu_h
-    if delta > 0:
-        r = math.sqrt(delta / nu_h)
-        return 2.0 * math.atanh(r) / math.sqrt(nu_h * delta)
-    r = math.sqrt(-delta / nu_h)
-    return 2.0 * math.atan(r) / math.sqrt(-nu_h * delta)
-
-
-def expected_norm_order(
-    beta: float, selector: ModeSelector, params: ModelParams, N: int
-) -> float:
-    """Leading-order value of E int_0^T ||A^beta U|^2 dt over the selector.
-
-    Continuum approximations of the lattice sums of |k|^(4 beta) times the
-    per-site energy: the horizontal-average family scales like
-    N^(4 beta - 2 gamma) with prefactor sigma0^2 T pi / (2 nu_h (2 beta -
-    gamma)); the k3 != 0 family gains one power of N from the extra
-    lattice direction.  The resonant cone |k'|^2 = q k3^2 holds about
-    N log N sites, not the N^2 of a disc, so it has no such continuum
-    form and is rejected; `exact_norm_sum` evaluates its lattice sum.
-    """
-    if selector.kind == "resonant":
-        raise ValueError("the resonant family has no continuum norm order; "
-                         "use exact_norm_sum")
-    g = params.gamma
-    if beta <= g / 2.0:
-        raise ValueError("need beta > gamma/2 for a convergent prefactor")
-    s2T = params.sigma0 ** 2 * params.T
-    p_flat = 4.0 * beta - 2.0 * g
-    if selector.kind == "barotropic":
-        return s2T / (2.0 * params.nu_h) * math.pi / (2.0 * beta - g) * N ** p_flat
-    if selector.kind == "baroclinic":
-        p = p_flat + 1.0
-        return (
-            s2T
-            * math.pi
-            * _angular_factor(params.nu_h, params.nu_z)
-            / p
-            * N ** p
-        )
-    return expected_norm_order(beta, ModeSelector.barotropic(), params, N) + \
-        expected_norm_order(beta, ModeSelector.baroclinic(), params, N)
-
-
-def exact_norm_sum(
-    beta: float,
-    selector: ModeSelector,
-    params: ModelParams,
-    N: int,
-    T: Optional[float] = None,
-) -> float:
-    """Exact full-lattice sum of |k|^(4 beta) E int |U_k|^2 dt, 1 <= |k| <= N.
-
-    Vectorized over raw lattice sites (both k3 signs and both conjugate
-    partners), matching the counting convention of the closed forms.
-    """
-    if T is None:
-        T = params.T
-    rng = np.arange(-N, N + 1)
-    k1, k2, k3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    ksq = k1 ** 2 + k2 ** 2 + k3 ** 2
-    keep = (ksq >= 1) & (ksq <= N * N)
-    if selector.kind == "barotropic":
-        keep &= k3 == 0
-    elif selector.kind == "baroclinic":
-        keep &= k3 != 0
-    elif selector.kind == "resonant":
-        q = selector.q
-        keep &= (k3 != 0) & (
-            q.denominator * (k1 ** 2 + k2 ** 2) == q.numerator * k3 ** 2
-        )
-    hsq = (k1 ** 2 + k2 ** 2)[keep].astype(float)
-    zsq = (k3 ** 2)[keep].astype(float)
-    ksq = ksq[keep].astype(float)
-    lam = params.nu_h * hsq + params.nu_z * zsq
-    amp2 = params.sigma0 ** 2 * ksq ** (-params.gamma)
-    g0T = -np.expm1(-2.0 * lam * T) / (2.0 * lam)
-    energy = amp2 * (T - g0T) / (2.0 * lam)
-    return float(np.sum(ksq ** (2.0 * beta) * energy))

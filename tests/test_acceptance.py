@@ -1,14 +1,16 @@
 """Acceptance suite: every shipped claim, one pass or fail line each.
 
 Each test exercises one end-to-end claim at desk scale with a pinned
-seed, so a run is reproducible bit for bit.  The whole module takes a
-few minutes; the asymptotic-covariance sample at N=12 dominates.
+seed, so a run is reproducible bit for bit.  The whole module takes
+about two and a half minutes on two cores; the asymptotic-covariance
+sample at N=12 (about 70 s, with the shell-class sampler) and the
+linear-moment sample (about 60 s) dominate.
 
 The resonant vertical estimator has no N^2 limit: its cone
 |k'|^2 = q k3^2 holds about N log N lattice sites, not the N^2 of the
 ball the quoted constant 11.25/pi = 3.58 normalizes by.  So sigma22 is
 gated against the closed-form finite-N covariance at N=12 (about 73.6;
-the sample gives 72.9), while sigma11 and sigma12 keep the quoted N^2
+the sample gives 68.3), while sigma11 and sigma12 keep the quoted N^2
 limits.  The distance from the quoted sigma22 stays in the report as a
 soft gate.  See README.md ("Known limitation") for the numbers.
 """

@@ -22,7 +22,9 @@ from pespec.estimators import theoretical_covariance
 from pespec.harness import (
     ExperimentConfig,
     _anderson_normal,
+    _build_strands,
     _estimation_grid,
+    _family_strands,
     _grid_correction,
     _predicted_grid_bias,
     _r3_counts,
@@ -38,6 +40,7 @@ from pespec.harness import (
     run_linear_validation,
     run_normality,
 )
+from pespec.linear import ShellSampler, StrandSampler, strand_noise_chol
 from pespec.params import ModelParams
 from pespec.solver import SolverConfig, trajectory_from_text
 from pespec import cli
@@ -167,6 +170,14 @@ class TestExactEngine:
         assert abs(nu_h.mean() - 1.0) < 0.05
         assert abs(nu_z.mean() - 0.5) < 0.3
 
+    def test_centers_near_truth_without_rotation(self):
+        """f0 = 0: every strand is in a shell class, no rotating block."""
+        rng = np.random.default_rng(11)
+        nu_h, nu_z = linear_exact_estimates(DEFAULTS.with_(f0=0.0), 4, 4.0, Fraction(1),
+                                            300, rng)
+        assert abs(nu_h.mean() - 1.0) < 0.05
+        assert abs(nu_z.mean() - 0.5) < 0.3
+
     def test_matches_predicted_grid_shift_on_coarse_grid(self):
         """The closed-form left-endpoint shift is ~25 standard errors wide
         at dt=0.02; the sample mean must land on it up to the ratio bias
@@ -194,6 +205,111 @@ class TestExactEngine:
         with pytest.raises(ValueError, match="barotropic and resonant"):
             linear_exact_estimates(DEFAULTS, 3, 4.0, Fraction(3), 4,
                                    np.random.default_rng(0), dt=0.1)
+
+
+LAW_REPS = 10_000
+
+
+def _shell_sums(shells, n_steps, rng):
+    """Per-class (I, D) = (sum x (x' - x), sum |x|^2) from the class sampler."""
+    R = np.zeros((LAW_REPS, shells.size.size))
+    sum_R = np.zeros_like(R)
+    sum_cross = np.zeros_like(R)
+    for _ in range(n_steps):
+        sum_R += R
+        R, cross = shells.step(R, rng)
+        sum_cross += cross
+    return (shells.decay - 1.0) * sum_R + shells.scale * sum_cross, sum_R
+
+
+def _strand_sums(sampler, cls, n_classes, n_steps, rng):
+    """The same sums from per-strand paths, added up over each class."""
+    Z = np.zeros((LAW_REPS, sampler.n_strands), dtype=complex)
+    pair = np.zeros(Z.shape)
+    sq = np.zeros(Z.shape)
+    for _ in range(n_steps):
+        Z_new = sampler.step(Z, rng)
+        d = Z_new - Z
+        pair += Z.real * d.real + Z.imag * d.imag
+        sq += Z.real ** 2 + Z.imag ** 2
+        Z = Z_new
+    onehot = np.eye(n_classes)[cls]
+    return pair @ onehot, sq @ onehot
+
+
+def _law_z_scores(a, b):
+    """z-scores of per-class mean I, mean D, var I, var D and cov(I, D) of
+    sample a against sample b, each in standard errors of the difference."""
+    def terms(I, D):
+        dI, dD = I - I.mean(axis=0), D - D.mean(axis=0)
+        return I, D, dI ** 2, dD ** 2, dI * dD
+
+    z = []
+    for xa, xb in zip(terms(*a), terms(*b)):
+        se = np.sqrt((xa.var(axis=0, ddof=1) + xb.var(axis=0, ddof=1)) / LAW_REPS)
+        z.append((xa.mean(axis=0) - xb.mean(axis=0)) / se)
+    return np.array(z)
+
+
+class TestShellSampler:
+    """The class sampler has the law of the per-strand paths it replaces.
+
+    Per class, the mean and variance of I = sum x (x' - x) and D = sum
+    |x|^2 and their covariance agree with those of StrandSampler paths
+    within 4.5 standard errors, on a coarse grid (dt = 0.02, 50 steps)
+    over 10^4 replications.
+    """
+
+    DT, STEPS, BOUND = 0.02, 50, 4.5
+
+    def test_hand_built_classes_including_a_single_chain(self):
+        lam, amp, size = np.array([1.0, 3.0, 0.5]), np.array([1.0, 0.5, 2.0]), [1, 2, 5]
+        cls = np.repeat(np.arange(3), size)
+        turn = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, cls.size)
+        strands = StrandSampler(lam[cls], np.zeros(cls.size), amp[cls],
+                                np.exp(1j * turn), self.DT)
+        shells = ShellSampler(np.exp(-lam * self.DT),
+                              [strand_noise_chol(l, 0.0, a, 1.0 + 0.0j, self.DT)[0]
+                               for l, a in zip(lam, amp)], size)
+        z = _law_z_scores(_shell_sums(shells, self.STEPS, np.random.default_rng(1)),
+                          _strand_sums(strands, cls, 3, self.STEPS, np.random.default_rng(2)))
+        assert np.abs(z).max() < self.BOUND
+
+    @pytest.mark.parametrize("f0", [1.0, 0.0])
+    def test_estimator_classes(self, f0):
+        """The classes `_build_strands` makes at N = 4.  With f0 = 0 every
+        strand is in a class and the rotating block is empty."""
+        params = DEFAULTS.with_(f0=f0)
+        sysm = _build_strands(params, 4, params.alpha, Fraction(1), self.DT, self.STEPS)
+        (lam, f0s, amp, zeta), ito, den = _family_strands(params, 4, params.alpha, Fraction(1))
+        flat = f0s == 0.0
+        strands = StrandSampler(lam[flat], f0s[flat], amp[flat], zeta[flat], self.DT)
+        keys = np.column_stack([strands.decay.real, np.hypot(strands.s11, strands.s21),
+                                ito[flat], den[flat]])
+        classes, cls, size = np.unique(keys, axis=0, return_inverse=True,
+                                       return_counts=True)
+        assert np.array_equal(size, sysm.shells.size)
+        assert np.array_equal(classes[:, 0], sysm.shells.decay)
+        assert np.array_equal(classes[:, 1], sysm.shells.scale)
+        assert sysm.rotating.n_strands == np.count_nonzero(~flat)
+        assert sysm.n_strands == lam.size
+        assert flat.all() == (f0 == 0.0)
+        z = _law_z_scores(
+            _shell_sums(sysm.shells, self.STEPS, np.random.default_rng(3)),
+            _strand_sums(strands, cls.ravel(), size.size, self.STEPS, np.random.default_rng(4)))
+        assert np.abs(z).max() < self.BOUND
+
+    def test_class_weights_add_up_to_the_strand_weights(self):
+        """Each class carries one strand's weights; with the class sizes
+        they add up to the per-strand totals of both families."""
+        p = DEFAULTS
+        sysm = _build_strands(p, 12, p.alpha, p.q, 1e-4, 1)
+        _, ito, den = _family_strands(p, 12, p.alpha, p.q)
+        n_cls = sysm.shells.size.size
+        count = np.concatenate([sysm.shells.size, np.ones(sysm.rotating.n_strands)])
+        np.testing.assert_allclose(count @ sysm.ito, ito.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(count @ sysm.den, den.sum(axis=0), rtol=1e-12)
+        assert (sysm.n_strands, n_cls, sysm.rotating.n_strands) == (480, 60, 40)
 
 
 class TestFiniteNCovariance:
@@ -479,6 +595,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["ntcheck", "--n-max", "50", "--out", str(tmp_path)] + flag)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("flag", [["--mode", "FullNonlinear"], ["--replications", "3"]])
+    def test_single_path_commands_take_no_study_flags(self, tmp_path, command, flag):
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+        assert not (tmp_path / f"{command}_manifest.jsonl").exists()
 
     def test_noiseless_simulate_and_estimate_start_from_a_random_field(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "sigma0 = 0\n")

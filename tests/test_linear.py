@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from norm_orders import exact_norm_sum, expected_norm_order
 from pespec.linear import (
     OUMode,
     StrandSampler,
     decay_sq_integral,
-    exact_norm_sum,
-    expected_norm_order,
     expected_time_energy,
     mode_energy_mean,
     mode_energy_variance,

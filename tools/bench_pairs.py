@@ -1,0 +1,124 @@
+"""Run the benchmark on two commits in alternating pairs and write a BENCH file.
+
+    python3 tools/bench_pairs.py --base <rev> --head <rev> --pairs 10 \
+        --first-seed 911 --out BENCH_<n>.json
+
+The committed files of each revision are extracted with `git archive`
+into a fresh temporary directory, and `bench/run.py` runs there with
+`--trace 0`, one process at a time, for every workload the head's
+BENCHMARK.json lists.  Pair i runs both revisions with seed
+first_seed + i, the base first on even pairs and the head first on odd
+ones, so a slow drift of the host favours neither side.  The file keeps
+every run's last-line metrics and, per workload and side, the median
+and quartiles of each end-to-end metric, the ratio of the medians
+(base over head, so above 1 means the head is faster or smaller) and
+the number of pairs whose job_s the head won.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from importlib import metadata
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(REPO), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _extract(commit: str, into: Path) -> Path:
+    into.mkdir()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", commit],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def _spread(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _summary(runs, metrics) -> dict:
+    out = {}
+    for name in metrics:
+        base = _spread([r["base"][name] for r in runs])
+        head = _spread([r["head"][name] for r in runs])
+        out[name] = {"base": base, "head": head,
+                     "ratio_of_medians": base["median"] / head["median"]}
+    out["job_s_head_wins"] = sum(r["head"]["job_s"] < r["base"]["job_s"] for r in runs)
+    out["all_correct"] = all(r[side]["correct"] and r[side]["failed"] == 0
+                             for r in runs for side in ("base", "head"))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--head", default="HEAD", help="revision under test")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=911)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workload", action="append", default=None,
+                        help="workload name (repeatable); default every listed one")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+
+    commits = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", args.head)}
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: _extract(commit, Path(tmp) / side) for side, commit in commits.items()}
+        spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        report = {}
+        for workload in workloads:
+            runs = []
+            for i, seed in enumerate(seeds):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                run = {"seed": seed, "first": order[0]}
+                for side in order:
+                    run[side] = _run(trees[side], workload, seed, args.seconds)
+                runs.append(run)
+                print(f"{workload} seed {seed}: base job_s {run['base']['job_s']:.3f}, "
+                      f"head job_s {run['head']['job_s']:.3f}", file=sys.stderr)
+            report[workload] = {"summary": _summary(runs, metrics), "runs": runs}
+
+    args.out.write_text(json.dumps({
+        "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
+        "commits": commits,
+        "seconds_per_run": args.seconds,
+        "pairs": args.pairs,
+        "seeds": seeds,
+        "order": "pair i runs the base first when i is even, the head first when odd",
+        "workloads": report,
+    }, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
