@@ -2,9 +2,9 @@
 
 Every subcommand but `ntcheck` resolves one ExperimentConfig from an
 optional flat config file plus flag overrides and hands it to its
-harness runner in `RUNNERS`; `simulate` and `estimate`, which run one
-path, take no `--replications` or `--mode`, and `ntcheck` takes only
-its own three flags.
+harness runner in `RUNNERS`.  The studies take `--replications` and, but
+for `linear-validate`, where both linear modes compute the same, `--mode`;
+`simulate` and `estimate` take neither; `ntcheck` takes its own three flags.
 Each command returns a RunReport, printed the same way: result lines,
 gate lines, warnings, then the files written.  The exit code is 0 when
 all hard gates pass and 1 otherwise, so shell pipelines can chain on
@@ -46,25 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate the spectral model and validate its viscosity estimators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, study: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *study_flags: str) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        if study:
+        if "replications" in study_flags:
             p.add_argument("--replications", type=int, default=None,
                            help="Monte Carlo replication count override")
+        if "mode" in study_flags:
             p.add_argument("--mode", default=None, choices=MODES,
                            help="sampling backend override")
 
     # one path each, linear or not as the config's include_nonlinear says
-    common(sub.add_parser("simulate", help="write one trajectory file"), study=False)
-    common(sub.add_parser("estimate", help="simulate once and print the estimates"),
-           study=False)
-    common(sub.add_parser("consistency", help="error sweep across truncations"))
-    common(sub.add_parser("normality", help="scaled-error distribution checks"))
+    common(sub.add_parser("simulate", help="write one trajectory file"))
+    common(sub.add_parser("estimate", help="simulate once and print the estimates"))
+    for name, help_text in (("consistency", "error sweep across truncations"),
+                            ("normality", "scaled-error distribution checks")):
+        common(sub.add_parser(name, help=help_text), "replications", "mode")
     common(sub.add_parser("linear-validate",
-                          help="linear-model moments against closed forms"))
+                          help="linear-model moments against closed forms"), "replications")
     nt = sub.add_parser("ntcheck", help="lattice counting checks")
     nt.add_argument("--out", type=Path, default=ExperimentConfig.output_dir,
                     help="output directory")

@@ -4,11 +4,12 @@ The state is a SpectralField of horizontal-velocity coefficients.  Its
 drift splits into the per-mode linear part (diffusion plus rotation,
 solved exactly in the complex-rate picture of `linear`) and the
 projected advection term P B(V, V).  B is computed on a collocation
-grid dealiased by the 3/2 rule, which is exact on the truncation; the
-exact convolution over lattice site pairs (Direct) survives only as a
-test oracle.  All schemes take the per-step noise vectors as an
-argument, so trajectories are reproducible and the applied increments
-can be logged for the estimator validation identities.
+grid dealiased by the 3/2 rule, exact on the truncation, by real
+transforms on the half spectrum m3 >= 0; the exact convolution over
+lattice site pairs (Direct) survives only as a test oracle.  All schemes
+take the per-step noise vectors as an argument, so trajectories are
+reproducible and the applied increments can be logged for the estimator
+validation identities.
 """
 from __future__ import annotations
 
@@ -112,7 +113,9 @@ class _SiteLayout:
     e^{i k.x}: the cosine in z splits into (k', +-k3) at weight 1/sqrt(2)
     and the implicit reality partner adds (-k', +-k3) with conjugated
     values.  `rows`, `conj` and `scale` turn a stored coefficient array
-    into per-site values in one fancy-indexing pass.
+    into per-site values in one fancy-indexing pass.  The sites with
+    m3 >= 0 (`half`) sit at `half_index` in the (G, G, G//2 + 1) half
+    spectrum of the transform grid, G = next_fast_len(3N + 1) per axis.
     """
 
     def __init__(self, N: int):
@@ -135,7 +138,6 @@ class _SiteLayout:
                 rows.append(i)
                 conj.append(c)
                 scale.append(s)
-        self.N = N
         self.sites = np.array(sites, dtype=int)
         self.rows = np.array(rows, dtype=int)
         self.conj = np.array(conj, dtype=bool)
@@ -145,6 +147,9 @@ class _SiteLayout:
         self.read_minus = np.stack([tab.k1, tab.k2, -tab.k3], axis=1)
         self.k3_positive = tab.k3 > 0
         self.self_paired = tab.self_paired
+        self.G = sfft.next_fast_len(3 * N + 1)
+        self.half = self.sites[:, 2] >= 0
+        self.half_index = tuple((self.sites[self.half] % self.G).T)
 
 
 @lru_cache(maxsize=32)
@@ -152,9 +157,11 @@ def _site_layout(N: int) -> _SiteLayout:
     return _SiteLayout(int(N))
 
 
-def _site_values(lay: _SiteLayout, f: SpectralField) -> np.ndarray:
-    vals = f.coeffs[lay.rows] * lay.scale[:, None]
-    vals[lay.conj] = np.conj(vals[lay.conj])
+def _site_values(lay: _SiteLayout, f: SpectralField, sel=slice(None)) -> np.ndarray:
+    """Per-site values of f on the sites `sel` (all of them by default)."""
+    vals = f.coeffs[lay.rows[sel]] * lay.scale[sel, None]
+    conj = lay.conj[sel]
+    vals[conj] = np.conj(vals[conj])
     return vals
 
 
@@ -185,44 +192,35 @@ def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """B(f, g) on a zero-padded collocation grid.
+    """B(f, g) by real transforms on a zero-padded collocation grid.
 
     With per-axis resolution G >= 3N + 1 a product of two modes bounded
     by N can only alias onto wavenumbers of magnitude >= G - 2N > N, so
     every retained coefficient of the transform is exact up to roundoff.
+    Every field involved is real, so only the half spectrum m3 >= 0 is
+    transformed: u1, u2, w and the six gradients of g inversely, the two
+    products forward.  A site with m3 < 0 reads as the conjugate of -m.
     """
-    N = f.N
-    lay = _site_layout(N)
-    G = sfft.next_fast_len(3 * N + 1)
-    kline = np.fft.fftfreq(G, 1.0 / G)
-    K1, K2, K3 = np.meshgrid(kline, kline, kline, indexing="ij", sparse=True)
+    lay = _site_layout(f.N)
+    G, half = lay.G, lay.half
+    sites = lay.sites[half]
 
-    def cube(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        c = np.zeros((G, G, G), dtype=complex)
-        c[sites[:, 0] % G, sites[:, 1] % G, sites[:, 2] % G] = vals
-        return c
+    def grid(vals: np.ndarray) -> np.ndarray:
+        c = np.zeros((G, G, G // 2 + 1), dtype=complex)
+        c[lay.half_index] = vals
+        return sfft.irfftn(c, s=(G, G, G), norm="forward")
 
-    fv = _site_values(lay, f)
-    gv = _site_values(lay, g)
-    f1 = cube(lay.sites, fv[:, 0])
-    f2 = cube(lay.sites, fv[:, 1])
-    wc = cube(lay.sites, _w_site_values(lay.sites, fv))
+    fv = _site_values(lay, f, half)
+    gv = _site_values(lay, g, half)
+    u = [grid(fv[:, 0]), grid(fv[:, 1]), grid(_w_site_values(sites, fv))]
+    b = np.stack([sfft.rfftn(sum(u[a] * grid(1j * sites[:, a] * gv[:, c]) for a in range(3)),
+                             norm="forward") for c in range(2)], axis=-1)
 
-    u1 = sfft.ifftn(f1, norm="forward").real
-    u2 = sfft.ifftn(f2, norm="forward").real
-    w = sfft.ifftn(wc, norm="forward").real
-
-    b = []
-    for comp in range(2):
-        gc = cube(lay.sites, gv[:, comp])
-        gx = sfft.ifftn(1j * K1 * gc, norm="forward").real
-        gy = sfft.ifftn(1j * K2 * gc, norm="forward").real
-        gz = sfft.ifftn(1j * K3 * gc, norm="forward").real
-        b.append(sfft.fftn(u1 * gx + u2 * gy + w * gz, norm="forward"))
-
-    def read(sites: np.ndarray) -> np.ndarray:
-        ix, iy, iz = sites[:, 0] % G, sites[:, 1] % G, sites[:, 2] % G
-        return np.stack([b[0][ix, iy, iz], b[1][ix, iy, iz]], axis=1)
+    def read(at: np.ndarray) -> np.ndarray:
+        neg = at[:, 2] < 0
+        vals = b[tuple((np.where(neg[:, None], -at, at) % G).T)]
+        vals[neg] = np.conj(vals[neg])
+        return vals
 
     return _fold_sites(lay, read)
 

@@ -605,6 +605,21 @@ class TestCli:
         assert exc.value.code == 2
         assert not (tmp_path / f"{command}_manifest.jsonl").exists()
 
+    def test_linear_validate_takes_no_mode_flag(self, tmp_path):
+        # both linear modes run the same computation, so the flag would
+        # only change the config hash
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["linear-validate", "--config", str(cfg), "--out", str(tmp_path),
+                      "--mode", "LinearExact"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "linear_validation_manifest.jsonl").exists()
+
+    def test_linear_validate_refuses_a_nonlinear_config(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, "mode = FullNonlinear\n")
+        with pytest.raises(ValueError, match="linear mode"):
+            cli.main(["linear-validate", "--config", str(cfg), "--out", str(tmp_path)])
+
     def test_noiseless_simulate_and_estimate_start_from_a_random_field(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "sigma0 = 0\n")
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -135,6 +135,23 @@ class TestNonlinearB:
             diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
             assert diff <= 1e-10 * field_norm(bd)
 
+    @pytest.mark.parametrize("same", [False, True], ids=["f_g", "f_f"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
+    def test_half_spectrum_matches_the_oracle(self, N, same):
+        # G = 4, 7, 10, 14, 16, 20, 25: odd and even grids, each with a
+        # populated m3 = 0 plane that the real transforms take whole
+        f = random_field(N, np.random.default_rng(100 + N))
+        g = f if same else random_field(N, np.random.default_rng(200 + N))
+        bd = direct_B(f, g)
+        bp = nonlinear_B(f, g)
+        diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
+        if N == 1:
+            # no two sites in the unit ball add up to a third: B vanishes
+            assert field_norm(bd) == 0.0
+            assert field_norm(bp) <= 1e-14 * field_norm(f) * field_norm(g)
+        else:
+            assert diff <= 1e-10 * field_norm(bd)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_energy_orthogonality(self, method):
         f = random_field(4, np.random.default_rng(11))
