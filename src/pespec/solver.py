@@ -213,6 +213,7 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     fv = _site_values(lay, f, half)
     gv = _site_values(lay, g, half)
     u = [grid(fv[:, 0]), grid(fv[:, 1]), grid(_w_site_values(sites, fv))]
+    # component c of the product is sum_a u_a d_a g_c, one gradient grid at a time
     b = np.stack([sfft.rfftn(sum(u[a] * grid(1j * sites[:, a] * gv[:, c]) for a in range(3)),
                              norm="forward") for c in range(2)], axis=-1)
 

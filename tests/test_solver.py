@@ -146,7 +146,7 @@ class TestNonlinearB:
         bp = nonlinear_B(f, g)
         diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
         if N == 1:
-            # no two sites in the unit ball add up to a third: B vanishes
+            # no two nonzero sites of the unit ball add up to a third one
             assert field_norm(bd) == 0.0
             assert field_norm(bp) <= 1e-14 * field_norm(f) * field_norm(g)
         else:
