@@ -27,8 +27,6 @@ from .params import ModelParams
 __all__ = [
     "mode_rates",
     "OUMode",
-    "ou_exact_step",
-    "ou_mean_factor",
     "strand_noise_chol",
     "StrandSampler",
     "ShellSampler",
@@ -155,11 +153,6 @@ class OUMode:
         return complex(self.lam, self.f0)
 
 
-def ou_mean_factor(mode: OUMode, dt: float) -> complex:
-    """exp(-(lam + i f0) dt): the exact mean propagator in complex form."""
-    return cmath.exp(-mode.z * dt)
-
-
 def strand_noise_chol(
     lam: float, f0: float, amp: float, zeta: complex, dt: float
 ) -> Tuple[float, float, float]:
@@ -269,20 +262,6 @@ class ShellSampler:
         half_chi2 = rng.standard_gamma(self.half_dof, R.shape)
         root = np.sqrt(R)
         return (self.decay * root + self.scale * g) ** 2 + self._twice_var * half_chi2, root * g
-
-
-def ou_exact_step(
-    mode: OUMode, state, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Advance the strand exactly over dt: distributionally error-free."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    xi = complex(state[0], state[1]) * ou_mean_factor(mode, dt)
-    s11, s21, s22 = strand_noise_chol(mode.lam, mode.f0, mode.amp, mode.zeta, dt)
-    n1, n2 = rng.standard_normal(2)
-    eta = complex(s11 * n1, s21 * n1 + s22 * n2)
-    xi += eta
-    return np.array([xi.real, xi.imag])
 
 
 # ---------------------------------------------------------------------------

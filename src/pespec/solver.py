@@ -4,8 +4,10 @@ The state is a SpectralField of horizontal-velocity coefficients.  Its
 drift splits into the per-mode linear part (diffusion plus rotation,
 solved exactly in the complex-rate picture of `linear`) and the
 projected advection term P B(V, V).  B is computed on a collocation
-grid dealiased by the 3/2 rule, exact on the truncation, by real
-transforms on the half spectrum m3 >= 0; the exact convolution over
+grid dealiased by the 3/2 rule, exact on the truncation, by depth
+parity: every field it involves is a cosine or a sine series in z, so
+real 2D transforms run on the N + 1 coefficient planes m3 = 0..N and a
+DCT-I or DST-I along z on the half period; the exact convolution over
 lattice site pairs (Direct) survives only as a test oracle.  All schemes
 take the per-step noise vectors as an argument, so trajectories are
 reproducible and the applied increments can be logged for the estimator
@@ -113,9 +115,18 @@ class _SiteLayout:
     e^{i k.x}: the cosine in z splits into (k', +-k3) at weight 1/sqrt(2)
     and the implicit reality partner adds (-k', +-k3) with conjugated
     values.  `rows`, `conj` and `scale` turn a stored coefficient array
-    into per-site values in one fancy-indexing pass.  The sites with
-    m3 >= 0 (`half`) sit at `half_index` in the (G, G, G//2 + 1) half
-    spectrum of the transform grid, G = next_fast_len(3N + 1) per axis.
+    into per-site values in one fancy-indexing pass.
+
+    The transform grid takes G = next_fast_len(3N + 1) points along x
+    and y and the M + 1 points z_j = pi j / M of the even extension of
+    length Gz = 2M, the smallest even fast length >= 3N + 1.  Every
+    field of B is even or odd in z, so it is fixed by its sites with
+    m3 >= 0, and real, so each of its planes is fixed by m1 >= 0:
+    `fill` selects those sites and `fill_index` places them in the
+    (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].  Canonical
+    modes have k1 >= 0, so mode k reads its result at `read_index`,
+    (k3, k2, k1), times `read_scale` (sqrt(2) for k3 > 0, the weight of
+    its two z-images).
     """
 
     def __init__(self, N: int):
@@ -142,14 +153,17 @@ class _SiteLayout:
         self.rows = np.array(rows, dtype=int)
         self.conj = np.array(conj, dtype=bool)
         self.scale = np.array(scale, dtype=float)
-        # canonical read positions for the inverse map
-        self.read_plus = np.stack([tab.k1, tab.k2, tab.k3], axis=1)
-        self.read_minus = np.stack([tab.k1, tab.k2, -tab.k3], axis=1)
-        self.k3_positive = tab.k3 > 0
+        self.G = G = sfft.next_fast_len(3 * N + 1)
+        Gz = G
+        while Gz % 2:
+            Gz = sfft.next_fast_len(Gz + 1)
+        self.M = Gz // 2
+        self.fill = np.flatnonzero((self.sites[:, 2] >= 0) & (self.sites[:, 0] >= 0))
+        m1, m2, m3 = self.sites[self.fill].T
+        self.fill_index = (m3, m2 % G, m1)
+        self.read_index = (tab.k3, tab.k2 % G, tab.k1)
+        self.read_scale = np.where(tab.k3 > 0, _SQRT2, 1.0)[:, None]
         self.self_paired = tab.self_paired
-        self.G = sfft.next_fast_len(3 * N + 1)
-        self.half = self.sites[:, 2] >= 0
-        self.half_index = tuple((self.sites[self.half] % self.G).T)
 
 
 @lru_cache(maxsize=32)
@@ -165,25 +179,6 @@ def _site_values(lay: _SiteLayout, f: SpectralField, sel=slice(None)) -> np.ndar
     return vals
 
 
-def _fold_sites(lay: _SiteLayout, read) -> np.ndarray:
-    """Collapse exponential coefficients back onto the stored basis.
-
-    read(sites) must return the (m, 2) coefficients at the requested
-    lattice positions.  For k3 > 0 the two z-images are averaged (they
-    agree analytically; averaging symmetrizes roundoff) and rescaled by
-    sqrt(2); self-paired rows are real analytically, so their residual
-    imaginary part is dropped.
-    """
-    plus = read(lay.read_plus)
-    out = np.array(plus)
-    kp = lay.k3_positive
-    minus = read(lay.read_minus[kp])
-    out[kp] = (plus[kp] + minus) / _SQRT2
-    sp = lay.self_paired
-    out[sp] = out[sp].real
-    return out
-
-
 def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Exponential coefficients of w(f) from the per-site values of f."""
     m3 = sites[:, 2]
@@ -192,38 +187,47 @@ def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """B(f, g) by real transforms on a zero-padded collocation grid.
+    """B(f, g) by cosine and sine transforms on a zero-padded collocation grid.
 
-    With per-axis resolution G >= 3N + 1 a product of two modes bounded
-    by N can only alias onto wavenumbers of magnitude >= G - 2N > N, so
-    every retained coefficient of the transform is exact up to roundoff.
-    Every field involved is real, so only the half spectrum m3 >= 0 is
-    transformed: u1, u2, w and the six gradients of g inversely, the two
-    products forward.  A site with m3 < 0 reads as the conjugate of -m.
+    With G, Gz >= 3N + 1 points per period a product of two modes
+    bounded by N can only alias onto wavenumbers of magnitude > N, so
+    every retained coefficient is exact up to roundoff.  u1, u2 and the
+    horizontal gradients of g are cosine series in z; w and dz g are
+    sine series, whose sites are multiplied by i to make each m3 plane
+    Hermitian.  The inverse transforms run irfft2 over (x, y) on the
+    N + 1 planes m3 >= 0, then a DCT-I (even fields) or a DST-I (odd
+    ones) along z on the M + 1 points of the even extension.  Both
+    products are even: a DCT-I along z, the planes m3 = 0..N kept, and
+    rfft2 over (x, y) give their coefficients, read at |m3|.
     """
     lay = _site_layout(f.N)
-    G, half = lay.G, lay.half
-    sites = lay.sites[half]
+    G, M, N = lay.G, lay.M, f.N
+    sites = lay.sites[lay.fill]
 
-    def grid(vals: np.ndarray) -> np.ndarray:
-        c = np.zeros((G, G, G // 2 + 1), dtype=complex)
-        c[lay.half_index] = vals
-        return sfft.irfftn(c, s=(G, G, G), norm="forward")
+    def grid(vals: np.ndarray, odd: bool = False) -> np.ndarray:
+        c = np.zeros((N + 1, G, G // 2 + 1), dtype=complex)
+        c[lay.fill_index] = vals
+        if odd:  # rows z_1..z_{M-1}: a sine vanishes at z = 0 and pi
+            planes = sfft.irfft2(c[1:], s=(G, G), norm="forward")
+            return sfft.dst(planes, type=1, n=M - 1, axis=0)
+        return sfft.dct(sfft.irfft2(c, s=(G, G), norm="forward"), type=1, n=M + 1, axis=0)
 
-    fv = _site_values(lay, f, half)
-    gv = _site_values(lay, g, half)
-    u = [grid(fv[:, 0]), grid(fv[:, 1]), grid(_w_site_values(sites, fv))]
+    fv = _site_values(lay, f, lay.fill)
+    gv = _site_values(lay, g, lay.fill)
+    u1, u2 = grid(fv[:, 0]), grid(fv[:, 1])
+    w = grid(1j * _w_site_values(sites, fv), odd=True)
     # component c of the product is sum_a u_a d_a g_c, one gradient grid at a time
-    b = np.stack([sfft.rfftn(sum(u[a] * grid(1j * sites[:, a] * gv[:, c]) for a in range(3)),
-                             norm="forward") for c in range(2)], axis=-1)
-
-    def read(at: np.ndarray) -> np.ndarray:
-        neg = at[:, 2] < 0
-        vals = b[tuple((np.where(neg[:, None], -at, at) % G).T)]
-        vals[neg] = np.conj(vals[neg])
-        return vals
-
-    return _fold_sites(lay, read)
+    b = np.empty((N + 1, G, G // 2 + 1, 2), dtype=complex)
+    for c in range(2):
+        p = u1 * grid(1j * sites[:, 0] * gv[:, c]) + u2 * grid(1j * sites[:, 1] * gv[:, c])
+        p[1:M] += w * grid(-sites[:, 2] * gv[:, c], odd=True)
+        b[..., c] = sfft.rfft2(sfft.dct(p, type=1, axis=0, norm="forward")[:N + 1],
+                               norm="forward")
+    out = b[lay.read_index] * lay.read_scale
+    # self-paired rows are real analytically: drop the residual imaginary part
+    sp = lay.self_paired
+    out[sp] = out[sp].real
+    return out
 
 
 def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> SpectralField:
@@ -412,6 +416,8 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if len(self.times) < 1:
             raise ValueError("trajectory needs at least one sample")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         Ns = {s.N for s in self.states}
@@ -652,9 +658,12 @@ def trajectory_from_text(text: str) -> Trajectory:
         try:
             if marker[0] != "time":
                 raise ValueError
-            times.append(float(marker[1]))
+            t = float(marker[1])
         except (IndexError, ValueError):
             raise ValueError(f"expected a time marker at line {pos + 1}") from None
+        if not math.isfinite(t):
+            raise ValueError(f"line {pos + 1}: time {marker[1]} is not finite")
+        times.append(t)
         block = "\n".join(lines[pos + 1: pos + 2 + n_modes])
         try:
             states.append(field_from_text(block))
@@ -684,6 +693,9 @@ def trajectory_from_text(text: str) -> Trajectory:
             incr.imag = rows[:, 1::2]
             noise_log.append(incr)
             pos += 1 + n_modes
+    if pos < len(lines):
+        raise ValueError(f"line {pos + 1}: unexpected text after the last "
+                         f"{'noise' if n_noise else 'field'} block")
     return Trajectory(
         times=np.array(times), states=states, params=params, config=cfg,
         seed=seed, noise_log=noise_log,

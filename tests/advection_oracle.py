@@ -9,12 +9,13 @@ lives with the tests.  Both backends take w from `_w_site_values`, so
 `vertical_velocity`, which builds w per stored mode instead, is the
 separate oracle for that map.
 """
+import math
 from typing import Dict
 
 import numpy as np
 
 from pespec.modes import ModeIndex, SpectralField
-from pespec.solver import _fold_sites, _site_layout, _site_values, _w_site_values
+from pespec.solver import _site_layout, _site_values, _w_site_values
 
 
 def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
@@ -35,12 +36,32 @@ def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
     return out
 
 
+def _fold_sites(f: SpectralField, read) -> np.ndarray:
+    """Collapse exponential coefficients back onto the stored basis.
+
+    read(sites) must return the (m, 2) coefficients at the requested
+    lattice positions.  For k3 > 0 the two z-images are averaged (they
+    agree analytically; averaging symmetrizes roundoff) and rescaled by
+    sqrt(2); self-paired rows are real analytically, so their residual
+    imaginary part is dropped.
+    """
+    tab = f.table
+    plus = read(np.stack([tab.k1, tab.k2, tab.k3], axis=1))
+    out = np.array(plus)
+    kp = tab.k3 > 0
+    minus = read(np.stack([tab.k1, tab.k2, -tab.k3], axis=1)[kp])
+    out[kp] = (plus[kp] + minus) / math.sqrt(2.0)
+    sp = tab.self_paired
+    out[sp] = out[sp].real
+    return out
+
+
 def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:
     """B(f, g) = f . grad_h g + w(f) dz g by exact summation over site pairs.
 
     For sites m + n = p the integrand contributes
     i [ (F_m . n') + w_m n3 ] G_n, accumulated on a dense (2N+1)^3 cube,
-    and the result is folded onto the stored basis like `nonlinear_B`'s.
+    and the result is read back at both z-images of each stored mode.
     """
     if f.N != g.N:
         raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")
@@ -74,4 +95,4 @@ def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:
                + (sites[:, 2] + N))
         return acc[lin]
 
-    return SpectralField(N, _fold_sites(lay, read))
+    return SpectralField(N, _fold_sites(f, read))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_orders import exact_norm_sum, expected_norm_order
+from scalar_ou import ou_exact_step, ou_mean_factor
 from pespec.linear import (
     OUMode,
     StrandSampler,
@@ -17,8 +18,6 @@ from pespec.linear import (
     expected_time_energy,
     mode_energy_mean,
     mode_energy_variance,
-    ou_exact_step,
-    ou_mean_factor,
     strand_noise_chol,
     variance_time_energy,
 )

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from advection_oracle import direct_B, vertical_velocity
-from pespec.linear import OUMode, ou_exact_step
+from scalar_ou import ou_exact_step
+from pespec.linear import OUMode
 from pespec.modes import (
+    BAROTROPIC,
     ModeIndex,
     SpectralField,
     field_from_text,
@@ -138,8 +140,9 @@ class TestNonlinearB:
     @pytest.mark.parametrize("same", [False, True], ids=["f_g", "f_f"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
     def test_half_spectrum_matches_the_oracle(self, N, same):
-        # G = 4, 7, 10, 14, 16, 20, 25: odd and even grids, each with a
-        # populated m3 = 0 plane that the real transforms take whole
+        # G / Gz = 4/4, 7/8, 10/10, 14/14, 16/16, 20/20, 25/28: odd and
+        # even x, y grids, and at N = 8 a z grid (the even extension of
+        # the M + 1 cosine points) longer than the x, y grid
         f = random_field(N, np.random.default_rng(100 + N))
         g = f if same else random_field(N, np.random.default_rng(200 + N))
         bd = direct_B(f, g)
@@ -152,12 +155,25 @@ class TestNonlinearB:
         else:
             assert diff <= 1e-10 * field_norm(bd)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_energy_orthogonality(self, method):
-        f = random_field(4, np.random.default_rng(11))
+    # the Direct sum takes about 6 s at N = 12, and it checks no program code
+    @pytest.mark.parametrize("method,N", [(m, N) for m in METHODS for N in (4, 8, 12)
+                                          if (m, N) != ("Direct", 12)])
+    def test_energy_orthogonality(self, method, N):
+        f = random_field(N, np.random.default_rng(11))
         B = METHODS[method](f, f)
         rel = abs(inner_product(B, f)) / (field_norm(B) * field_norm(f))
         assert rel < 1e-12
+
+    @pytest.mark.parametrize("N", [2, 4, 8, 12])
+    def test_barotropic_fields_stay_barotropic(self, N):
+        # depth-independent f and g have w(f) = 0 and a depth-independent
+        # product, so B has nothing on any row with k3 > 0
+        f = random_field(N, np.random.default_rng(300 + N), sel=BAROTROPIC)
+        g = random_field(N, np.random.default_rng(400 + N), sel=BAROTROPIC)
+        B = nonlinear_B(f, g)
+        baroclinic = B.table.k3 > 0
+        assert field_norm(B) > 0.0
+        assert np.abs(B.coeffs[baroclinic]).max() <= 1e-14 * np.abs(B.coeffs).max()
 
     def test_output_needs_projection(self):
         # the raw advection term has a pressure-gradient component in its
@@ -452,6 +468,33 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError, match="line 3: include_nonlinear"):
             trajectory_from_text(txt.replace("include_nonlinear=False",
                                              "include_nonlinear=flase"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_time_rejected(self, value):
+        lines = trajectory_to_text(self.make()).splitlines()
+        j = [i for i, line in enumerate(lines) if line.startswith("time ")][1]
+        lines[j] = f"time {value}"
+        with pytest.raises(ValueError, match=f"line {j + 1}: time {value} is not finite"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["fields", "noise"])
+    def test_trailing_lines_rejected(self, noise):
+        txt = trajectory_to_text(self.make(), include_noise=noise)
+        trajectory_from_text(txt)
+        n_lines = len(txt.splitlines())
+        for extra in ("garbage\n", "\n", "time 1.0\n"):
+            with pytest.raises(ValueError, match=f"line {n_lines + 1}: unexpected text"):
+                trajectory_from_text(txt + extra)
+
+    def test_trajectory_rejects_non_finite_times(self):
+        p = ModelParams()
+        s = SpectralField.zeros(2)
+        cfg = SolverConfig(N=2, dt=0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="times must be finite"):
+                Trajectory(times=[0.0, bad], states=[s, s], params=p, config=cfg)
+        with pytest.raises(ValueError, match="times must be finite"):
+            Trajectory(times=[math.nan], states=[s], params=p, config=cfg)
 
     def test_trajectory_invariants(self):
         p = ModelParams()
