@@ -3,8 +3,9 @@
 `ou_mean_factor` and `ou_exact_step` advance a single strand exactly
 over dt with complex scalars, one strand and one step at a time.  The
 program samples strands only through the vectorized `StrandSampler`
-(and its squared-norm classes, `ShellSampler`); these stay with the
-tests as an independent spelling of the same exact law.
+(and its squared-norm classes, `ShellSampler`), so these stay with the
+tests as the scalar reference for its decay and its draw order; both
+take the noise factors from `strand_noise_chol`.
 """
 import cmath
 

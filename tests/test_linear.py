@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_orders import exact_norm_sum, expected_norm_order
-from scalar_ou import ou_exact_step, ou_mean_factor
 from pespec.linear import (
     OUMode,
     StrandSampler,
@@ -23,6 +22,7 @@ from pespec.linear import (
 )
 from pespec.modes import ALL, BAROCLINIC, BAROTROPIC, ModeIndex, ModeSelector
 from pespec.params import ModelParams
+from scalar_ou import ou_exact_step, ou_mean_factor
 
 DEFAULTS = ModelParams()
 
