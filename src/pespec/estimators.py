@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .modes import (
     BAROCLINIC,
@@ -350,6 +350,6 @@ def confidence_interval(estimate: float, sigma: float, N: int,
         raise ValueError("level must lie strictly between 0 and 1")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    z = stats.norm.ppf(0.5 * (1.0 + level))
+    z = special.ndtri(0.5 * (1.0 + level))
     half = float(z * np.sqrt(sigma) / N ** 2)
     return (estimate - half, estimate + half)

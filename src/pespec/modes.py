@@ -91,11 +91,7 @@ class ModeIndex:
 
     @property
     def is_canonical(self) -> bool:
-        return (self.k1, self.k2, self.k3) == (
-            self.canonical().k1,
-            self.canonical().k2,
-            self.canonical().k3,
-        )
+        return self == self.canonical()
 
     def sort_key(self) -> Tuple[int, int, int, int]:
         return (self.k_sq, self.k1, self.k2, self.k3)
@@ -461,9 +457,11 @@ def field_from_text(text: str) -> SpectralField:
         raise ValueError(f"line {n0}: unsupported basis tag {fields.get('basis')!r}")
     tab = mode_table(N)
     arr = np.zeros((tab.n, 2), dtype=complex)
-    if len(lines) - 1 != tab.n:
-        raise ValueError("row count does not match the truncation's mode set")
-    for i, (n, ln) in enumerate(lines[1:]):
+    rows = lines[1:]
+    if len(rows) != tab.n:  # name the first surplus row or the last line
+        n = rows[tab.n][0] if len(rows) > tab.n else lines[-1][0]
+        raise ValueError(f"line {n}: {len(rows)} mode rows, but N={N} has {tab.n}")
+    for i, (n, ln) in enumerate(rows):
         parts = ln.split(",")
         try:
             if len(parts) != 7:
@@ -472,6 +470,8 @@ def field_from_text(text: str) -> SpectralField:
             re_u, im_u, re_v, im_v = (float(p) for p in parts[3:])
         except ValueError as exc:
             raise ValueError(f"line {n}: malformed field row ({exc})") from None
+        if not all(map(math.isfinite, (re_u, im_u, re_v, im_v))):
+            raise ValueError(f"line {n}: non-finite coefficient in row {i}")
         if k != tab.modes[i]:
             raise ValueError(f"line {n}: row {i} out of canonical order: {k}")
         arr[i, 0] = complex(re_u, im_u)

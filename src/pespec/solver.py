@@ -3,15 +3,15 @@
 The state is a SpectralField of horizontal-velocity coefficients.  Its
 drift splits into the per-mode linear part (diffusion plus rotation,
 solved exactly in the complex-rate picture of `linear`) and the
-projected advection term P B(V, V).  B is computed on a collocation
-grid dealiased by the 3/2 rule, exact on the truncation, by depth
-parity: every field it involves is a cosine or a sine series in z, so
-real 2D transforms run on the N + 1 coefficient planes m3 = 0..N and a
-DCT-I or DST-I along z on the half period; the exact convolution over
-lattice site pairs (Direct) survives only as a test oracle.  All schemes
-take the per-step noise vectors as an argument, so trajectories are
-reproducible and the applied increments can be logged for the estimator
-validation identities.
+projected advection term P B(V, V).  B is computed in flux form on a
+collocation grid dealiased by the 3/2 rule, exact on the truncation, by
+depth parity: every field it involves is a cosine or a sine series in
+z, so real 2D transforms run on the N + 1 coefficient planes m3 = 0..N
+and a DCT-I or DST-I along z on the half period; the exact convolution
+over lattice site pairs (Direct) survives only as a test oracle.  All
+schemes take the per-step noise vectors as an argument, so trajectories
+are reproducible and the applied increments can be logged for the
+estimator validation identities.
 """
 from __future__ import annotations
 
@@ -124,31 +124,25 @@ class _SiteLayout:
     m3 >= 0, and real, so each of its planes is fixed by m1 >= 0:
     `fill` selects those sites and `fill_index` places them in the
     (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].  Canonical
-    modes have k1 >= 0, so mode k reads its result at `read_index`,
-    (k3, k2, k1), times `read_scale` (sqrt(2) for k3 > 0, the weight of
-    its two z-images).
+    modes have k1 >= 0, so mode k reads an even flux at `read_index`,
+    (k3, k2, k1), and an odd one, whose planes start at m3 = 1, at
+    `read_odd`.  `deriv` holds the per-mode factors i k1, i k2 and k3
+    of the three flux divergence terms, each times the weight of the
+    mode's z-images (sqrt(2) for k3 > 0).
     """
 
     def __init__(self, N: int):
         tab = mode_table(N)
-        sites: List[tuple] = []
-        rows: List[int] = []
-        conj: List[bool] = []
-        scale: List[float] = []
+        entries: List[tuple] = []  # (site, row, conj, scale) per site
         for i, k in enumerate(tab.modes):
             s = 1.0 / _SQRT2 if k.k3 > 0 else 1.0
             images = [((k.k1, k.k2, k.k3), False)]
             if k.k3 > 0:
                 images.append(((k.k1, k.k2, -k.k3), False))
             if not k.is_self_paired:
-                images.extend(
-                    [((-k1, -k2, k3), True) for (k1, k2, k3), _ in list(images)]
-                )
-            for site, c in images:
-                sites.append(site)
-                rows.append(i)
-                conj.append(c)
-                scale.append(s)
+                images += [((-k1, -k2, k3), True) for (k1, k2, k3), _ in images]
+            entries += [(site, i, c, s) for site, c in images]
+        sites, rows, conj, scale = zip(*entries)
         self.sites = np.array(sites, dtype=int)
         self.rows = np.array(rows, dtype=int)
         self.conj = np.array(conj, dtype=bool)
@@ -162,7 +156,10 @@ class _SiteLayout:
         m1, m2, m3 = self.sites[self.fill].T
         self.fill_index = (m3, m2 % G, m1)
         self.read_index = (tab.k3, tab.k2 % G, tab.k1)
-        self.read_scale = np.where(tab.k3 > 0, _SQRT2, 1.0)[:, None]
+        # a k3 = 0 mode reads plane m3 = 1 here, and its factor k3 zeroes it
+        self.read_odd = (np.maximum(tab.k3 - 1, 0), tab.k2 % G, tab.k1)
+        s = np.where(tab.k3 > 0, _SQRT2, 1.0)
+        self.deriv = (1j * tab.k1 * s, 1j * tab.k2 * s, tab.k3 * s)
         self.self_paired = tab.self_paired
 
 
@@ -187,18 +184,19 @@ def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """B(f, g) by cosine and sine transforms on a zero-padded collocation grid.
+    """B(f, g) in flux form by cosine and sine transforms on a zero-padded grid.
 
-    With G, Gz >= 3N + 1 points per period a product of two modes
-    bounded by N can only alias onto wavenumbers of magnitude > N, so
-    every retained coefficient is exact up to roundoff.  u1, u2 and the
-    horizontal gradients of g are cosine series in z; w and dz g are
-    sine series, whose sites are multiplied by i to make each m3 plane
-    Hermitian.  The inverse transforms run irfft2 over (x, y) on the
-    N + 1 planes m3 >= 0, then a DCT-I (even fields) or a DST-I (odd
-    ones) along z on the M + 1 points of the even extension.  Both
-    products are even: a DCT-I along z, the planes m3 = 0..N kept, and
-    rfft2 over (x, y) give their coefficients, read at |m3|.
+    Component c is d1(f1 g_c) + d2(f2 g_c) + dz(w g_c) (see `nonlinear_B`).
+    With G, Gz >= 3N + 1 points per period every kept flux coefficient
+    is exact up to roundoff: products of modes bounded by N alias only
+    beyond N.  f_a and g_c are cosine series in z and w a sine series,
+    its sites times i so that each m3 plane is Hermitian: irfft2 on the
+    N + 1 planes m3 >= 0, then a DCT-I or a DST-I along z.  The even
+    fluxes f_a g_c go back by a DCT-I (planes 0..N) and rfft2 to F, so
+    d_a is i m_a F; the odd fluxes w g_c by a DST-I on the interior rows
+    (planes 1..N) and rfft2 to i times their coefficients, S, so dz is
+    m3 S.  When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3
+    inverse and 5 forward transforms in place of 5 and 6.
     """
     lay = _site_layout(f.N)
     G, M, N = lay.G, lay.M, f.N
@@ -212,18 +210,25 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
             return sfft.dst(planes, type=1, n=M - 1, axis=0)
         return sfft.dct(sfft.irfft2(c, s=(G, G), norm="forward"), type=1, n=M + 1, axis=0)
 
+    def even_flux(p: np.ndarray) -> np.ndarray:
+        planes = sfft.dct(p, type=1, axis=0, norm="forward")[:N + 1]
+        return sfft.rfft2(planes, norm="forward")[lay.read_index]
+
+    def odd_flux(p: np.ndarray) -> np.ndarray:
+        planes = sfft.dst(p, type=1, axis=0, norm="forward")[:N]
+        return sfft.rfft2(planes, norm="forward")[lay.read_odd]
+
     fv = _site_values(lay, f, lay.fill)
-    gv = _site_values(lay, g, lay.fill)
-    u1, u2 = grid(fv[:, 0]), grid(fv[:, 1])
+    u = [grid(fv[:, 0]), grid(fv[:, 1])]
     w = grid(1j * _w_site_values(sites, fv), odd=True)
-    # component c of the product is sum_a u_a d_a g_c, one gradient grid at a time
-    b = np.empty((N + 1, G, G // 2 + 1, 2), dtype=complex)
+    v = u if g is f else [grid(gc) for gc in _site_values(lay, g, lay.fill).T]
+    d1, d2, d3 = lay.deriv
+    flux = {}
+    out = np.empty((len(d1), 2), dtype=complex)
     for c in range(2):
-        p = u1 * grid(1j * sites[:, 0] * gv[:, c]) + u2 * grid(1j * sites[:, 1] * gv[:, c])
-        p[1:M] += w * grid(-sites[:, 2] * gv[:, c], odd=True)
-        b[..., c] = sfft.rfft2(sfft.dct(p, type=1, axis=0, norm="forward")[:N + 1],
-                               norm="forward")
-    out = b[lay.read_index] * lay.read_scale
+        for a in range(2):
+            flux[a, c] = flux[c, a] if g is f and a < c else even_flux(u[a] * v[c])
+        out[:, c] = d1 * flux[0, c] + d2 * flux[1, c] + d3 * odd_flux(w * v[c][1:M])
     # self-paired rows are real analytically: drop the residual imaginary part
     sp = lay.self_paired
     out[sp] = out[sp].real
@@ -236,12 +241,13 @@ def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> Spe
     Returns the coefficients of P_N B in the stored cosine basis with the
     zero mode discarded.  The output is generally not divergence-free in
     its horizontal average; the solver applies the hydrostatic Leray
-    projection separately.  The horizontal average of `f` is assumed
-    divergence-free (it then contributes nothing to w).  B is always
-    evaluated on the dealiased grid: `method` accepts the legacy names
-    of `SolverConfig.convolution` and rejects any other.  The exact
-    Direct sum over lattice site pairs, O(sites^2), lives with the tests
-    as the oracle this grid is checked against.
+    projection separately.  B is evaluated in flux form, on the dealiased
+    grid, which equals the form above only when the horizontal average
+    of `f` is divergence-free, as every solver state is; otherwise the
+    two differ by (div_h of that average) g.  `method` accepts the legacy
+    names of `SolverConfig.convolution` and rejects any other.  The
+    exact Direct sum over lattice site pairs, O(sites^2), lives with the
+    tests as the oracle this grid is checked against.
     """
     if f.N != g.N:
         raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")

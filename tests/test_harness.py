@@ -22,6 +22,7 @@ from pespec.estimators import theoretical_covariance
 from pespec.harness import (
     ExperimentConfig,
     _anderson_normal,
+    _normaltest_p,
     _build_strands,
     _estimation_grid,
     _family_strands,
@@ -359,6 +360,19 @@ class TestAndersonDarling:
         a2, crit = _anderson_normal(x)
         assert a2 == pytest.approx(float(ref.statistic), rel=1e-12)
         assert crit == float(ref.critical_values[-1])
+
+
+class TestNormaltest:
+    @pytest.mark.parametrize("n", [20, 57, 200, 1000])
+    @pytest.mark.parametrize("law", ["normal", "t5", "exponential"])
+    def test_matches_scipy(self, n, law):
+        rng = np.random.default_rng(n)
+        x = {"normal": lambda: rng.standard_normal(n), "t5": lambda: rng.standard_t(5, n),
+             "exponential": lambda: rng.exponential(size=n)}[law]()
+        ref = stats.normaltest(x)
+        p = _normaltest_p(x)
+        assert -2.0 * math.log(p) == pytest.approx(float(ref.statistic), rel=1e-12)
+        assert p == pytest.approx(float(ref.pvalue), rel=1e-12)
 
 
 class TestGridCorrection:

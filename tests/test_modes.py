@@ -167,6 +167,15 @@ class TestSpectralField:
         with pytest.raises(ValueError, match="line 1"):
             field_from_text("")
 
+    def test_row_count_error_names_a_line(self):
+        lines = field_to_text(random_field(2, np.random.default_rng(3))).splitlines()
+        n = len(lines)
+        # the first surplus row, or the last line when rows are missing
+        with pytest.raises(ValueError, match=f"line {n + 1}: {n + 1} mode rows, but N=2 has {n - 1}"):
+            field_from_text("\n".join(lines + lines[1:3]))
+        with pytest.raises(ValueError, match=f"line {n - 1}: {n - 2} mode rows, but N=2 has {n - 1}"):
+            field_from_text("\n".join(lines[:-1]))
+
     def test_formatter_writes_plain_numbers(self):
         assert [_fmt(x) for x in (np.float64(0.5), 0.1, np.float32(2.0), 3, "V2")] == \
             ["0.5", "0.1", "2.0", "3", "V2"]

@@ -6,11 +6,13 @@ exact rationals) and are asserted against the production advection
 term and against the Direct site-pair sum kept as its test oracle.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 from scipy import stats
 
 from advection_oracle import direct_B, vertical_velocity
@@ -27,8 +29,10 @@ from pespec.modes import (
     mode_table,
     random_field,
 )
+from pespec import solver
 from pespec.params import ModelParams
 from pespec.solver import (
+    SCHEMES,
     BlowUpError,
     SolverConfig,
     Trajectory,
@@ -175,6 +179,41 @@ class TestNonlinearB:
         assert field_norm(B) > 0.0
         assert np.abs(B.coeffs[baroclinic]).max() <= 1e-14 * np.abs(B.coeffs).max()
 
+    @pytest.mark.parametrize("N", [2, 5, 8])
+    def test_shared_work_matches_the_general_path(self, N):
+        # B(f, f) reuses f's grids and the flux f1 f2; an equal copy of f
+        # takes the general path with its own grids and all four fluxes
+        f = random_field(N, np.random.default_rng(500 + N))
+        shared = nonlinear_B(f, f)
+        general = nonlinear_B(f, f.with_coeffs(f.coeffs.copy()))
+        diff = field_norm(shared.with_coeffs(shared.coeffs - general.coeffs))
+        assert diff <= 1e-14 * field_norm(general)
+
+    def test_transform_counts(self, monkeypatch):
+        # B(u, u): 3 inverse grids (u1, u2, w) and 5 forward fluxes (u1 u1,
+        # u1 u2, u2 u2, w u1, w u2); B(f, g) adds g's two grids and the
+        # flux f2 g1.  Each transform is an (x, y) and a z call.
+        f = random_field(8, np.random.default_rng(8))
+        g = random_field(8, np.random.default_rng(9))
+        nonlinear_B(f, g)  # build the cached site layout outside the count
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return getattr(sfft, name)(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(solver, "sfft", Counting())
+        nonlinear_B(f, f)
+        assert Counter(calls) == {"irfft2": 3, "dct": 5, "dst": 3, "rfft2": 5}
+        assert len(calls) == 16
+        calls.clear()
+        nonlinear_B(f, g)
+        assert Counter(calls) == {"irfft2": 5, "dct": 8, "dst": 3, "rfft2": 6}
+        assert len(calls) == 22
+
     def test_output_needs_projection(self):
         # the raw advection term has a pressure-gradient component in its
         # horizontal average; the hydrostatic Leray projection removes it
@@ -301,6 +340,17 @@ class TestNonlinearStepping:
         traj = simulate_path(p, V0, cfg, 3)
         for s in traj.states:
             assert s.is_divergence_free(tol=1e-12)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_nonlinear_path_stays_divergence_free(self, scheme):
+        # B is evaluated in flux form, which equals the advective form only
+        # while the horizontal average of the state is divergence-free
+        p = ModelParams(T=0.05)
+        cfg = SolverConfig(N=8, dt=1e-3, scheme=scheme)
+        V0 = random_field(8, np.random.default_rng(6), amplitude=0.5)
+        traj = simulate_path(p, V0, cfg, 7, log_noise=False)
+        assert traj.n_samples == 51
+        assert all(s.is_divergence_free() for s in traj.states)
 
     def test_blowup_reports_step(self):
         p = ModelParams(sigma0=0.0)
@@ -475,6 +525,18 @@ class TestTrajectoryIO:
         j = [i for i, line in enumerate(lines) if line.startswith("time ")][1]
         lines[j] = f"time {value}"
         with pytest.raises(ValueError, match=f"line {j + 1}: time {value} is not finite"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coefficient_rejected(self, value):
+        # a nan row used to load, and estimate_nu_h then returned nan
+        lines = trajectory_to_text(self.make()).splitlines()
+        j = [i for i, line in enumerate(lines) if line.startswith("time ")][1]
+        row = lines[j + 3].split(",")
+        row[4] = value
+        lines[j + 3] = ",".join(row)
+        with pytest.raises(ValueError, match=f"field block from line {j + 2}: "
+                                             "line 3: non-finite coefficient in row 1"):
             trajectory_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("noise", [False, True], ids=["fields", "noise"])
