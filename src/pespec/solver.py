@@ -7,8 +7,9 @@ projected advection term P B(V, V).  B is computed in flux form on a
 collocation grid dealiased by the 3/2 rule, exact on the truncation, by
 depth parity: every field it involves is a cosine or a sine series in
 z, so real 2D transforms run on the N + 1 coefficient planes m3 = 0..N
-and a DCT-I or DST-I along z on the half period; the exact convolution
-over lattice site pairs (Direct) survives only as a test oracle.  All
+and one small real matrix product (GEMM) maps them to the half period
+along z or back (B(u, u): 8 scipy.fft calls and 8 GEMMs); the exact
+convolution over lattice site pairs (Direct) is only a test oracle.  All
 schemes take the per-step noise vectors as an argument, so trajectories
 are reproducible and the applied increments can be logged for the
 estimator validation identities.
@@ -119,7 +120,11 @@ class _SiteLayout:
 
     The transform grid takes G = next_fast_len(3N + 1) points along x
     and y and the M + 1 points z_j = pi j / M of the even extension of
-    length Gz = 2M, the smallest even fast length >= 3N + 1.  Every
+    length Gz = 2M, M = ceil((3N + 1)/2): the z transforms are matrix
+    products, which need no fast length.  `cos_syn` and `sin_syn` map
+    the cosine planes 0..N or sine planes 1..N to the grid (the sine
+    to its interior rows), `cos_ana` and `sin_ana` map it back; each is
+    the DCT-I or DST-I of an identity.  Every
     field of B is even or odd in z, so it is fixed by its sites with
     m3 >= 0, and real, so each of its planes is fixed by m1 >= 0:
     `fill` selects those sites and `fill_index` places them in the
@@ -148,10 +153,11 @@ class _SiteLayout:
         self.conj = np.array(conj, dtype=bool)
         self.scale = np.array(scale, dtype=float)
         self.G = G = sfft.next_fast_len(3 * N + 1)
-        Gz = G
-        while Gz % 2:
-            Gz = sfft.next_fast_len(Gz + 1)
-        self.M = Gz // 2
+        self.M = M = (3 * N + 2) // 2
+        self.cos_syn = sfft.dct(np.eye(N + 1), type=1, n=M + 1, axis=0)
+        self.cos_ana = sfft.dct(np.eye(M + 1), type=1, axis=0, norm="forward")[:N + 1]
+        self.sin_syn = sfft.dst(np.eye(N), type=1, n=M - 1, axis=0)
+        self.sin_ana = sfft.dst(np.eye(M - 1), type=1, axis=0, norm="forward")[:N]
         self.fill = np.flatnonzero((self.sites[:, 2] >= 0) & (self.sites[:, 0] >= 0))
         m1, m2, m3 = self.sites[self.fill].T
         self.fill_index = (m3, m2 % G, m1)
@@ -191,32 +197,33 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     is exact up to roundoff: products of modes bounded by N alias only
     beyond N.  f_a and g_c are cosine series in z and w a sine series,
     its sites times i so that each m3 plane is Hermitian: irfft2 on the
-    N + 1 planes m3 >= 0, then a DCT-I or a DST-I along z.  The even
-    fluxes f_a g_c go back by a DCT-I (planes 0..N) and rfft2 to F, so
-    d_a is i m_a F; the odd fluxes w g_c by a DST-I on the interior rows
-    (planes 1..N) and rfft2 to i times their coefficients, S, so dz is
-    m3 S.  When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3
-    inverse and 5 forward transforms in place of 5 and 6.
+    N + 1 planes m3 >= 0, then one GEMM along z by `cos_syn` or
+    `sin_syn` on the (planes, G*G) view of the result.  The even fluxes
+    f_a g_c go back by `cos_ana` and rfft2 to F, so d_a is i m_a F; the
+    odd fluxes w g_c by `sin_ana` and rfft2 to i times their
+    coefficients, S, so dz is m3 S.  When g is f, f's grids serve as g's
+    and f1 g2 as f2 g1: 3 inverse and 5 forward transforms, 8 scipy.fft
+    calls and 8 GEMMs, in place of 5 and 6.
     """
     lay = _site_layout(f.N)
     G, M, N = lay.G, lay.M, f.N
     sites = lay.sites[lay.fill]
 
+    def along_z(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return (mat @ p.reshape(len(p), -1)).reshape(len(mat), *p.shape[1:])
+
     def grid(vals: np.ndarray, odd: bool = False) -> np.ndarray:
         c = np.zeros((N + 1, G, G // 2 + 1), dtype=complex)
         c[lay.fill_index] = vals
         if odd:  # rows z_1..z_{M-1}: a sine vanishes at z = 0 and pi
-            planes = sfft.irfft2(c[1:], s=(G, G), norm="forward")
-            return sfft.dst(planes, type=1, n=M - 1, axis=0)
-        return sfft.dct(sfft.irfft2(c, s=(G, G), norm="forward"), type=1, n=M + 1, axis=0)
+            return along_z(lay.sin_syn, sfft.irfft2(c[1:], s=(G, G), norm="forward"))
+        return along_z(lay.cos_syn, sfft.irfft2(c, s=(G, G), norm="forward"))
 
     def even_flux(p: np.ndarray) -> np.ndarray:
-        planes = sfft.dct(p, type=1, axis=0, norm="forward")[:N + 1]
-        return sfft.rfft2(planes, norm="forward")[lay.read_index]
+        return sfft.rfft2(along_z(lay.cos_ana, p), norm="forward")[lay.read_index]
 
     def odd_flux(p: np.ndarray) -> np.ndarray:
-        planes = sfft.dst(p, type=1, axis=0, norm="forward")[:N]
-        return sfft.rfft2(planes, norm="forward")[lay.read_odd]
+        return sfft.rfft2(along_z(lay.sin_ana, p), norm="forward")[lay.read_odd]
 
     fv = _site_values(lay, f, lay.fill)
     u = [grid(fv[:, 0]), grid(fv[:, 1])]
@@ -692,6 +699,9 @@ def trajectory_from_text(text: str) -> Trajectory:
             except ValueError:
                 raise ValueError(f"noise-step {j} at line {pos + 1} needs {n_modes} "
                                  "rows of four numbers") from None
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                raise ValueError(f"line {pos + 2 + bad[0]}: non-finite noise in row {bad[0]}")
             # assemble by part assignment: complex arithmetic would
             # normalize signed zeros and break byte-exact round trips
             incr = np.empty((n_modes, 2), dtype=complex)

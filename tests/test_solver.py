@@ -144,9 +144,10 @@ class TestNonlinearB:
     @pytest.mark.parametrize("same", [False, True], ids=["f_g", "f_f"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
     def test_half_spectrum_matches_the_oracle(self, N, same):
-        # G / Gz = 4/4, 7/8, 10/10, 14/14, 16/16, 20/20, 25/28: odd and
-        # even x, y grids, and at N = 8 a z grid (the even extension of
-        # the M + 1 cosine points) longer than the x, y grid
+        # G / Gz = 4/4, 7/8, 10/10, 14/14, 16/16, 20/20, 25/26 with
+        # Gz = 2M = 2 ceil((3N + 1)/2): odd and even x, y grids, and at
+        # N = 2 and 8 a z grid (the even extension of the M + 1 cosine
+        # points) longer than the x, y grid
         f = random_field(N, np.random.default_rng(100 + N))
         g = f if same else random_field(N, np.random.default_rng(200 + N))
         bd = direct_B(f, g)
@@ -189,10 +190,22 @@ class TestNonlinearB:
         diff = field_norm(shared.with_coeffs(shared.coeffs - general.coeffs))
         assert diff <= 1e-14 * field_norm(general)
 
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_z_matrices_round_trip(self, N):
+        # analysis undoes synthesis on the kept cosine planes 0..N and
+        # sine planes 1..N, on the smallest grid 2M >= 3N + 1
+        lay = _site_layout(N)
+        assert 2 * lay.M >= 3 * N + 1 > 2 * lay.M - 2
+        assert lay.cos_syn.shape == (lay.M + 1, N + 1)
+        assert lay.sin_syn.shape == (lay.M - 1, N)
+        np.testing.assert_allclose(lay.cos_ana @ lay.cos_syn, np.eye(N + 1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(lay.sin_ana @ lay.sin_syn, np.eye(N), rtol=0, atol=1e-13)
+
     def test_transform_counts(self, monkeypatch):
         # B(u, u): 3 inverse grids (u1, u2, w) and 5 forward fluxes (u1 u1,
         # u1 u2, u2 u2, w u1, w u2); B(f, g) adds g's two grids and the
-        # flux f2 g1.  Each transform is an (x, y) and a z call.
+        # flux f2 g1.  Each transform is an (x, y) scipy.fft call and a
+        # matrix product along z, which scipy.fft does not see.
         f = random_field(8, np.random.default_rng(8))
         g = random_field(8, np.random.default_rng(9))
         nonlinear_B(f, g)  # build the cached site layout outside the count
@@ -207,12 +220,12 @@ class TestNonlinearB:
 
         monkeypatch.setattr(solver, "sfft", Counting())
         nonlinear_B(f, f)
-        assert Counter(calls) == {"irfft2": 3, "dct": 5, "dst": 3, "rfft2": 5}
-        assert len(calls) == 16
+        assert Counter(calls) == {"irfft2": 3, "rfft2": 5}
+        assert len(calls) == 8
         calls.clear()
         nonlinear_B(f, g)
-        assert Counter(calls) == {"irfft2": 5, "dct": 8, "dst": 3, "rfft2": 6}
-        assert len(calls) == 22
+        assert Counter(calls) == {"irfft2": 5, "rfft2": 6}
+        assert len(calls) == 11
 
     def test_output_needs_projection(self):
         # the raw advection term has a pressure-gradient component in its
@@ -351,6 +364,19 @@ class TestNonlinearStepping:
         traj = simulate_path(p, V0, cfg, 7, log_noise=False)
         assert traj.n_samples == 51
         assert all(s.is_divergence_free() for s in traj.states)
+
+    @pytest.mark.parametrize("scheme", ["ExponentialEuler", "EulerMaruyama"])
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_advection_pairing_is_energy_neutral(self, N, scheme):
+        # <V_i, P B(V_i, V_i)> = 0 on the rows simulate_path hands over
+        p = ModelParams(T=0.02)
+        cfg = SolverConfig(N=N, dt=1e-3, scheme=scheme)
+        V0 = random_field(N, np.random.default_rng(700 + N), amplitude=0.5)
+        traj = simulate_path(p, V0, cfg, 8, log_noise=False)
+        pairing = traj.left_pairing("advection")
+        tab = mode_table(N)
+        assert pairing.shape == (20, tab.n)
+        assert np.all(np.abs(pairing @ tab.weight) <= 1e-13 * (np.abs(pairing) @ tab.weight))
 
     def test_blowup_reports_step(self):
         p = ModelParams(sigma0=0.0)
@@ -547,6 +573,16 @@ class TestTrajectoryIO:
         for extra in ("garbage\n", "\n", "time 1.0\n"):
             with pytest.raises(ValueError, match=f"line {n_lines + 1}: unexpected text"):
                 trajectory_from_text(txt + extra)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_non_finite_noise_rejected(self, row, value):
+        # a nan noise row used to load, and the martingale terms built on it read nan
+        lines = _TRAJECTORY_TEXT.splitlines()
+        j = lines.index("noise-step 0") + 1 + row
+        lines[j] = ",".join([value] + lines[j].split(",")[1:])
+        with pytest.raises(ValueError, match=f"line {j + 1}: non-finite noise in row {row}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
 
     def test_trajectory_invariants(self):
         p = ModelParams()
