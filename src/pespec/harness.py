@@ -32,9 +32,9 @@ from scipy import special
 from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
                          theoretical_covariance)
 from .linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_energy_mean,
-                     mode_energy_variance, mode_rates)
+                     mode_energy_variance, mode_rates, mode_strands)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
-from .noise import noise_amplitude_array, noise_direction
+from .noise import noise_amplitude_array
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, Trajectory, simulate_path, trajectory_to_text
 
@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:  # NumPy's generators take no negative seed
+            raise ValueError(f"config key seed must be a non-negative integer, not '{self.seed}'")
         sweep = tuple(int(n) for n in self.N_sweep)
         if not sweep or any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("N_sweep must be nonempty and strictly ascending")
@@ -302,43 +304,25 @@ class _StrandSystem:
         return self.shells.n_strands + self.rotating.n_strands
 
 
-def _mode_strands(params: ModelParams, N: int, cols):
-    """Unfold stored modes into strands: (owner, lam, f0, amp, zeta) per strand.
-
-    A self-paired mode is one strand; a conjugate-paired mode is two
-    independent strands of amplitude amp / sqrt(2), side by side.  `owner`
-    names each strand's stored mode.
-    """
-    tab = mode_table(N)
-    owner = np.repeat(np.asarray(cols, dtype=int), 2 - tab.self_paired[cols])
-    lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
-    amp = np.where(tab.self_paired, amp, amp / math.sqrt(2.0))
-    zeta = np.array([complex(*noise_direction(tab.modes[c])) for c in owner])
-    return owner, lam[owner], f0[owner], amp[owner], zeta
-
-
 def _family_strands(params: ModelParams, N: int, alpha: float, q):
     """The estimator families' strands and weights.
 
-    Returns the per-strand (lam, f0, amp, zeta) of `_mode_strands` and
+    Returns the per-strand (lam, f0, amp, zeta) of `linear.mode_strands` and
     (strands, 2) Ito and denominator weights: column 0 the barotropic
     family, column 1 the resonant one, zero off each family.
     """
-    tab = mode_table(N)
-    mask_h = np.array(selector_mask(N, BAROTROPIC))
-    mask_r = np.array(selector_mask(N, ModeSelector.resonant(q)))
+    weight = mode_table(N).weight
+    families = _oracle_families(N, alpha, q)
+    (mask_h, *_), (mask_r, *_) = families
     if not mask_h.any() or not mask_r.any():
         raise ValueError("estimator families need barotropic and resonant modes")
-    owner, *strands = _mode_strands(params, N, np.flatnonzero(mask_h | mask_r))
+    owner, *strands = mode_strands(params, N, np.flatnonzero(mask_h | mask_r))
 
-    def per_strand(mask, mu):
-        return (tab.weight * np.where(mask, mu, 0.0))[owner]
+    def per_strand(j):  # the Ito (j = 0) or denominator (j = 1) weights
+        return np.column_stack([(weight * np.where(mask, mu[j], 0.0))[owner]
+                                for mask, *mu in families])
 
-    ito = np.column_stack([per_strand(mask_h, tab.kp_sq ** (1.0 + alpha)),
-                           per_strand(mask_r, tab.k3_sq * tab.k_sq ** alpha)])
-    den = np.column_stack([per_strand(mask_h, tab.kp_sq ** (2.0 + alpha)),
-                           per_strand(mask_r, tab.k3_sq ** 2 * tab.k_sq ** alpha)])
-    return strands, ito, den
+    return strands, per_strand(0), per_strand(1)
 
 
 def _build_strands(params: ModelParams, N: int, alpha: float, q,
@@ -814,7 +798,7 @@ def _energy_sums(params: ModelParams, N: int, cols, dt: float, n_steps: int,
     Column j adds up the strands of stored mode cols[j]; the sums carry
     no factor dt, which the callers apply.
     """
-    owner, *strands = _mode_strands(params, N, cols)
+    owner, *strands = mode_strands(params, N, cols)
     sampler = StrandSampler(*strands, dt)
     Z = np.zeros((reps, owner.size), dtype=complex)
     acc = np.zeros((reps, owner.size))

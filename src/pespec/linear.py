@@ -5,9 +5,10 @@ dX = -M X dt + amp c dW with M = lam I + f0 J, J the quarter-turn matrix.
 Identifying R^2 with C via x1 + i x2 turns M into the complex rate
 z = lam + i f0 and the noise direction c into zeta = c1 + i c2, so the
 exact one-step update is multiplication by exp(-z dt) plus a Gaussian
-whose 2x2 covariance comes from the integrated, rotated rank-one forcing.
-Strands without rotation that share their rates can also be advanced as
-one class, through their squared norm alone (`ShellSampler`).
+whose 2x2 covariance comes from the integrated, rotated rank-one forcing;
+`mode_strands` unfolds stored modes into such strands.  Strands without
+rotation that share their rates can also be advanced as one class,
+through their squared norm alone (`ShellSampler`).
 All moment formulas below are exact in dt and T; the Monte Carlo suite
 treats them as oracles.
 """
@@ -20,12 +21,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .modes import ModeIndex
+from .modes import ModeIndex, mode_table
 from .noise import noise_direction
 from .params import ModelParams
 
 __all__ = [
     "mode_rates",
+    "mode_strands",
     "OUMode",
     "strand_noise_chol",
     "StrandSampler",
@@ -114,6 +116,23 @@ def mode_rates(params: ModelParams, kp_sq, k3_sq):
     return lam, f0, amp
 
 
+def mode_strands(params: ModelParams, N: int, cols):
+    """Unfold stored modes into strands: (owner, lam, f0, amp, zeta) per strand.
+
+    A self-paired mode is one strand; a conjugate-paired mode is two
+    independent strands of amplitude amp / sqrt(2), side by side, its real
+    parts (Re u + i Re v) first, then its imaginary parts.  `owner` names
+    each strand's stored mode.
+    """
+    tab = mode_table(N)
+    count = 2 - tab.self_paired[cols]
+    owner = np.repeat(np.asarray(cols, dtype=int), count)
+    lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
+    amp = np.where(tab.self_paired, amp, amp / math.sqrt(2.0))
+    zeta = np.array([complex(*noise_direction(tab.modes[c])) for c in cols], dtype=complex)
+    return owner, lam[owner], f0[owner], amp[owner], np.repeat(zeta, count)
+
+
 @dataclass(frozen=True)
 class OUMode:
     """One real 2-vector strand: drift rate lam, rotation f0, noise
@@ -193,7 +212,8 @@ class StrandSampler:
     """Exact one-step OU transition for a block of independent strands.
 
     Built once from per-strand arrays (lam, f0, amp, zeta) and the step
-    dt; `step` advances a (replications, strands) complex block.  Every
+    dt; `noise` draws a block of one-step noise, strands on its last axis,
+    and `step` advances a (replications, strands) complex block.  Every
     strand draws one normal n1; the rotating strands (f0 != 0) draw a
     second normal n2, after all the n1 of the step.  A strand without
     rotation has rank-one noise (s22 = 0) and needs no second draw.
@@ -215,14 +235,18 @@ class StrandSampler:
     def n_strands(self) -> int:
         return self.decay.size
 
-    def step(self, Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Z at the next grid time, with Z's rows independent replications."""
-        n1 = rng.standard_normal(Z.shape)
+    def noise(self, shape, rng: np.random.Generator) -> np.ndarray:
+        """eta = s11 n1 + i (s21 n1 + s22 n2), complex of the given shape."""
+        n1 = rng.standard_normal(shape)
         eta = self.s11 * n1 + 1j * (self.s21 * n1)
         if self.rot.size:
-            n2 = rng.standard_normal((Z.shape[0], self.rot.size))
-            eta[:, self.rot] += 1j * (self.s22[self.rot] * n2)
-        return Z * self.decay + eta
+            n2 = rng.standard_normal((*shape[:-1], self.rot.size))
+            eta[..., self.rot] += 1j * (self.s22[self.rot] * n2)
+        return eta
+
+    def step(self, Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Z at the next grid time, with Z's rows independent replications."""
+        return Z * self.decay + self.noise(Z.shape, rng)
 
 
 class ShellSampler:

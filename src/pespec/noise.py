@@ -13,7 +13,8 @@ pair of lattice sites, each driven in the full-lattice picture by its own
 scalar Wiener process.  Folded onto the canonical representative this is
 one complex Brownian increment with E|dW|^2 = dt (real and imaginary
 parts independent N(0, dt/2)).  Self-paired modes (k' = 0) keep a real
-increment N(0, dt).  `solver.draw_increments` draws the increments.
+increment N(0, dt).  So a pair is two independent strands at amp/sqrt(2)
+(`linear.mode_strands`), which `solver.draw_increments` draws.
 This convention reproduces both the per-mode energy moments and the
 quadratic-variation constants of the estimator theory; see tests
 against the closed forms in `linear`.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 from scipy import fft as sfft
 
-from .linear import StrandSampler, _phi1, mode_rates
+from .linear import StrandSampler, _phi1, mode_rates, mode_strands
 from .modes import (
     BASIS_TAG,
     SpectralField,
@@ -36,7 +37,6 @@ from .modes import (
     hydrostatic_leray,
     mode_table,
 )
-from .noise import noise_direction_array
 from .params import ModelParams
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 TRAJECTORY_FORMAT_TAG = "pespec-trajectory v1"
-SCHEMES = ("ExponentialEuler", "SemiImplicitEuler", "EulerMaruyama")
+SCHEMES = ("ExponentialEuler", "EulerMaruyama")
 CONVOLUTIONS = ("auto", "Direct", "PseudoSpectralDealiased")
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,12 +72,11 @@ class SolverConfig:
     """Truncation, step size and scheme choices for one simulation.
 
     `scheme` picks the time discretization: ExponentialEuler treats the
-    diffusion-rotation part exactly per mode, SemiImplicitEuler solves it
-    implicitly, EulerMaruyama is fully explicit (kept because the
-    estimator reconstruction identities are exact only for plain
-    left-endpoint increments).  `convolution` is a legacy key kept so
-    that old config files and trajectory headers still parse: every
-    accepted name ("auto", "Direct", "PseudoSpectralDealiased") resolves
+    diffusion-rotation part and the noise exactly per mode, EulerMaruyama
+    is fully explicit (kept because the estimator reconstruction
+    identities are exact only for plain left-endpoint increments).
+    `convolution` is a legacy key kept so that old config files and
+    trajectory headers still parse: every accepted name ("auto", "Direct", "PseudoSpectralDealiased") resolves
     to the dealiased grid, the one production advection backend.
     `include_nonlinear` switches the advection term off entirely for
     linear-regime studies.
@@ -267,29 +266,32 @@ def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> Spe
 # per-step linear factors and noise sampling
 
 class _StepFactors:
-    """Per-mode propagators and noise factors at fixed (N, dt, params).
+    """Per-mode propagators and per-strand noise factors at fixed (N, dt, params).
 
     The complex rate z = lam + i f0 encodes the 2x2 matrix lam I + f0 J;
     multiplication in C corresponds to composition of such matrices, so
-    decay and the nonlinear-term filter phi = (1 - e^{-z dt})/z apply to
-    the complex coefficient pairs through `_apply_pair`.
+    the decay exp(-z dt) and the nonlinear-term filter
+    phi = (1 - e^{-z dt})/z apply to the complex coefficient pairs
+    through `_apply_pair`.  The noise lives on the strands of
+    `linear.mode_strands`: `strands` draws their exact OU noise, `wiener`
+    = sqrt(dt) amp zeta scales a normal into a Wiener increment, and
+    `slots` places each strand in the float view of the noise vectors.
     """
 
     def __init__(self, N: int, dt: float, params: ModelParams):
         tab = mode_table(N)
-        lam, f0, self.amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
+        lam, f0, _ = mode_rates(params, tab.kp_sq, tab.k3_sq)
         self.n = tab.n
         self.z = lam + 1j * f0
+        self.decay = np.exp(-self.z * dt)
         self.phi = dt * np.array([_phi1(-zz * dt) for zz in self.z])
         self.lam_max = float(lam.max())
-        self.dirs = noise_direction_array(N)
-        self.paired = ~tab.self_paired
-        # one sampler row per stored mode: both strands of a conjugate pair
-        # share the factors of amplitude amp / sqrt(2)
-        self.noise = StrandSampler(
-            lam, f0, np.where(self.paired, self.amp / _SQRT2, self.amp),
-            [complex(d1, d2) for d1, d2 in self.dirs], dt)
-        self.n_paired = int(self.paired.sum())
+        owner, lam_s, f0_s, amp_s, zeta = mode_strands(params, N, np.arange(tab.n))
+        self.strands = StrandSampler(lam_s, f0_s, amp_s, zeta, dt)
+        self.wiener = math.sqrt(dt) * amp_s * zeta
+        # the second strand of a conjugate pair holds its imaginary parts
+        part = np.r_[0, owner[1:] == owner[:-1]]
+        self.slots = (4 * owner[:, None] + 2 * np.arange(2) + part[:, None]).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -305,39 +307,24 @@ def _apply_pair(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _strand_noise(noise: StrandSampler, z: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """eta = s11 n1 + i (s21 n1 + s22 n2) on the sampler rows `rows`."""
-    return noise.s11[rows] * z[:, 0] + 1j * (noise.s21[rows] * z[:, 0]
-                                             + noise.s22[rows] * z[:, 1])
-
-
 def draw_increments(cfg: SolverConfig, params: ModelParams,
                     rng: np.random.Generator) -> np.ndarray:
     """Per-mode noise vectors for one step of the configured scheme.
 
-    ExponentialEuler uses the exactly integrated Ornstein-Uhlenbeck
-    noise (one filtered Gaussian per real strand, via the Cholesky
-    factors of `linear`); the Euler schemes use plain Wiener increments
-    amp c_k dW.  Self-paired modes stay real by construction.
+    Each strand of `linear.mode_strands` draws X = x_u + i x_v, the (u, v)
+    components of a mode's real or imaginary parts: ExponentialEuler the
+    exactly integrated Ornstein-Uhlenbeck noise (`StrandSampler.noise`),
+    EulerMaruyama the Wiener increment sqrt(dt) amp zeta n, one normal n
+    per strand.  Self-paired modes stay real by construction.
     """
     fac = _step_factors(cfg.N, cfg.dt, params)
     if cfg.scheme == "ExponentialEuler":
-        eta_x = _strand_noise(fac.noise, rng.standard_normal((fac.n, 2)))
-        eta_y = np.zeros(fac.n, dtype=complex)
-        if fac.n_paired:
-            zp = rng.standard_normal((fac.n_paired, 2))
-            eta_y[fac.paired] = _strand_noise(fac.noise, zp, fac.paired)
-        out = np.empty((fac.n, 2), dtype=complex)
-        out[:, 0] = eta_x.real + 1j * eta_y.real
-        out[:, 1] = eta_x.imag + 1j * eta_y.imag
-        return out
-    z = rng.standard_normal((fac.n, 2))
-    dw = np.where(
-        fac.paired,
-        math.sqrt(cfg.dt / 2.0) * (z[:, 0] + 1j * z[:, 1]),
-        math.sqrt(cfg.dt) * (z[:, 0] + 0j),
-    )
-    return (fac.amp * dw)[:, None] * fac.dirs
+        eta = fac.strands.noise(fac.wiener.shape, rng)
+    else:
+        eta = fac.wiener * rng.standard_normal(fac.wiener.size)
+    out = np.zeros((fac.n, 2), dtype=complex)
+    out.reshape(-1).view(float)[fac.slots] = eta.view(float)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +358,10 @@ def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
         b = hydrostatic_leray(bf).coeffs
     dt = cfg.dt
     if cfg.scheme == "ExponentialEuler":
-        new = _apply_pair(fac.noise.decay, c)
+        new = _apply_pair(fac.decay, c)
         if b is not None:
             new -= _apply_pair(fac.phi, b)
         new += incr
-    elif cfg.scheme == "SemiImplicitEuler":
-        rhs = c + incr
-        if b is not None:
-            rhs = rhs - dt * b
-        new = _apply_pair(1.0 / (1.0 + fac.z * dt), rhs)
     else:  # EulerMaruyama
         new = c - dt * _apply_pair(fac.z, c) + incr
         if b is not None:
@@ -655,12 +637,16 @@ def trajectory_from_text(text: str) -> Trajectory:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"line 3: bad config header ({exc!r})") from None
     seed_line = _line(lines, 3, "the seed").split()
-    counts = _line(lines, 4, "the sample and noise counts").split()
     try:
         seed = None if seed_line[-1] == "none" else int(seed_line[-1])
-        n_samples, n_noise = int(counts[2]), int(counts[4])
     except (IndexError, ValueError):
-        raise ValueError("lines 4-5: bad seed or count header") from None
+        raise ValueError("line 4: bad seed header") from None
+    counts = re.fullmatch(r"# samples (\d+) noise (\d+)",
+                          _line(lines, 4, "the sample and noise counts"))
+    n_samples, n_noise = map(int, counts.groups()) if counts else (0, -1)
+    if n_samples < 1 or n_noise not in (0, (n_samples - 1) * cfg.store_every):
+        raise ValueError("line 5: expected '# samples <n> noise <m>' with n >= 1 and m 0 "
+                         f"or (n - 1) * {cfg.store_every}, not {lines[4]!r}")
     n_modes = mode_table(cfg.N).n
 
     pos = 5

@@ -94,7 +94,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("N", "x"), ("nu_h", "abc"), ("seed", "1.5"), ("N_sweep", "4,eight"),
         ("N_obs", "3.0"), ("replications", "many"), ("store_every", "2x"),
-        ("dt", "1e-3s"), ("q", "1/0"), ("q", "one"), ("T", ""),
+        ("dt", "1e-3s"), ("q", "1/0"), ("q", "one"), ("T", ""), ("seed", "-1"),
     ])
     def test_malformed_number_names_its_key(self, tmp_path, key, value):
         path = self.write(tmp_path, f"{key} = 1\n")
@@ -153,6 +153,16 @@ class TestConfig:
             ExperimentConfig(mode="Exact")
         with pytest.raises(ValueError, match="replications"):
             ExperimentConfig(replications=0)
+
+    def test_negative_seed_rejected(self):
+        # NumPy's generators take no negative seed
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ExperimentConfig(seed=-1)
+
+    def test_removed_scheme_is_named(self, tmp_path):
+        path = self.write(tmp_path, "scheme = SemiImplicitEuler\n")
+        with pytest.raises(ValueError, match="unknown scheme 'SemiImplicitEuler'"):
+            load_config(path)
 
 
 class TestExactEngine:

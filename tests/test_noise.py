@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from pespec.linear import decay_sq_integral
 from pespec.modes import ModeIndex, enumerate_modes, mode_table, storage_modes
 from pespec.noise import noise_amplitude_array, noise_direction
 from pespec.params import ModelParams
@@ -82,6 +83,51 @@ class TestIncrements:
         # real and imaginary parts split the variance evenly
         assert np.var(paired.real) == pytest.approx(dt / 2, rel=0.05)
         assert np.var(paired.imag) == pytest.approx(dt / 2, rel=0.05)
+
+    @pytest.mark.parametrize("f0", [3.0, 0.0])
+    def test_exponential_euler_law(self, f0):
+        """Each strand's increment has the exact OU one-step moments.
+
+        A strand is X = x_u + i x_v over the two components: the real
+        parts of a mode, and for a conjugate pair also its imaginary
+        parts, each at amplitude amp/sqrt(2).  E|X|^2 = amp_s^2 g0 and
+        E[X^2] = amp_s^2 zeta^2 g2, with g0 and g2 the decay-squared
+        integrals at rates lam and lam + i f0; the two strands of a pair
+        are independent.  dt is long enough for the decay and the
+        rotation to move every moment well off its Euler value.
+        """
+        params, dt, n = ModelParams(f0=f0), 0.25, 20_000
+        cfg = SolverConfig(N=2, dt=dt, scheme="ExponentialEuler")
+        rng = np.random.default_rng(321)
+        draws = np.array([draw_increments(cfg, params, rng) for _ in range(n)])
+        tab = mode_table(2)
+        assert tab.self_paired.any() and not tab.self_paired.all()
+        amp = noise_amplitude_array(params, 2)
+
+        def close(samples, target):
+            # the sample mean within five standard errors, real and imaginary parts apart
+            for part in (np.real, np.imag):
+                se = np.std(part(samples)) / np.sqrt(n)
+                assert abs(np.mean(part(samples)) - part(target)) <= 5 * se
+
+        for i, k in enumerate(tab.modes):
+            lam = params.nu_h * k.kp_sq + params.nu_z * k.k3 ** 2
+            rot = f0 if k.k3 else 0.0
+            g0 = decay_sq_integral(complex(lam, 0.0), dt).real
+            g2 = decay_sq_integral(complex(lam, rot), dt)
+            zeta = complex(*noise_direction(k))
+            u, v = draws[:, i, 0], draws[:, i, 1]
+            strands = [u.real + 1j * v.real]
+            if not k.is_self_paired:
+                strands.append(u.imag + 1j * v.imag)
+            amp_s2 = amp[i] ** 2 / len(strands)
+            for X in strands:
+                close(np.abs(X) ** 2, amp_s2 * g0)
+                close(X * X, amp_s2 * zeta * zeta * g2)
+            if len(strands) == 2:
+                re, im = strands
+                close(re * im, 0.0)
+                close(re * np.conj(im), 0.0)
 
 
 if __name__ == "__main__":

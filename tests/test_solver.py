@@ -6,6 +6,7 @@ exact rationals) and are asserted against the production advection
 term and against the Direct site-pair sum kept as its test oracle.
 """
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -292,16 +293,6 @@ class TestLinearStepping:
         np.testing.assert_allclose(
             fin.coeffs[i], [0.0, -math.exp(-p.nu_z)], atol=1e-12)
 
-    def test_semi_implicit_decay_factor(self):
-        p = ModelParams(sigma0=0.0)
-        V0 = SpectralField.from_mapping(2, {(1, 1, 0): (2.0, -2.0)})
-        cfg = SolverConfig(N=2, dt=0.1, scheme="SemiImplicitEuler",
-                           include_nonlinear=False)
-        fin = simulate_path(p, V0, cfg, 0).states[-1]
-        i = mode_table(2).index[(1, 1, 0)]
-        lam = 2.0 * p.nu_h
-        assert fin.coeffs[i, 0] == pytest.approx(2.0 / (1.0 + lam * 0.1) ** 10)
-
     def test_euler_maruyama_decay_factor(self):
         p = ModelParams(sigma0=0.0)
         V0 = SpectralField.from_mapping(2, {(1, 1, 0): (1.0, -1.0)})
@@ -495,7 +486,7 @@ class TestSimulatePath:
 class TestTrajectoryIO:
     def make(self, seed=5):
         p = ModelParams(q="1/2", T=0.5)
-        cfg = SolverConfig(N=2, dt=0.125, scheme="SemiImplicitEuler",
+        cfg = SolverConfig(N=2, dt=0.125, scheme="ExponentialEuler",
                            store_every=2, include_nonlinear=False)
         return simulate_path(p, None, cfg, seed)
 
@@ -573,6 +564,20 @@ class TestTrajectoryIO:
         for extra in ("garbage\n", "\n", "time 1.0\n"):
             with pytest.raises(ValueError, match=f"line {n_lines + 1}: unexpected text"):
                 trajectory_from_text(txt + extra)
+
+    @pytest.mark.parametrize("line", [
+        "# samples 2 noise -3", "# samples 2 noise 5", "# samples 3 noise 3",
+        "# samples -1 noise 0", "# samples 0 noise 0", "# samples 2 noise",
+        "# samples 2 noise 2 3", "# noise 4 samples 3", "# samples three noise 4",
+    ])
+    def test_count_header_checked(self, line):
+        # the N = 2 text stores 3 samples at store_every 2, so it logs 4 noise steps
+        lines = _TRAJECTORY_TEXT.splitlines()
+        assert lines[4] == "# samples 3 noise 4"
+        lines[4] = line
+        with pytest.raises(ValueError, match=r"^line 5: expected '# samples <n> noise <m>' "
+                                             rf"with n >= 1 .*, not {re.escape(repr(line))}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("row", [0, 5])
