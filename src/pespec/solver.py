@@ -76,8 +76,9 @@ class SolverConfig:
     is fully explicit (kept because the estimator reconstruction
     identities are exact only for plain left-endpoint increments).
     `convolution` is a legacy key kept so that old config files and
-    trajectory headers still parse: every accepted name ("auto", "Direct", "PseudoSpectralDealiased") resolves
-    to the dealiased grid, the one production advection backend.
+    trajectory headers still parse: every accepted name ("auto",
+    "Direct", "PseudoSpectralDealiased") resolves to the dealiased grid,
+    the one production advection backend.
     `include_nonlinear` switches the advection term off entirely for
     linear-regime studies.
     """

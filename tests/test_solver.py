@@ -569,7 +569,7 @@ class TestTrajectoryIO:
         "# samples 2 noise -3", "# samples 2 noise 5", "# samples 3 noise 3",
         "# samples -1 noise 0", "# samples 0 noise 0", "# samples 2 noise",
         "# samples 2 noise 2 3", "# noise 4 samples 3", "# samples three noise 4",
-    ])
+    ], ids=lambda line: line[2:].replace(" ", "-"))
     def test_count_header_checked(self, line):
         # the N = 2 text stores 3 samples at store_every 2, so it logs 4 noise steps
         lines = _TRAJECTORY_TEXT.splitlines()
