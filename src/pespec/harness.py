@@ -31,10 +31,9 @@ from scipy import special
 
 from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
                          theoretical_covariance)
-from .linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_energy_mean,
+from .linear import (ShellSampler, StrandSampler, _psi_array, mode_energy_mean,
                      mode_energy_variance, mode_rates, mode_strands)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
-from .noise import noise_amplitude_array
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, Trajectory, simulate_path, trajectory_to_text
 
@@ -404,33 +403,66 @@ def _oracle_families(N: int, alpha: float, q):
              tab.k3_sq * tab.k_sq ** alpha, tab.k3_sq ** 2 * tab.k_sq ** alpha))
 
 
+def _left_sums(z, dt: float, n_steps: int):
+    """g(dt) and sum_{i < n_steps} g(i dt) for g(t) = int_0^t exp(-2 z s) ds.
+
+    Elementwise in z.  The sum is (n_steps - g(n_steps dt) / g(dt)) / (2 z);
+    amp^2 dt times it at z = lam is the expected left-endpoint energy sum
+    of a strand started at zero.
+    """
+    z = np.asarray(z)
+    g_dt = dt * _psi_array(2.0 * z * dt)
+    g_horizon = dt * n_steps * _psi_array(2.0 * z * dt * n_steps)
+    return g_dt, (n_steps - g_horizon / g_dt) / (2.0 * z)
+
+
+@dataclass(frozen=True)
+class _OracleFamily:
+    """One estimator family's modes, as the closed-form oracles read them."""
+
+    weight: np.ndarray   # conjugate weight: 2 for a pair, 1 when self-paired
+    ito: np.ndarray      # Ito weight
+    den: np.ndarray      # denominator weight
+    a2: np.ndarray       # squared noise amplitude
+    z: np.ndarray        # lam + i f0
+    g0: Tuple[np.ndarray, np.ndarray]   # `_left_sums` at lam
+    g2: Tuple[np.ndarray, np.ndarray]   # `_left_sums` at z
+
+
+def _oracle_table(params: ModelParams, N: int, alpha: float, q,
+                  dt: float, n_steps: int) -> Tuple[_OracleFamily, _OracleFamily]:
+    """The barotropic and resonant families on the grid t_i = i dt, i < n_steps."""
+    tab = mode_table(N)
+    lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
+    table = []
+    for mask, mu_i, mu_d in _oracle_families(N, alpha, q):
+        if not mask.any():
+            raise ValueError("estimator families need barotropic and resonant modes")
+        z = lam[mask] + 1j * f0[mask]
+        table.append(_OracleFamily(tab.weight[mask], mu_i[mask], mu_d[mask],
+                                   amp[mask] ** 2, z, _left_sums(lam[mask], dt, n_steps),
+                                   _left_sums(z, dt, n_steps)))
+    return tuple(table)
+
+
 def _predicted_grid_bias(params: ModelParams, N: int, alpha: float, q,
                          dt: float, n_steps: int) -> Tuple[float, float]:
     """Expected shift of the scaled errors from the left-endpoint grid.
 
     Exact first moments of the Ito and quadratic sums (transient OU from
     zero) give the expected numerator and denominator; the ratio of
-    expectations predicts where the ensemble mean sits at finite dt.
+    expectations predicts where the ensemble mean sits at finite dt.  At
+    step i, E|c_i|^2 = amp^2 g0(t_i) and
+    E Re conj(c_i)(c_{i+1} - c_i) = (Re exp(-z dt) - 1) amp^2 g0(t_i).
     """
-    tab = mode_table(N)
-    amp = noise_amplitude_array(params, N)
-    lam = params.nu_h * tab.kp_sq + params.nu_z * tab.k3_sq
-    f0 = np.where(tab.k3_sq > 0, params.f0, 0.0)
-    # sum_i dt E|c(t_i)|^2 with E|c(t)|^2 = amp^2 (1 - e^{-2 lam t})/(2 lam)
-    rho = np.exp(-2.0 * lam * dt)
-    geo = (1.0 - rho ** n_steps) / (1.0 - rho)
-    s_bar = amp ** 2 / (2.0 * lam) * (params.T - dt * geo)
-    g = (np.exp(-lam * dt) * np.cos(f0 * dt) - 1.0) / dt
+    def family(fam: _OracleFamily) -> float:
+        energy = fam.weight * fam.a2 * fam.g0[1]
+        num = np.sum(fam.ito * (np.exp(-fam.z * dt).real - 1.0) * energy)
+        return float(-num / (dt * np.sum(fam.den * energy)))
 
-    def family(mask, mu_i, mu_d):
-        w = tab.weight[mask]
-        num = float(np.sum(w * mu_i[mask] * g[mask] * s_bar[mask]))
-        den = float(np.sum(w * mu_d[mask] * s_bar[mask]))
-        return -num / den
-
-    fam_h, fam_r = _oracle_families(N, alpha, q)
-    nu_h_pred = family(*fam_h)
-    nu_r_pred = family(*fam_r) - float(q) * nu_h_pred
+    fam_h, fam_r = _oracle_table(params, N, alpha, q, dt, n_steps)
+    nu_h_pred = family(fam_h)
+    nu_r_pred = family(fam_r) - float(q) * nu_h_pred
     scale = N * N
     return scale * (nu_h_pred - params.nu_h), scale * (nu_r_pred - params.nu_z)
 
@@ -457,35 +489,19 @@ def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
     |k'|^2 = q k3^2 holds about N log N lattice sites, not the N^2 of a
     two-dimensional ball.
     """
-    tab = mode_table(N)
-    amp = noise_amplitude_array(params, N)
-    horizon = dt * n_steps
-
-    def left_sums(z: complex) -> Tuple[complex, complex]:
-        # g(dt) and sum_{i < n_steps} g(t_i) for g(t) = int_0^t exp(-2 z s) ds
-        g_dt = decay_sq_integral(z, dt)
-        return g_dt, (n_steps - decay_sq_integral(z, horizon) / g_dt) / (2.0 * z)
-
-    def ratio_variance(mask, mu_i, mu_d) -> float:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise ValueError("estimator families need barotropic and resonant modes")
-        lam = params.nu_h * tab.kp_sq[idx] + params.nu_z * tab.k3_sq[idx]
-        f0 = np.where(tab.k3_sq[idx] > 0, params.f0, 0.0)
-        g0_dt, s0 = np.array([left_sums(complex(l, 0.0)) for l in lam]).real.T
-        g2_dt, s2 = np.array([left_sums(complex(l, f)) for l, f in zip(lam, f0)]).T
+    def ratio_variance(fam: _OracleFamily) -> float:
+        (g0_dt, s0), (g2_dt, s2) = fam.g0, fam.g2
         # the weight w equals the strand count, and each strand carries amp^2 / w
-        w, a2 = tab.weight[idx], amp[idx] ** 2
-        qv = np.sum(w / 2.0 * (mu_i[idx] * a2) ** 2
+        qv = np.sum(fam.weight / 2.0 * (fam.ito * fam.a2) ** 2
                     * (g0_dt * s0 + (np.conj(g2_dt) * s2).real))
-        den = np.sum(w * mu_d[idx] * a2 * dt * s0)
+        den = np.sum(fam.weight * fam.den * fam.a2 * dt * s0)
         return float(qv / den ** 2)
 
-    fam_h, fam_r = _oracle_families(N, params.alpha, q)
+    fam_h, fam_r = _oracle_table(params, N, params.alpha, q, dt, n_steps)
     scale = float(N) ** 4
     qq = float(q)
-    c11 = scale * ratio_variance(*fam_h)
-    c22 = qq * qq * c11 + scale * ratio_variance(*fam_r)
+    c11 = scale * ratio_variance(fam_h)
+    c22 = qq * qq * c11 + scale * ratio_variance(fam_r)
     return np.array([[c11, -qq * c11], [-qq * c11, c22]])
 
 
@@ -813,14 +829,10 @@ def _grid_correction(lam: float, amp: float, exact: float, dt: float,
     """Ratio of the exact time energy to the left-endpoint expectation.
 
     Scaling the discrete sum by this factor makes the sampled statistic
-    exactly unbiased for the continuous integral, so the grid can stay
-    coarse without shifting the mean test.
+    exactly unbiased for the continuous integral, so the variance spot
+    check can compare a fine-grid sum with the continuous closed form.
     """
-    rho = math.exp(-2.0 * lam * dt)
-    geo = (1.0 - rho ** n_steps) / (1.0 - rho)
-    t_total = n_steps * dt
-    s_disc = amp * amp / (2.0 * lam) * (t_total - dt * geo)
-    c = exact / s_disc
+    c = exact / (amp * amp * dt * float(_left_sums(lam, dt, n_steps)[1]))
     if abs(c - 1.0) > 0.05:
         raise RuntimeError(
             f"grid too coarse for the moment oracle: correction {c:.4f}")
@@ -834,7 +846,6 @@ class LinearMomentReport:
     frac_within_3: float
     var_keys: List[Tuple[int, int, int]]
     var_z: np.ndarray
-    grid_correction_max: float
 
 
 def linear_moment_check(params: ModelParams, N: int, reps: int,
@@ -842,20 +853,19 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
                         n_var_modes: int = 10) -> LinearMomentReport:
     """Ensemble time-energy of every stored mode against exact moments.
 
-    Paths are exact OU samples, so the discrete sum has a closed-form
-    expectation; rescaling by the exact/discrete ratio gives an unbiased
-    estimate of the continuous time energy on any grid.  Fast modes get
-    more steps only to keep the spread realistic, not for bias.  The
-    variance spot check reruns its handful of modes on a fine grid where
-    the quadratic-functional variance distortion of order (lam dt)^2 is
-    far below its standard error.
+    Paths are exact OU samples, so each mode's left-endpoint sum has a
+    closed-form expectation on any grid (`_left_sums`), which its mean
+    z-score compares against.  Fast modes get more steps only to keep the
+    spread realistic, not for bias.  The variance spot check reruns its
+    handful of modes on a fine grid, rescaled by `_grid_correction` to the
+    continuous closed form; there the quadratic-functional variance
+    distortion of order (lam dt)^2 is far below its standard error.
     """
     tab = mode_table(N)
     lam_all, f0_all, amp_all = mode_rates(params, tab.kp_sq, tab.k3_sq)
 
     integrals = np.empty((reps, tab.n))
     expected = np.empty(tab.n)
-    corr_max = 0.0
 
     # group by shared transition (lam, f0, amp); each class simulates all
     # of its strands in one vectorized sweep
@@ -867,14 +877,8 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     for (lam, _, amp), cols in sorted(classes.items()):
         n_steps = min(max(int(math.ceil(2.0 * lam * params.T)), 24), 64)
         dt = params.T / n_steps
-        first = (int(tab.k1[cols[0]]), int(tab.k2[cols[0]]), int(tab.k3[cols[0]]))
-        exact = mode_energy_mean(first, params, params.T)
-        corr = _grid_correction(lam, amp, exact, dt, n_steps)
-        corr_max = max(corr_max, abs(corr - 1.0))
-
-        integrals[:, cols] = (dt * corr) * _energy_sums(params, N, cols, dt,
-                                                        n_steps, reps, rng)
-        expected[cols] = exact
+        integrals[:, cols] = dt * _energy_sums(params, N, cols, dt, n_steps, reps, rng)
+        expected[cols] = amp * amp * dt * _left_sums(lam, dt, n_steps)[1]
 
     means = integrals.mean(axis=0)
     ses = integrals.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -905,7 +909,7 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
         var_z[j] = (v_emp - v_theo) / se_var
     mode_keys = [(int(tab.k1[i]), int(tab.k2[i]), int(tab.k3[i]))
                  for i in range(tab.n)]
-    return LinearMomentReport(mode_keys, z, frac, var_keys, var_z, corr_max)
+    return LinearMomentReport(mode_keys, z, frac, var_keys, var_z)
 
 
 def run_linear_validation(cfg: ExperimentConfig) -> RunReport:

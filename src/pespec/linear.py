@@ -291,22 +291,16 @@ class ShellSampler:
 # ---------------------------------------------------------------------------
 # exact time-energy moments
 
-def expected_time_energy(mode: OUMode, T: float, from_zero: bool = True) -> float:
+def expected_time_energy(mode: OUMode, T: float) -> float:
     """E int_0^T |X(t)|^2 dt for the strand started at zero.
 
     Equals amp^2 (T - g0(T)) / (2 lam) with g0(T) the decay-squared
-    integral; the lam -> 0 limit amp^2 T^2 / 2 is taken smoothly.  With
-    from_zero=False the stationary-start value amp^2 T / (2 lam) is
-    returned instead.
+    integral; the lam -> 0 limit amp^2 T^2 / 2 is taken smoothly.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     a2 = mode.amp * mode.amp
     m = mode.lam * T
-    if not from_zero:
-        if mode.lam <= 0:
-            raise ValueError("stationary start needs lam > 0")
-        return a2 * T / (2.0 * mode.lam)
     if m < 1e-4:
         return a2 * T * T * (0.5 - m / 3.0 + m * m / 6.0 - m ** 3 / 15.0)
     # T - g0(T) = (u + expm1(-u)) / (2 lam) with u = 2 lam T, written with

@@ -27,6 +27,7 @@ from pespec.harness import (
     _estimation_grid,
     _family_strands,
     _grid_correction,
+    _left_sums,
     _predicted_grid_bias,
     _r3_counts,
     _three_square_excluded,
@@ -41,7 +42,9 @@ from pespec.harness import (
     run_linear_validation,
     run_normality,
 )
-from pespec.linear import ShellSampler, StrandSampler, strand_noise_chol
+from pespec.linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_rates,
+                           strand_noise_chol)
+from pespec.modes import BAROTROPIC, ModeSelector, mode_table, selector_mask
 from pespec.params import ModelParams
 from pespec.solver import SolverConfig, trajectory_from_text
 from pespec import cli
@@ -385,6 +388,51 @@ class TestNormaltest:
         assert p == pytest.approx(float(ref.pvalue), rel=1e-12)
 
 
+class TestLeftSums:
+    """The one closed form for the expected left-endpoint energy sum."""
+
+    @pytest.mark.parametrize("dt,n", [(1e-4, 10_000), (0.02, 50)])  # criterion 4, coarse
+    @pytest.mark.parametrize("f0", [0.0, 1.0])
+    def test_matches_term_by_term_sum(self, dt, n, f0):
+        lam = np.array([0.5, 1.0, 12.5, 144.0])
+        z = lam if f0 == 0.0 else lam + 1j * f0
+        g_dt, sums = _left_sums(z, dt, n)
+        for zj, g, s in zip(z, g_dt, sums):
+            brute = sum(decay_sq_integral(complex(zj), i * dt) for i in range(n))
+            assert g == pytest.approx(decay_sq_integral(complex(zj), dt), rel=1e-12)
+            assert s == pytest.approx(brute, rel=1e-12)
+
+
+class TestPredictedGridBias:
+    def test_matches_step_by_step_moments(self):
+        """Expected Ito and energy sums added up mode by mode and step by step:
+        E Re conj(c_i)(c_{i+1} - c_i) = (e^{-lam dt} cos(f0 dt) - 1) amp^2 g0(t_i)
+        and E|c_i|^2 = amp^2 g0(t_i), under the estimator weights."""
+        N, dt, n, alpha, q = 3, 0.02, 50, 4.0, Fraction(1)
+        tab = mode_table(N)
+        lam, f0, amp = mode_rates(DEFAULTS, tab.kp_sq, tab.k3_sq)
+        families = [
+            (selector_mask(N, BAROTROPIC), tab.kp_sq ** (1 + alpha), tab.kp_sq ** (2 + alpha)),
+            (selector_mask(N, ModeSelector.resonant(q)), tab.k3_sq * tab.k_sq ** alpha,
+             tab.k3_sq ** 2 * tab.k_sq ** alpha),
+        ]
+        ratios = []
+        for mask, mu_i, mu_d in families:
+            num = den = 0.0
+            for k in np.flatnonzero(mask):
+                step = math.exp(-lam[k] * dt) * math.cos(f0[k] * dt) - 1.0
+                for i in range(n):
+                    energy = tab.weight[k] * amp[k] ** 2 * decay_sq_integral(lam[k], i * dt).real
+                    num += mu_i[k] * step * energy
+                    den += mu_d[k] * dt * energy
+            ratios.append(-num / den)
+        nu_h = ratios[0]
+        nu_z = ratios[1] - float(q) * nu_h
+        want = (N * N * (nu_h - DEFAULTS.nu_h), N * N * (nu_z - DEFAULTS.nu_z))
+        got = _predicted_grid_bias(DEFAULTS, N, alpha, q, dt, n)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
 class TestGridCorrection:
     def test_exact_for_the_discrete_expectation(self):
         lam, amp, T, n = 2.0, 1.3, 1.0, 40
@@ -406,7 +454,6 @@ class TestMomentCheck:
         rep = linear_moment_check(DEFAULTS, 2, 1500, rng)
         assert rep.frac_within_3 >= 0.95
         assert np.all(np.abs(rep.var_z) <= 3.5)
-        assert rep.grid_correction_max < 0.05
         assert len(rep.mode_keys) == len(rep.mean_z)
 
     def test_variance_picks_span_decay_rates(self):

@@ -177,10 +177,6 @@ class TestTimeEnergyMean:
         m = OUMode(ModeIndex(1, 0, 0), lam=lam, f0=0.0, amp=1.0)
         assert expected_time_energy(m, 1.0) == pytest.approx(ref, abs=1e-9)
 
-    def test_stationary_start(self):
-        m = OUMode(ModeIndex(1, 0, 0), lam=2.0, f0=0.0, amp=3.0)
-        assert expected_time_energy(m, 5.0, from_zero=False) == pytest.approx(9.0 * 5.0 / 4.0)
-
     def test_rotation_does_not_change_energy(self):
         a = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=0.0, amp=1.0)
         b = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=7.0, amp=1.0)

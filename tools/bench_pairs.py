@@ -44,10 +44,16 @@ def _extract(commit: str, into: Path) -> Path:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last-line metrics of one benchmark run; a failed run raises a
+    RuntimeError naming the run and quoting the end of its stderr."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        raise RuntimeError(f"workload {workload} with seed {seed} in {checkout} exited with "
+                           f"status {done.returncode}; the last lines of its stderr:\n{tail}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
