@@ -35,7 +35,7 @@ from .modes import (
     inner_product,
     random_field,
 )
-from .noise import noise_amplitude_array, noise_direction_array
+from .noise import noise_direction_array
 from .params import ModelParams
 from .solver import (
     BlowUpError,
@@ -59,7 +59,6 @@ __all__ = [
     "inner_product",
     "field_norm",
     "random_field",
-    "noise_amplitude_array",
     "noise_direction_array",
     "strand_noise_chol",
     "mode_energy_mean",

@@ -274,8 +274,11 @@ def _two_squares(n: int) -> bool:
 
 def _smallest_resonant_truncation(q: Fraction, limit: int = 64) -> Optional[int]:
     # the first resonant mode at vertical wavenumber m needs |k'|^2 = q m^2
-    # to be a sum of two squares; the truncation is then ceil(m sqrt(q+1))
+    # to be a sum of two squares; the truncation is then ceil(m sqrt(q+1)),
+    # which grows with m, so the search stops once it must exceed the limit
     for m in range(1, limit + 1):
+        if (q + 1) * m * m > limit * limit:
+            break
         t = q * m * m
         if t.denominator != 1 or t < 1:
             continue

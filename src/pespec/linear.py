@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .modes import ModeIndex, mode_table
-from .noise import noise_direction
+from .noise import noise_direction_array
 from .params import ModelParams
 
 __all__ = [
     "mode_rates",
     "mode_strands",
-    "OUMode",
     "strand_noise_chol",
     "StrandSampler",
     "ShellSampler",
@@ -105,10 +103,9 @@ def mode_rates(params: ModelParams, kp_sq, k3_sq):
     lam = nu_h |k'|^2 + nu_z k3^2 is the decay rate; the rotation f0 acts
     only on k3 != 0 modes (the averaged rotation is a pure pressure
     gradient and drops under the horizontal Leray projection); amp =
-    sigma0 |k|^-gamma is the noise amplitude.  Elementwise on arrays and
-    on Python integers; the latter keep lam and amp Python floats, taken
-    with Python's float power (numpy's array power can differ in the
-    last bit), while f0 always comes back as an array.
+    sigma0 |k|^-gamma is the noise amplitude: the one amplitude law.
+    Elementwise on arrays of squared wavenumbers, such as the float
+    columns `kp_sq` and `k3_sq` of `mode_table`.
     """
     lam = params.nu_h * kp_sq + params.nu_z * k3_sq
     f0 = np.where(k3_sq > 0, params.f0, 0.0)
@@ -129,47 +126,9 @@ def mode_strands(params: ModelParams, N: int, cols):
     owner = np.repeat(np.asarray(cols, dtype=int), count)
     lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
     amp = np.where(tab.self_paired, amp, amp / math.sqrt(2.0))
-    zeta = np.array([complex(*noise_direction(tab.modes[c])) for c in cols], dtype=complex)
-    return owner, lam[owner], f0[owner], amp[owner], np.repeat(zeta, count)
-
-
-@dataclass(frozen=True)
-class OUMode:
-    """One real 2-vector strand: drift rate lam, rotation f0, noise
-    amplitude amp along the unit direction `direction`."""
-
-    k: ModeIndex
-    lam: float
-    f0: float
-    amp: float
-    direction: Tuple[float, float] = (1.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("drift rate must be nonnegative")
-        if self.amp < 0:
-            raise ValueError("noise amplitude must be nonnegative")
-        n = math.hypot(*self.direction)
-        if not math.isclose(n, 1.0, rel_tol=1e-9):
-            raise ValueError("noise direction must be a unit vector")
-
-    @classmethod
-    def from_params(cls, k: ModeIndex, params: ModelParams) -> "OUMode":
-        """The strand of mode k, with the rates of `mode_rates`."""
-        if not isinstance(k, ModeIndex):
-            k = ModeIndex(*k)
-        lam, f0, amp = mode_rates(params, k.kp_sq, k.k3 * k.k3)
-        c = noise_direction(k)
-        return cls(k=k, lam=lam, f0=float(f0), amp=amp,
-                   direction=(float(c[0]), float(c[1])))
-
-    @property
-    def zeta(self) -> complex:
-        return complex(self.direction[0], self.direction[1])
-
-    @property
-    def z(self) -> complex:
-        return complex(self.lam, self.f0)
+    # each direction row (c1, c2) read as the complex number c1 + i c2
+    zeta = noise_direction_array(N).view(complex)[:, 0]
+    return owner, lam[owner], f0[owner], amp[owner], zeta[owner]
 
 
 def strand_noise_chol(
@@ -291,22 +250,23 @@ class ShellSampler:
 # ---------------------------------------------------------------------------
 # exact time-energy moments
 
-def expected_time_energy(mode: OUMode, T: float) -> float:
-    """E int_0^T |X(t)|^2 dt for the strand started at zero.
+def expected_time_energy(lam: float, amp: float, T: float) -> float:
+    """E int_0^T |X(t)|^2 dt for a strand of decay rate lam and noise
+    amplitude amp, started at zero (the rotation does not enter).
 
     Equals amp^2 (T - g0(T)) / (2 lam) with g0(T) the decay-squared
     integral; the lam -> 0 limit amp^2 T^2 / 2 is taken smoothly.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    a2 = mode.amp * mode.amp
-    m = mode.lam * T
+    a2 = amp * amp
+    m = lam * T
     if m < 1e-4:
         return a2 * T * T * (0.5 - m / 3.0 + m * m / 6.0 - m ** 3 / 15.0)
     # T - g0(T) = (u + expm1(-u)) / (2 lam) with u = 2 lam T, written with
     # expm1 so the near cancellation costs no precision
     u = 2.0 * m
-    return a2 * (u + math.expm1(-u)) / (4.0 * mode.lam * mode.lam)
+    return a2 * (u + math.expm1(-u)) / (4.0 * lam * lam)
 
 
 def _psi_array(w: np.ndarray) -> np.ndarray:
@@ -366,17 +326,28 @@ def _variance_shape(lam: float, f0: float, T: float) -> float:
     return T ** 4 * (b_top.real / (2.0 * m * m) + b_rot.real / (2.0 * (m * m + y * y)))
 
 
-def variance_time_energy(mode: OUMode, T: float) -> float:
-    """Exact Var[int_0^T |X(t)|^2 dt] for the strand, X(0) = 0."""
+def variance_time_energy(lam: float, f0: float, amp: float, T: float) -> float:
+    """Exact Var[int_0^T |X(t)|^2 dt] for a strand of rates (lam, f0) and
+    noise amplitude amp, X(0) = 0."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
-    return mode.amp ** 4 * _variance_shape(mode.lam, mode.f0, T)
+    return amp ** 4 * _variance_shape(lam, f0, T)
+
+
+def _stored_mode_rates(k, params: ModelParams) -> Tuple[ModeIndex, float, float, float]:
+    """k as a `ModeIndex`, with the (lam, f0, amp) of `mode_rates` as floats."""
+    if not isinstance(k, ModeIndex):
+        k = ModeIndex(*k)
+    rates = mode_rates(params, np.array([float(k.kp_sq)]), np.array([float(k.k3 * k.k3)]))
+    lam, f0, amp = (float(r[0]) for r in rates)
+    return k, lam, f0, amp
 
 
 def mode_energy_mean(k: ModeIndex, params: ModelParams, T: float) -> float:
     """E int |U_k|^2 dt for a stored coefficient (same closed form whether
     the mode is conjugate-paired or self-paired)."""
-    return expected_time_energy(OUMode.from_params(k, params), T)
+    _, lam, _, amp = _stored_mode_rates(k, params)
+    return expected_time_energy(lam, amp, T)
 
 
 def mode_energy_variance(k: ModeIndex, params: ModelParams, T: float) -> float:
@@ -385,8 +356,6 @@ def mode_energy_variance(k: ModeIndex, params: ModelParams, T: float) -> float:
     A conjugate-paired mode is two independent strands of amplitude
     amp/sqrt(2), so its variance is half the single-strand value.
     """
-    if not isinstance(k, ModeIndex):
-        k = ModeIndex(*k)
-    mode = OUMode.from_params(k, params)
-    v = variance_time_energy(mode, T)
+    k, lam, f0, amp = _stored_mode_rates(k, params)
+    v = variance_time_energy(lam, f0, amp, T)
     return v if k.is_self_paired else v / 2.0

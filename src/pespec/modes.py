@@ -30,7 +30,6 @@ __all__ = [
     "storage_modes",
     "mode_table",
     "selector_mask",
-    "operator_eigenvalue",
     "apply_operator",
     "project",
     "leray_h",
@@ -141,15 +140,26 @@ class ModeSelector:
     def resonant(cls, q: RationalLike) -> "ModeSelector":
         return cls("resonant", as_fraction(q))
 
-    def matches(self, k: ModeIndex) -> bool:
+    def mask(self, k1, k2, k3) -> np.ndarray:
+        """Elementwise membership of the sites (k1, k2, k3), integer-exact.
+
+        Resonant: r (k1^2 + k2^2) == p k3^2 with k3 != 0 and q = p/r in
+        lowest terms, so a match needs p <= |k'|^2 and r <= k3^2.  A q
+        beyond the sites' largest wavenumbers matches none of them, and
+        the int64 products stay below the fourth power of the largest |k|.
+        """
+        k1, k2, k3 = (np.asarray(a, dtype=np.int64) for a in (k1, k2, k3))
         if self.kind == "all":
-            return True
+            return np.ones(k3.shape, dtype=bool)
         if self.kind == "barotropic":
-            return k.k3 == 0
+            return k3 == 0
         if self.kind == "baroclinic":
-            return k.k3 != 0
-        # resonant: r (k1^2 + k2^2) == p k3^2 with k3 != 0
-        return k.k3 != 0 and self.q.denominator * k.kp_sq == self.q.numerator * k.k3 * k.k3
+            return k3 != 0
+        kp_sq, k3_sq = k1 * k1 + k2 * k2, k3 * k3
+        p, r = self.q.numerator, self.q.denominator
+        if p > int(kp_sq.max(initial=0)) or r > int(k3_sq.max(initial=0)):
+            return np.zeros(k3.shape, dtype=bool)
+        return (k3 != 0) & (r * kp_sq == p * k3_sq)
 
     def label(self) -> str:
         if self.kind == "resonant":
@@ -169,56 +179,56 @@ def enumerate_modes(N: int, sel: ModeSelector = ALL) -> List[ModeIndex]:
     lexicographically by (|k|^2, k1, k2, k3).  Counting checks against
     closed-form lattice asymptotics rely on this raw-site convention.
     """
-    return list(_enumerate_cached(int(N), sel))
-
-
-@lru_cache(maxsize=256)
-def _enumerate_cached(N: int, sel: ModeSelector) -> Tuple[ModeIndex, ...]:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    Nsq = N * N
-    out = []
-    for k1 in range(-N, N + 1):
-        for k2 in range(-N, N + 1):
-            hsq = k1 * k1 + k2 * k2
-            if hsq > Nsq:
-                continue
-            for k3 in range(-N, N + 1):
-                if k1 == 0 and k2 == 0 and k3 == 0:
-                    continue
-                if hsq + k3 * k3 > Nsq:
-                    continue
-                k = ModeIndex(k1, k2, k3)
-                if sel.matches(k):
-                    out.append(k)
-    out.sort(key=ModeIndex.sort_key)
-    return tuple(out)
+    sites = _lattice(int(N))
+    return [ModeIndex(*k) for k in zip(*sites[:, sel.mask(*sites)].tolist())]
 
 
 @lru_cache(maxsize=64)
+def _lattice(N: int) -> np.ndarray:
+    """The sites 1 <= |k| <= N as a read-only (3, n_sites) int64 array of
+    rows k1, k2, k3, sorted by (|k|^2, k1, k2, k3): one vectorised pass
+    over the cube [-N, N]^3, the one enumeration every mode list reads."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    axis = np.arange(-N, N + 1, dtype=np.int64)
+    k1, k2, k3 = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+    k_sq = k1 * k1 + k2 * k2 + k3 * k3
+    keep = (k_sq >= 1) & (k_sq <= N * N)
+    k1, k2, k3, k_sq = k1[keep], k2[keep], k3[keep], k_sq[keep]
+    sites = np.stack([k1, k2, k3])[:, np.lexsort((k3, k2, k1, k_sq))]
+    sites.setflags(write=False)
+    return sites
+
+
 def storage_modes(N: int) -> Tuple[ModeIndex, ...]:
     """Canonical stored representatives for truncation N, in sort-key order."""
-    return tuple(k for k in _enumerate_cached(int(N), ALL) if k.is_canonical)
+    return mode_table(N).modes
 
 
 class _ModeTable:
-    """Precomputed per-truncation arrays shared by all fields at one N."""
+    """Precomputed per-truncation arrays shared by all fields at one N.
+
+    The stored modes are the canonical sites of `_lattice(N)`: k3 >= 0
+    and k' lexicographically positive, or k' = 0.  `modes` holds them as
+    `ModeIndex` keys and `index` maps (k1, k2, k3) to their row.
+    """
 
     def __init__(self, N: int):
+        lattice = _lattice(N)
+        k1, k2, k3 = lattice
+        canonical = (k3 >= 0) & ((k1 > 0) | ((k1 == 0) & (k2 >= 0)))
         self.N = N
-        self.modes = storage_modes(N)
-        n = len(self.modes)
-        self.index = {k.as_tuple(): i for i, k in enumerate(self.modes)}
-        self.k1 = np.array([k.k1 for k in self.modes])
-        self.k2 = np.array([k.k2 for k in self.modes])
-        self.k3 = np.array([k.k3 for k in self.modes])
+        self.k1, self.k2, self.k3 = stored = lattice[:, canonical]
+        keys = list(zip(*stored.tolist()))
+        self.modes = tuple(ModeIndex(*k) for k in keys)
+        self.index = dict(zip(keys, range(len(keys))))
         self.kp_sq = (self.k1 ** 2 + self.k2 ** 2).astype(float)
         self.k3_sq = (self.k3 ** 2).astype(float)
         self.k_sq = self.kp_sq + self.k3_sq
         self.self_paired = (self.k1 == 0) & (self.k2 == 0)
         # implicit conjugate partner counts double in quadratic forms
         self.weight = np.where(self.self_paired, 1.0, 2.0)
-        self.n = n
+        self.n = len(keys)
 
 
 @lru_cache(maxsize=64)
@@ -230,7 +240,7 @@ def mode_table(N: int) -> _ModeTable:
 def selector_mask(N: int, sel: ModeSelector) -> np.ndarray:
     """Boolean mask of `sel` over the stored modes of truncation N."""
     tab = mode_table(N)
-    mask = np.array([sel.matches(k) for k in tab.modes], dtype=bool)
+    mask = sel.mask(tab.k1, tab.k2, tab.k3)
     mask.setflags(write=False)
     return mask
 
@@ -324,19 +334,6 @@ class SpectralField:
         div = tab.k1[baro] * self.coeffs[baro, 0] + tab.k2[baro] * self.coeffs[baro, 1]
         scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
         return bool(np.all(np.abs(div) <= tol * scale))
-
-
-def operator_eigenvalue(k: ModeIndex, a: float, b: float, c: float) -> float:
-    """Eigenvalue |k'|^(2a) |k3|^(2b) |k|^(2c) of the anisotropic operator."""
-    if not isinstance(k, ModeIndex):
-        k = ModeIndex(*k)
-    hsq = float(k.kp_sq)
-    zsq = float(k.k3 * k.k3)
-    if a < 0 and hsq == 0.0:
-        raise ValueError(f"negative horizontal exponent on mode {k} with k'=0")
-    if b < 0 and zsq == 0.0:
-        raise ValueError(f"negative vertical exponent on barotropic mode {k}")
-    return hsq ** a * zsq ** b * float(k.k_sq) ** c
 
 
 def eigenvalue_array(N: int, a: float, b: float, c: float,

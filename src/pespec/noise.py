@@ -1,12 +1,12 @@
-"""Structured additive forcing: per-mode amplitudes and directions.
+"""Structured additive forcing: the per-mode noise directions.
 
-Each stored mode k carries a unit direction c_k and amplitude
-sigma0 |k|^(-gamma), with sigma0 and gamma read from `ModelParams`; the
-sampling side takes the amplitude, with the decay and rotation rates,
-from `linear.mode_rates`.  Horizontal-average modes are forced along
-k'perp/|k'| so the forcing stays divergence-free; the same perpendicular
-rule is kept for k' != 0, k3 != 0, with the fixed unit vector (1, 0) for
-the k'=0 column where no perpendicular exists.
+Each stored mode k is forced along a unit direction c_k, at the
+amplitude sigma0 |k|^(-gamma) that `linear.mode_rates`, the one
+amplitude law, gives with the decay and rotation rates.
+Horizontal-average modes are forced along k'perp/|k'| so the forcing
+stays divergence-free; the same perpendicular rule is kept for k' != 0,
+k3 != 0, with the fixed unit vector (1, 0) for the k'=0 column where no
+perpendicular exists.
 
 Reality bookkeeping: a stored mode with k' != 0 stands for a conjugate
 pair of lattice sites, each driven in the full-lattice picture by its own
@@ -21,35 +21,19 @@ against the closed forms in `linear`.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .modes import ModeIndex, mode_table
-from .params import ModelParams
+from .modes import mode_table
 
-__all__ = ["noise_direction", "noise_amplitude_array", "noise_direction_array"]
-
-
-# the direction of the k' = 0 column, where no perpendicular exists
-_VERTICAL_AXIS_DIR = (1.0, 0.0)
-
-
-def noise_direction(k: ModeIndex) -> np.ndarray:
-    """Unit direction c_k in R^2: k'perp/|k'|, or (1, 0) when k' = 0."""
-    if not isinstance(k, ModeIndex):
-        k = ModeIndex(*k)
-    if k.kp_sq > 0:
-        norm = math.sqrt(k.kp_sq)
-        return np.array([-k.k2 / norm, k.k1 / norm])
-    return np.array(_VERTICAL_AXIS_DIR)
-
-
-def noise_amplitude_array(params: ModelParams, N: int) -> np.ndarray:
-    """sigma0 |k|^(-gamma) over the stored modes of truncation N."""
-    return params.sigma0 * mode_table(N).k_sq ** (-params.gamma / 2.0)
+__all__ = ["noise_direction_array"]
 
 
 def noise_direction_array(N: int) -> np.ndarray:
-    """Stacked unit directions c_k, shape (n_modes, 2)."""
-    return np.stack([noise_direction(k) for k in mode_table(N).modes])
+    """Unit directions c_k over the stored modes of truncation N, shape
+    (n_modes, 2): (-k2, k1)/|k'|, or (1, 0) where k' = 0."""
+    tab = mode_table(N)
+    norm = np.where(tab.self_paired, 1.0, np.sqrt(tab.kp_sq))
+    # negate the integers, not the quotient, so a zero entry stays +0.0
+    dirs = np.stack([-tab.k2 / norm, tab.k1 / norm], axis=1)
+    dirs[tab.self_paired] = (1.0, 0.0)
+    return dirs

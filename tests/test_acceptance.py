@@ -52,7 +52,7 @@ from pespec.modes import (
     mode_table,
     random_field,
 )
-from pespec.noise import noise_amplitude_array, noise_direction_array
+from pespec.noise import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import SolverConfig, nonlinear_B, simulate_path
 
@@ -233,7 +233,7 @@ class TestCriterion5SolverOracles:
         rng = np.random.default_rng(SEED)
         reps = 300
         tab = mode_table(3)
-        amp = noise_amplitude_array(params, 3)
+        amp = params.sigma0 * tab.k_sq ** (-params.gamma / 2.0)
         dirs = noise_direction_array(3)
         finals = np.empty((reps, tab.n, 2), dtype=complex)
         for r in range(reps):

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: reading one benchmark run, and reporting a failed one."""
+"""tools/bench_pairs.py: reading one benchmark run, reporting a failed one,
+and judging each end-to-end metric against its bound."""
 import importlib.util
 from pathlib import Path
 
@@ -47,3 +48,45 @@ def test_failed_run_names_run_and_quotes_stderr(bench_pairs, tmp_path):
                  "trace line 10", "trace line 29"):
         assert part in message
     assert "trace line 9" not in message   # only the last 20 lines
+
+
+END_TO_END = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+              {"name": "job_s", "better": "lower", "bound": 0.25},
+              {"name": "rate", "better": "higher", "bound": 0.25}]
+
+
+def synthetic_runs(base, head):
+    """Five pairs with the given per-metric base and head values, each
+    pair shifted alike so the medians are the middle pair's values."""
+    runs = []
+    for i, shift in enumerate([-0.02, -0.01, 0.0, 0.01, 0.02]):
+        sides = {side: {"correct": True, "failed": 0,
+                        **{k: v * (1.0 + shift) for k, v in values.items()}}
+                 for side, values in (("base", base), ("head", head))}
+        runs.append({"seed": i, **sides})
+    return runs
+
+
+def test_summary_judges_every_metric_in_its_direction(bench_pairs):
+    runs = synthetic_runs(base={"setup_s": 0.418, "job_s": 1.0, "rate": 100.0},
+                          head={"setup_s": 0.418 * 1.29, "job_s": 1.05, "rate": 70.0})
+    summary = bench_pairs._summary(runs, END_TO_END)
+    # 29% worse than a 25% bound is flagged; 5% worse is not
+    assert summary["setup_s"]["within_bound"] is False
+    assert summary["setup_s"]["head_wins"] == 0
+    assert summary["job_s"]["within_bound"] is True
+    assert summary["job_s"]["head_wins"] == 0
+    # a higher-is-better metric 30% lower is worse, beyond its bound
+    assert summary["rate"]["within_bound"] is False
+    assert summary["rate"]["head_wins"] == 0
+    assert summary["all_correct"]
+
+
+def test_summary_counts_head_wins_in_the_metric_direction(bench_pairs):
+    runs = synthetic_runs(base={"setup_s": 0.5, "job_s": 1.0, "rate": 100.0},
+                          head={"setup_s": 0.4, "job_s": 1.0, "rate": 110.0})
+    summary = bench_pairs._summary(runs, END_TO_END)
+    assert summary["setup_s"]["head_wins"] == 5
+    assert summary["rate"]["head_wins"] == 5
+    assert summary["job_s"]["head_wins"] == 0   # ties are not wins
+    assert all(summary[m["name"]]["within_bound"] for m in END_TO_END)

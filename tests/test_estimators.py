@@ -8,8 +8,11 @@ elsewhere).
 """
 import inspect
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +536,32 @@ class TestEstimators:
         cfg = EstimatorConfig(variant="V3", q=Fraction(3))
         with pytest.raises(ValueError, match="matches no modes"):
             estimate_nu_z_hat(em_trajectory, cfg)
+
+    def test_hat_huge_q_fails_at_once(self):
+        # no truncation up to the search limit can hold a mode with
+        # |k'|^2 = q k3^2 here, so the error must come before any
+        # two-squares search over q m^2; run apart, so a stall cannot hang
+        # the suite
+        src = str(Path(solver.__file__).parents[1])
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {src!r})",
+            "from fractions import Fraction",
+            "import numpy as np",
+            "from pespec.estimators import EstimatorConfig, estimate_nu_z_hat",
+            "from pespec.modes import SpectralField",
+            "from pespec.params import ModelParams",
+            "from pespec.solver import SolverConfig, Trajectory",
+            "f = SpectralField.zeros(4)",
+            "traj = Trajectory(times=np.array([0.0, 0.5]), states=[f, f],",
+            "                  params=ModelParams(T=0.5), config=SolverConfig(N=4, dt=0.5))",
+            "try:",
+            "    estimate_nu_z_hat(traj, EstimatorConfig(variant='V3', q=Fraction(3 * 10**12)))",
+            "except ValueError as exc:",
+            "    print(exc)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, check=True)
+        assert "matches no modes" in out.stdout
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="variant"):

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 
 from norm_orders import exact_norm_sum, expected_norm_order
 from pespec.linear import (
-    OUMode,
     StrandSampler,
     decay_sq_integral,
     expected_time_energy,
     mode_energy_mean,
     mode_energy_variance,
+    mode_rates,
     strand_noise_chol,
     variance_time_energy,
 )
-from pespec.modes import ALL, BAROCLINIC, BAROTROPIC, ModeIndex, ModeSelector
+from pespec.modes import ALL, BAROCLINIC, BAROTROPIC, ModeIndex, ModeSelector, mode_table
 from pespec.params import ModelParams
 from scalar_ou import ou_exact_step, ou_mean_factor
 
@@ -32,38 +32,43 @@ def implied_cov(lam, f0, amp, zeta, dt):
     return np.array([[s11 * s11, s11 * s21], [s11 * s21, s21 * s21 + s22 * s22]])
 
 
+def rates_at(k, params, N=4):
+    """(lam, f0, amp) of `mode_rates` over the N mode table, at stored mode k."""
+    tab = mode_table(N)
+    i = tab.index[k]
+    return tuple(r[i] for r in mode_rates(params, tab.kp_sq, tab.k3_sq))
+
+
 class TestModeSetup:
     def test_damping_splits_horizontal_and_vertical(self):
         p = ModelParams(nu_h=2.0, nu_z=0.25)
-        m = OUMode.from_params(ModeIndex(1, 2, 3), p)
-        assert m.lam == pytest.approx(2.0 * 5 + 0.25 * 9)
+        lam, _, _ = rates_at((1, 2, 3), p)
+        assert lam == pytest.approx(2.0 * 5 + 0.25 * 9)
 
     def test_rotation_only_on_baroclinic(self):
         p = ModelParams(f0=3.0)
-        assert OUMode.from_params(ModeIndex(1, 1, 0), p).f0 == 0.0
-        assert OUMode.from_params(ModeIndex(1, 1, 2), p).f0 == 3.0
+        assert rates_at((1, 1, 0), p)[1] == 0.0
+        assert rates_at((1, 1, 2), p)[1] == 3.0
 
     def test_amplitude_power_law(self):
-        m = OUMode.from_params(ModeIndex(1, 2, 3), ModelParams(sigma0=2.0, gamma=3.0))
-        assert m.amp == pytest.approx(2.0 * 14.0 ** -1.5)
+        _, _, amp = rates_at((1, 2, 3), ModelParams(sigma0=2.0, gamma=3.0))
+        assert amp == pytest.approx(2.0 * 14.0 ** -1.5)
 
 
 class TestMeanEvolution:
     def test_pure_decay(self):
-        m = OUMode(ModeIndex(1, 0, 0), lam=2.0, f0=0.0, amp=0.0)
-        assert ou_mean_factor(m, 0.5) == pytest.approx(np.exp(-1.0))
+        assert ou_mean_factor(2.0, 0.0, 0.5) == pytest.approx(np.exp(-1.0))
 
     def test_quarter_period_rotation_is_clockwise(self):
         # with positive rotation frequency the deterministic flow turns
         # (1, 0) into (0, -1) after a quarter period
-        m = OUMode(ModeIndex(1, 0, 1), lam=0.0, f0=1.0, amp=0.0)
         state = np.array([1.0, 0.0])
-        out = ou_exact_step(m, state, np.pi / 2, np.random.default_rng(0))
+        out = ou_exact_step(0.0, 1.0, 0.0, 1.0, state, np.pi / 2, np.random.default_rng(0))
         np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-12)
 
     def test_decay_and_rotation_commute(self):
-        m = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=2.0, amp=0.0)
-        out = ou_exact_step(m, np.array([0.3, -0.4]), 0.7, np.random.default_rng(0))
+        out = ou_exact_step(1.0, 2.0, 0.0, 1.0, np.array([0.3, -0.4]), 0.7,
+                            np.random.default_rng(0))
         rot = -2.0 * 0.7
         R = np.array([[np.cos(rot), -np.sin(rot)], [np.sin(rot), np.cos(rot)]])
         np.testing.assert_allclose(out, np.exp(-0.7) * R @ np.array([0.3, -0.4]), atol=1e-12)
@@ -110,20 +115,18 @@ class TestNoiseCovariance:
 
     def test_step_sampling_moments(self):
         """Monte Carlo second moments of the exact step."""
-        m = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=1.7, amp=1.0, direction=(0.6, 0.8))
         rng = np.random.default_rng(99)
         n = 60_000
         out = np.empty((n, 2))
         for i in range(n):
-            out[i] = ou_exact_step(m, np.zeros(2), 0.3, rng)
+            out[i] = ou_exact_step(1.0, 1.7, 1.0, complex(0.6, 0.8), np.zeros(2), 0.3, rng)
         emp = out.T @ out / n
         ref = np.asarray(self.CASES[1][3])
         np.testing.assert_allclose(emp, ref, atol=5 * 0.15 / np.sqrt(n))
 
     def test_zero_step_rejected(self):
-        m = OUMode(ModeIndex(1, 0, 0), lam=1.0, f0=0.0, amp=1.0)
         with pytest.raises(ValueError, match="dt"):
-            ou_exact_step(m, np.zeros(2), 0.0, np.random.default_rng(0))
+            ou_exact_step(1.0, 0.0, 1.0, 1.0, np.zeros(2), 0.0, np.random.default_rng(0))
 
 
 class TestStrandSampler:
@@ -148,14 +151,14 @@ class TestStrandSampler:
     def test_decay_is_the_mean_factor(self):
         sampler = StrandSampler(self.LAM, self.F0, self.AMP, self.ZETA, self.DT)
         for j in range(2):
-            m = OUMode(ModeIndex(1, 0, 1), lam=self.LAM[j], f0=self.F0[j], amp=self.AMP[j])
-            assert sampler.decay[j] == pytest.approx(ou_mean_factor(m, self.DT), rel=1e-15)
+            assert sampler.decay[j] == pytest.approx(
+                ou_mean_factor(self.LAM[j], self.F0[j], self.DT), rel=1e-15)
 
     def test_rotating_strand_matches_scalar_oracle(self):
-        m = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=1.7, amp=1.0, direction=(0.6, 0.8))
-        sampler = StrandSampler([m.lam], [m.f0], [m.amp], [m.zeta], 0.3)
+        lam, f0, amp, zeta = 1.0, 1.7, 1.0, complex(0.6, 0.8)
+        sampler = StrandSampler([lam], [f0], [amp], [zeta], 0.3)
         state = np.array([0.3, -0.4])
-        want = ou_exact_step(m, state, 0.3, np.random.default_rng(8))
+        want = ou_exact_step(lam, f0, amp, zeta, state, 0.3, np.random.default_rng(8))
         got = sampler.step(np.array([[complex(*state)]]), np.random.default_rng(8))[0, 0]
         np.testing.assert_allclose([got.real, got.imag], want, rtol=1e-14)
 
@@ -174,18 +177,15 @@ class TestTimeEnergyMean:
 
     @pytest.mark.parametrize("lam,ref", FROZEN)
     def test_from_rest(self, lam, ref):
-        m = OUMode(ModeIndex(1, 0, 0), lam=lam, f0=0.0, amp=1.0)
-        assert expected_time_energy(m, 1.0) == pytest.approx(ref, abs=1e-9)
+        assert expected_time_energy(lam, 1.0, 1.0) == pytest.approx(ref, abs=1e-9)
 
     def test_rotation_does_not_change_energy(self):
-        a = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=0.0, amp=1.0)
-        b = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=7.0, amp=1.0)
-        assert expected_time_energy(a, 1.0) == expected_time_energy(b, 1.0)
+        still, rotating = ModelParams(f0=0.0), ModelParams(f0=7.0)
+        for k in [(1, 0, 1), (0, 0, 2), (1, 1, 0)]:
+            assert mode_energy_mean(k, rotating, 1.0) == mode_energy_mean(k, still, 1.0)
 
     def test_small_damping_series_is_continuous(self):
-        lo = OUMode(ModeIndex(1, 0, 0), lam=0.99e-4, f0=0.0, amp=1.0)
-        hi = OUMode(ModeIndex(1, 0, 0), lam=1.01e-4, f0=0.0, amp=1.0)
-        ratio = expected_time_energy(hi, 1.0) / expected_time_energy(lo, 1.0)
+        ratio = expected_time_energy(1.01e-4, 1.0, 1.0) / expected_time_energy(0.99e-4, 1.0, 1.0)
         # the exact ratio is 1 - 2/3 (hi - lo) + O(lam^2); both branches must
         # agree with it to well under a part per billion
         assert ratio == pytest.approx(1.0 - (2.0 / 3.0) * 0.02e-4, abs=2e-10)
@@ -193,8 +193,7 @@ class TestTimeEnergyMean:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=0.1, max_value=4.0))
     def test_monotone_in_horizon(self, t1, dt):
-        m = OUMode(ModeIndex(1, 0, 0), lam=0.8, f0=0.0, amp=1.0)
-        assert expected_time_energy(m, t1 + dt) > expected_time_energy(m, t1)
+        assert expected_time_energy(0.8, 1.0, t1 + dt) > expected_time_energy(0.8, 1.0, t1)
 
 
 class TestTimeEnergyVariance:
@@ -210,54 +209,48 @@ class TestTimeEnergyVariance:
 
     @pytest.mark.parametrize("lam,f0,T,ref", FROZEN)
     def test_against_double_quadrature(self, lam, f0, T, ref):
-        m = OUMode(ModeIndex(1, 0, 1), lam=lam, f0=f0, amp=1.0)
-        assert variance_time_energy(m, T) == pytest.approx(ref, rel=1e-8)
+        assert variance_time_energy(lam, f0, 1.0, T) == pytest.approx(ref, rel=1e-8)
 
     def test_zero_damping_limit(self):
-        m = OUMode(ModeIndex(1, 0, 1), lam=0.0, f0=0.0, amp=1.0)
-        assert variance_time_energy(m, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert variance_time_energy(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_heavy_damping_scaling(self):
         # lam^3 Var / amp^4 approaches T/2 once lam T is large
-        m = OUMode(ModeIndex(1, 0, 1), lam=80.0, f0=0.0, amp=1.3)
-        scaled = variance_time_energy(m, 1.0) * 80.0**3 / 1.3**4
+        scaled = variance_time_energy(80.0, 0.0, 1.3, 1.0) * 80.0**3 / 1.3**4
         assert scaled == pytest.approx(0.5, rel=0.02)
 
     def test_amplitude_enters_fourth_power(self):
-        a = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=1.0, amp=1.0)
-        b = OUMode(ModeIndex(1, 0, 1), lam=1.0, f0=1.0, amp=2.0)
-        assert variance_time_energy(b, 1.0) == pytest.approx(16.0 * variance_time_energy(a, 1.0))
+        assert variance_time_energy(1.0, 1.0, 2.0, 1.0) == pytest.approx(
+            16.0 * variance_time_energy(1.0, 1.0, 1.0, 1.0))
 
     def test_branches_agree_at_crossover(self):
         """Quadrature and closed form must meet smoothly at weak damping."""
-        lo = OUMode(ModeIndex(1, 0, 1), lam=0.0499, f0=2.0, amp=1.0)
-        hi = OUMode(ModeIndex(1, 0, 1), lam=0.0501, f0=2.0, amp=1.0)
-        vlo, vhi = variance_time_energy(lo, 1.0), variance_time_energy(hi, 1.0)
+        vlo = variance_time_energy(0.0499, 2.0, 1.0, 1.0)
+        vhi = variance_time_energy(0.0501, 2.0, 1.0, 1.0)
         assert 0 < (vlo - vhi) / vlo < 1e-3
-        mid_quad = variance_time_energy(OUMode(ModeIndex(1, 0, 1), lam=0.05 - 1e-12, f0=2.0, amp=1.0), 1.0)
-        mid_form = variance_time_energy(OUMode(ModeIndex(1, 0, 1), lam=0.05 + 1e-12, f0=2.0, amp=1.0), 1.0)
+        mid_quad = variance_time_energy(0.05 - 1e-12, 2.0, 1.0, 1.0)
+        mid_form = variance_time_energy(0.05 + 1e-12, 2.0, 1.0, 1.0)
         assert mid_quad == pytest.approx(mid_form, rel=1e-9)
 
 
 class TestStoredModeStatistics:
     def test_paired_mode_mean_counts_both_sites(self):
         k = ModeIndex(1, 0, 0)
-        single = OUMode.from_params(k, DEFAULTS)
-        assert mode_energy_mean(k, DEFAULTS, 1.0) == pytest.approx(expected_time_energy(single, 1.0))
+        lam, _, amp = rates_at(k.as_tuple(), DEFAULTS)
+        assert mode_energy_mean(k, DEFAULTS, 1.0) == pytest.approx(
+            expected_time_energy(lam, amp, 1.0))
 
     def test_paired_variance_is_halved(self):
         """Two independent half-power strands give half the fluctuation."""
         k = ModeIndex(1, 0, 1)
-        m = OUMode.from_params(k, DEFAULTS)
         assert mode_energy_variance(k, DEFAULTS, 1.0) == pytest.approx(
-            0.5 * variance_time_energy(m, 1.0), rel=1e-12
+            0.5 * variance_time_energy(*rates_at(k.as_tuple(), DEFAULTS), 1.0), rel=1e-12
         )
 
     def test_self_paired_variance_is_full(self):
         k = ModeIndex(0, 0, 1)
-        m = OUMode.from_params(k, DEFAULTS)
         assert mode_energy_variance(k, DEFAULTS, 1.0) == pytest.approx(
-            variance_time_energy(m, 1.0), rel=1e-12
+            variance_time_energy(*rates_at(k.as_tuple(), DEFAULTS), 1.0), rel=1e-12
         )
 
 

@@ -1,9 +1,12 @@
 """Tests for mode bookkeeping, fields, and spectral operators."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import brute_force_modes, brute_force_storage
 from pespec.modes import (
     ALL,
     BAROCLINIC,
@@ -12,6 +15,7 @@ from pespec.modes import (
     ModeSelector,
     SpectralField,
     apply_operator,
+    eigenvalue_array,
     enumerate_modes,
     _fmt,
     field_from_text,
@@ -20,9 +24,10 @@ from pespec.modes import (
     hydrostatic_leray,
     inner_product,
     leray_h,
-    operator_eigenvalue,
+    mode_table,
     project,
     random_field,
+    selector_mask,
     storage_modes,
 )
 
@@ -110,9 +115,14 @@ class TestEnumeration:
 
     def test_fractional_resonance(self):
         sel = ModeSelector.resonant("1/2")
-        assert sel.matches(ModeIndex(1, 1, 2))
-        assert not sel.matches(ModeIndex(1, 0, 1))
+        assert sel.mask([1, 1], [1, 0], [2, 1]).tolist() == [True, False]
         assert sel.label() == "resonant(1/2)"
+
+    @pytest.mark.parametrize("q", [Fraction(10**30), Fraction(1, 10**30)])
+    def test_extreme_resonance_matches_nothing(self, q):
+        # the reduced q must fit the lattice's wavenumbers; beyond them the
+        # integer mask is empty, and no int64 product can overflow
+        assert not selector_mask(12, ModeSelector.resonant(q)).any()
 
     def test_selector_partition(self):
         all_modes = set(enumerate_modes(3))
@@ -120,6 +130,32 @@ class TestEnumeration:
         clin = set(enumerate_modes(3, BAROCLINIC))
         assert baro | clin == all_modes
         assert not baro & clin
+
+
+SELECTORS = [ALL, BAROTROPIC, BAROCLINIC, ModeSelector.resonant(1),
+             ModeSelector.resonant("1/2"), ModeSelector.resonant(2)]
+
+
+class TestLatticeOracle:
+    """The vectorised lattice against a plain triple loop, order included."""
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.label())
+    def test_enumerate_modes(self, N, sel):
+        assert enumerate_modes(N, sel) == brute_force_modes(N, sel)
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_storage_modes(self, N):
+        stored = storage_modes(N)
+        assert list(stored) == brute_force_storage(N)
+        assert all(type(c) is int for k in stored for c in k.as_tuple())
+        assert mode_table(N).index == {k.as_tuple(): i for i, k in enumerate(stored)}
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.label())
+    def test_selector_mask(self, N, sel):
+        want = set(brute_force_modes(N, sel))
+        assert selector_mask(N, sel).tolist() == [k in want for k in storage_modes(N)]
 
 
 class TestSpectralField:
@@ -183,19 +219,19 @@ class TestSpectralField:
 
 class TestOperators:
     def test_eigenvalue_combinations(self):
-        k = ModeIndex(1, 2, 3)
-        assert operator_eigenvalue(k, 0, 0, 1) == 14.0
-        assert operator_eigenvalue(k, 1, 0, 0) == 5.0
-        assert operator_eigenvalue(k, 0, 1, 0) == 9.0
-        assert operator_eigenvalue(k, 1, 0, 2) == 5.0 * 196.0
+        i = mode_table(4).index[(1, 2, 3)]
+        assert eigenvalue_array(4, 0, 0, 1)[i] == 14.0
+        assert eigenvalue_array(4, 1, 0, 0)[i] == 5.0
+        assert eigenvalue_array(4, 0, 1, 0)[i] == 9.0
+        assert eigenvalue_array(4, 1, 0, 2)[i] == 5.0 * 196.0
 
     def test_zero_factor_conventions(self):
-        k = ModeIndex(0, 0, 1)
-        assert operator_eigenvalue(k, 0, 0, 1) == 1.0
+        i = mode_table(1).index[(0, 0, 1)]
+        assert eigenvalue_array(1, 0, 0, 1)[i] == 1.0
         # 0^0 = 1 so a vanishing factor with zero exponent is harmless
-        assert operator_eigenvalue(k, 0, 1, 0) == 1.0
+        assert eigenvalue_array(1, 0, 1, 0)[i] == 1.0
         with pytest.raises(ValueError, match="negative horizontal exponent"):
-            operator_eigenvalue(k, -1, 0, 0)
+            eigenvalue_array(1, -1, 0, 0)
 
     def test_apply_operator_scales_coefficients(self):
         f = SpectralField.from_mapping(2, {ModeIndex(1, 0, 1): (1.0, 2.0)})

@@ -1,44 +1,65 @@
 """Tests for the stochastic forcing amplitudes, directions, and increments."""
+import math
+
 import numpy as np
 import pytest
 
-from pespec.linear import decay_sq_integral
-from pespec.modes import ModeIndex, enumerate_modes, mode_table, storage_modes
-from pespec.noise import noise_amplitude_array, noise_direction
+from pespec.linear import decay_sq_integral, mode_rates
+from pespec.modes import ModeIndex, mode_table, storage_modes
+from pespec.noise import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import SCHEMES, SolverConfig, draw_increments
 
 
+def direction(k, N):
+    """The row of `noise_direction_array(N)` at stored mode k."""
+    return noise_direction_array(N)[mode_table(N).index[k]]
+
+
+def amplitudes(params, N):
+    """The noise amplitude of `mode_rates` over the stored modes of truncation N."""
+    tab = mode_table(N)
+    return mode_rates(params, tab.kp_sq, tab.k3_sq)[2]
+
+
 class TestDirections:
     def test_barotropic_direction_is_perpendicular(self):
-        d = noise_direction(ModeIndex(1, 2, 0))
+        d = direction((1, 2, 0), 3)
         np.testing.assert_allclose(d, np.array([-2.0, 1.0]) / np.sqrt(5.0))
 
     def test_baroclinic_perp_rule(self):
-        d = noise_direction(ModeIndex(3, -4, 2))
+        d = direction((3, -4, 2), 6)
         np.testing.assert_allclose(d, np.array([4.0, 3.0]) / 5.0)
 
     def test_vertical_axis_falls_back_to_fixed(self):
-        np.testing.assert_allclose(noise_direction(ModeIndex(0, 0, 3)), [1.0, 0.0])
+        np.testing.assert_allclose(direction((0, 0, 3), 3), [1.0, 0.0])
 
     def test_directions_are_unit(self):
-        for k in enumerate_modes(3):
-            assert np.linalg.norm(noise_direction(k)) == pytest.approx(1.0)
+        for d in noise_direction_array(3):
+            assert np.linalg.norm(d) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_bitwise_scalar_rule(self, N):
+        """(-k2/|k'|, k1/|k'|) with |k'| from math.sqrt, and (1, 0) where
+        k' = 0, bit for bit, signed zeros included."""
+        want = [(-k.k2 / math.sqrt(k.kp_sq), k.k1 / math.sqrt(k.kp_sq)) if k.kp_sq
+                else (1.0, 0.0) for k in storage_modes(N)]
+        assert noise_direction_array(N).tobytes() == np.array(want).tobytes()
 
 
 class TestAmplitudes:
     def test_power_law(self):
         params = ModelParams(sigma0=2.0, gamma=3.0)
         i = storage_modes(4).index(ModeIndex(1, 2, 3))
-        np.testing.assert_allclose(noise_amplitude_array(params, 4)[i], 2.0 * 14.0 ** -1.5)
+        np.testing.assert_allclose(amplitudes(params, 4)[i], 2.0 * 14.0 ** -1.5)
 
     def test_unit_mode_amplitude_equals_sigma0(self):
         # every stored mode of the N = 1 truncation has |k| = 1
-        amps = noise_amplitude_array(ModelParams(sigma0=1.0, gamma=4.5), 1)
+        amps = amplitudes(ModelParams(sigma0=1.0, gamma=4.5), 1)
         np.testing.assert_allclose(amps, 1.0)
 
     def test_amplitude_array_matches_scalar(self):
-        amps = noise_amplitude_array(ModelParams(sigma0=0.7, gamma=2.5), 3)
+        amps = amplitudes(ModelParams(sigma0=0.7, gamma=2.5), 3)
         for i, k in enumerate(storage_modes(3)):
             assert amps[i] == pytest.approx(0.7 * float(k.k_sq) ** -1.25)
 
@@ -65,8 +86,8 @@ class TestIncrements:
         rng = np.random.default_rng(123)
         dt, n = 0.25, 20_000
         cfg = SolverConfig(N=1, dt=dt, scheme="EulerMaruyama")
-        amp = noise_amplitude_array(ModelParams(), 1)
-        dirs = np.stack([noise_direction(k) for k in storage_modes(1)])
+        amp = amplitudes(ModelParams(), 1)
+        dirs = noise_direction_array(1)
         # increments are amp dW c_k with a unit real c_k, so c_k . incr = amp dW
         dw = np.array([np.sum(draw_increments(cfg, ModelParams(), rng) * dirs, axis=1) / amp
                        for _ in range(n)])
@@ -102,7 +123,8 @@ class TestIncrements:
         draws = np.array([draw_increments(cfg, params, rng) for _ in range(n)])
         tab = mode_table(2)
         assert tab.self_paired.any() and not tab.self_paired.all()
-        amp = noise_amplitude_array(params, 2)
+        amp = amplitudes(params, 2)
+        dirs = noise_direction_array(2)
 
         def close(samples, target):
             # the sample mean within five standard errors, real and imaginary parts apart
@@ -115,7 +137,7 @@ class TestIncrements:
             rot = f0 if k.k3 else 0.0
             g0 = decay_sq_integral(complex(lam, 0.0), dt).real
             g2 = decay_sq_integral(complex(lam, rot), dt)
-            zeta = complex(*noise_direction(k))
+            zeta = complex(*dirs[i])
             u, v = draws[:, i, 0], draws[:, i, 1]
             strands = [u.real + 1j * v.real]
             if not k.is_self_paired:

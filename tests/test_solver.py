@@ -17,7 +17,7 @@ from scipy import fft as sfft
 from scipy import stats
 
 from advection_oracle import direct_B, vertical_velocity
-from pespec.linear import OUMode
+from pespec.linear import mode_rates
 from pespec.modes import (
     BAROTROPIC,
     ModeIndex,
@@ -31,6 +31,7 @@ from pespec.modes import (
     random_field,
 )
 from pespec import solver
+from pespec.noise import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import (
     SCHEMES,
@@ -461,8 +462,8 @@ class TestSimulatePath:
         """Linear-mode one-mode marginal vs ou_exact_step, two-sample KS."""
         p = ModelParams(T=1.0)
         cfg = SolverConfig(N=2, dt=0.1, include_nonlinear=False)
-        k = ModeIndex(1, 0, 1)
-        i = mode_table(2).index[k.as_tuple()]
+        tab = mode_table(2)
+        i = tab.index[(1, 0, 1)]
         reps = 400
         rng = np.random.default_rng(2024)
         solver_samples = np.empty(reps)
@@ -471,13 +472,13 @@ class TestSimulatePath:
             solver_samples[r] = traj.states[-1].coeffs[i, 0].real
         # matching strand: real parts of a conjugate-paired coefficient
         # follow the OU strand at amplitude amp/sqrt(2)
-        m = OUMode.from_params(k, p)
-        strand = OUMode(k, m.lam, m.f0, m.amp / math.sqrt(2.0), m.direction)
+        lam, f0, amp = (float(r[i]) for r in mode_rates(p, tab.kp_sq, tab.k3_sq))
+        zeta = complex(*noise_direction_array(2)[i])
         exact_samples = np.empty(reps)
         for r in range(reps):
             x = np.zeros(2)
             for _ in range(10):
-                x = ou_exact_step(strand, x, 0.1, rng)
+                x = ou_exact_step(lam, f0, amp / math.sqrt(2.0), zeta, x, 0.1, rng)
             exact_samples[r] = x[0]
         p_value = stats.ks_2samp(solver_samples, exact_samples).pvalue
         assert p_value > 0.01

@@ -11,8 +11,11 @@ first_seed + i, the base first on even pairs and the head first on odd
 ones, so a slow drift of the host favours neither side.  The file keeps
 every run's last-line metrics and, per workload and side, the median
 and quartiles of each end-to-end metric, the ratio of the medians
-(base over head, so above 1 means the head is faster or smaller) and
-the number of pairs whose job_s the head won.
+(base over head, so above 1 means the head is faster or smaller), and
+per metric, judged in the direction of its `better` entry in the head's
+BENCHMARK.json, the number of pairs the head won and whether the head's
+median stays within the metric's `bound` (a fraction of the base
+median) of the base's.
 """
 from __future__ import annotations
 
@@ -65,14 +68,21 @@ def _spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _summary(runs, metrics) -> dict:
+def _summary(runs, end_to_end) -> dict:
+    """Per metric of BENCHMARK.json's `end_to_end` list: spreads, head wins
+    and whether the head's median is within `bound` of the base's."""
     out = {}
-    for name in metrics:
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
         base = _spread([r["base"][name] for r in runs])
         head = _spread([r["head"][name] for r in runs])
+        # sign * value is lower-is-better in both directions
+        worse_by = sign * (head["median"] - base["median"])
         out[name] = {"base": base, "head": head,
-                     "ratio_of_medians": base["median"] / head["median"]}
-    out["job_s_head_wins"] = sum(r["head"]["job_s"] < r["base"]["job_s"] for r in runs)
+                     "ratio_of_medians": base["median"] / head["median"],
+                     "head_wins": sum(sign * r["head"][name] < sign * r["base"][name]
+                                      for r in runs),
+                     "within_bound": worse_by <= metric["bound"] * abs(base["median"])}
     out["all_correct"] = all(r[side]["correct"] and r[side]["failed"] == 0
                              for r in runs for side in ("base", "head"))
     return out
@@ -97,7 +107,6 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: _extract(commit, Path(tmp) / side) for side, commit in commits.items()}
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        metrics = [m["name"] for m in spec["end_to_end"]]
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
         report = {}
         for workload in workloads:
@@ -110,7 +119,7 @@ def main(argv=None) -> int:
                 runs.append(run)
                 print(f"{workload} seed {seed}: base job_s {run['base']['job_s']:.3f}, "
                       f"head job_s {run['head']['job_s']:.3f}", file=sys.stderr)
-            report[workload] = {"summary": _summary(runs, metrics), "runs": runs}
+            report[workload] = {"summary": _summary(runs, spec["end_to_end"]), "runs": runs}
 
     args.out.write_text(json.dumps({
         "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
