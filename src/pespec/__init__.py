@@ -1,8 +1,8 @@
 """Spectral simulation and drift estimation for a rotating hydrostatic model.
 
 The submodules layer bottom-up: `params` and `modes` define the model
-constants and the truncated cosine basis, `noise` and `linear` the
-per-mode forcing and its exact Ornstein-Uhlenbeck factors, `solver` the
+constants and the truncated cosine basis, `linear` the per-mode forcing
+and its exact Ornstein-Uhlenbeck factors, `solver` the
 time stepping, `estimators` the viscosity functionals, and `harness`
 the reproducible experiment runs behind the command line tool.
 """
@@ -25,7 +25,7 @@ from .harness import (
     run_linear_validation,
     run_normality,
 )
-from .linear import mode_energy_mean, mode_energy_variance, strand_noise_chol
+from .linear import noise_direction_array, strand_noise_chol
 from .modes import (
     ModeIndex,
     ModeSelector,
@@ -35,7 +35,6 @@ from .modes import (
     inner_product,
     random_field,
 )
-from .noise import noise_direction_array
 from .params import ModelParams
 from .solver import (
     BlowUpError,
@@ -61,8 +60,6 @@ __all__ = [
     "random_field",
     "noise_direction_array",
     "strand_noise_chol",
-    "mode_energy_mean",
-    "mode_energy_variance",
     "SolverConfig",
     "Trajectory",
     "BlowUpError",

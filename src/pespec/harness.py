@@ -31,8 +31,8 @@ from scipy import special
 
 from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
                          theoretical_covariance)
-from .linear import (ShellSampler, StrandSampler, _psi_array, mode_energy_mean,
-                     mode_energy_variance, mode_rates, mode_strands)
+from .linear import (ShellSampler, StrandSampler, _psi_array, expected_time_energy,
+                     mode_rates, mode_strands, variance_time_energy)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, Trajectory, simulate_path, trajectory_to_text
@@ -82,6 +82,9 @@ class ExperimentConfig:
         sweep = tuple(int(n) for n in self.N_sweep)
         if not sweep or any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("N_sweep must be nonempty and strictly ascending")
+        if sweep[0] < 1:
+            raise ValueError("config key N_sweep must be truncations >= 1, "
+                             f"not '{','.join(map(str, sweep))}'")
         object.__setattr__(self, "N_sweep", sweep)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -867,14 +870,12 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     integrals = np.empty((reps, tab.n))
     expected = np.empty(tab.n)
 
-    # group by shared transition (lam, f0, amp); each class simulates all
-    # of its strands in one vectorized sweep
-    classes: Dict[Tuple[float, float, float], List[int]] = {}
-    for i in range(tab.n):
-        key = (float(lam_all[i]), float(f0_all[i]), float(amp_all[i]))
-        classes.setdefault(key, []).append(i)
-
-    for (lam, _, amp), cols in sorted(classes.items()):
+    # group by shared transition (lam, f0, amp), in sorted order; each
+    # class simulates all of its strands in one vectorized sweep
+    rates, cls = np.unique(np.stack([lam_all, f0_all, amp_all], axis=1), axis=0,
+                           return_inverse=True)
+    for j, (lam, _, amp) in enumerate(rates.tolist()):
+        cols = np.flatnonzero(cls.ravel() == j)
         n_steps = min(max(int(math.ceil(2.0 * lam * params.T)), 24), 64)
         dt = params.T / n_steps
         integrals[:, cols] = dt * _energy_sums(params, N, cols, dt, n_steps, reps, rng)
@@ -891,24 +892,22 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     pick_pos = np.unique(np.linspace(0, tab.n - 1,
                                      min(n_var_modes, tab.n)).round().astype(int))
     var_z = np.empty(pick_pos.size)
-    var_keys = []
     for j, c in enumerate(order[pick_pos]):
-        lam, amp = float(lam_all[c]), float(amp_all[c])
-        k = (int(tab.k1[c]), int(tab.k2[c]), int(tab.k3[c]))
-        var_keys.append(k)
+        lam, f0, amp = float(lam_all[c]), float(f0_all[c]), float(amp_all[c])
         n_steps = min(max(int(math.ceil(40.0 * lam * params.T)), 256), 4096)
         dt = params.T / n_steps
-        exact = mode_energy_mean(k, params, params.T)
+        exact = expected_time_energy(lam, amp, params.T)
         corr = _grid_correction(lam, amp, exact, dt, n_steps)
         vals = (dt * corr) * _energy_sums(params, N, [c], dt, n_steps, reps, rng)[:, 0]
         v_emp = float(vals.var(ddof=1))
         centered = vals - vals.mean()
         m4 = float(np.mean(centered ** 4))
         se_var = math.sqrt(max(m4 - v_emp ** 2, 0.0) / reps)
-        v_theo = mode_energy_variance(k, params, params.T)
+        # a conjugate pair is two strands at amp / sqrt(2): half the variance
+        v_theo = variance_time_energy(lam, f0, amp, params.T) / tab.weight[c]
         var_z[j] = (v_emp - v_theo) / se_var
-    mode_keys = [(int(tab.k1[i]), int(tab.k2[i]), int(tab.k3[i]))
-                 for i in range(tab.n)]
+    mode_keys = tab.keys()
+    var_keys = [mode_keys[c] for c in order[pick_pos]]
     return LinearMomentReport(mode_keys, z, frac, var_keys, var_z)
 
 

@@ -11,6 +11,17 @@ rotation that share their rates can also be advanced as one class,
 through their squared norm alone (`ShellSampler`).
 All moment formulas below are exact in dt and T; the Monte Carlo suite
 treats them as oracles.
+
+Reality bookkeeping: a stored mode with k' != 0 stands for a conjugate
+pair of lattice sites, each driven in the full-lattice picture by its own
+scalar Wiener process.  Folded onto the canonical representative this is
+one complex Brownian increment with E|dW|^2 = dt (real and imaginary
+parts independent N(0, dt/2)).  Self-paired modes (k' = 0) keep a real
+increment N(0, dt).  So a pair is two independent strands at amp/sqrt(2)
+(`mode_strands`), which `solver.draw_increments` draws.
+This convention reproduces both the per-mode energy moments and the
+quadratic-variation constants of the estimator theory; see the tests
+against the closed forms below.
 """
 from __future__ import annotations
 
@@ -20,20 +31,18 @@ from typing import Tuple
 
 import numpy as np
 
-from .modes import ModeIndex, mode_table
-from .noise import noise_direction_array
+from .modes import mode_table
 from .params import ModelParams
 
 __all__ = [
     "mode_rates",
+    "noise_direction_array",
     "mode_strands",
     "strand_noise_chol",
     "StrandSampler",
     "ShellSampler",
     "expected_time_energy",
     "variance_time_energy",
-    "mode_energy_mean",
-    "mode_energy_variance",
 ]
 
 
@@ -111,6 +120,19 @@ def mode_rates(params: ModelParams, kp_sq, k3_sq):
     f0 = np.where(k3_sq > 0, params.f0, 0.0)
     amp = params.sigma0 * (kp_sq + k3_sq) ** (-params.gamma / 2.0)
     return lam, f0, amp
+
+
+def noise_direction_array(N: int) -> np.ndarray:
+    """Unit forcing directions c_k over the stored modes of truncation N,
+    shape (n_modes, 2): (-k2, k1)/|k'|, perpendicular to k' so that the
+    horizontal-average forcing stays divergence-free, or the fixed (1, 0)
+    where k' = 0 and no perpendicular exists."""
+    tab = mode_table(N)
+    norm = np.where(tab.self_paired, 1.0, np.sqrt(tab.kp_sq))
+    # negate the integers, not the quotient, so a zero entry stays +0.0
+    dirs = np.stack([-tab.k2 / norm, tab.k1 / norm], axis=1)
+    dirs[tab.self_paired] = (1.0, 0.0)
+    return dirs
 
 
 def mode_strands(params: ModelParams, N: int, cols):
@@ -332,30 +354,3 @@ def variance_time_energy(lam: float, f0: float, amp: float, T: float) -> float:
     if T <= 0:
         raise ValueError("horizon T must be positive")
     return amp ** 4 * _variance_shape(lam, f0, T)
-
-
-def _stored_mode_rates(k, params: ModelParams) -> Tuple[ModeIndex, float, float, float]:
-    """k as a `ModeIndex`, with the (lam, f0, amp) of `mode_rates` as floats."""
-    if not isinstance(k, ModeIndex):
-        k = ModeIndex(*k)
-    rates = mode_rates(params, np.array([float(k.kp_sq)]), np.array([float(k.k3 * k.k3)]))
-    lam, f0, amp = (float(r[0]) for r in rates)
-    return k, lam, f0, amp
-
-
-def mode_energy_mean(k: ModeIndex, params: ModelParams, T: float) -> float:
-    """E int |U_k|^2 dt for a stored coefficient (same closed form whether
-    the mode is conjugate-paired or self-paired)."""
-    _, lam, _, amp = _stored_mode_rates(k, params)
-    return expected_time_energy(lam, amp, T)
-
-
-def mode_energy_variance(k: ModeIndex, params: ModelParams, T: float) -> float:
-    """Var[int |U_k|^2 dt] for a stored coefficient.
-
-    A conjugate-paired mode is two independent strands of amplitude
-    amp/sqrt(2), so its variance is half the single-strand value.
-    """
-    k, lam, f0, amp = _stored_mode_rates(k, params)
-    v = variance_time_energy(lam, f0, amp, T)
-    return v if k.is_self_paired else v / 2.0

@@ -15,8 +15,8 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,8 +209,10 @@ class _ModeTable:
     """Precomputed per-truncation arrays shared by all fields at one N.
 
     The stored modes are the canonical sites of `_lattice(N)`: k3 >= 0
-    and k' lexicographically positive, or k' = 0.  `modes` holds them as
-    `ModeIndex` keys and `index` maps (k1, k2, k3) to their row.
+    and k' lexicographically positive, or k' = 0.  Their integer columns
+    `k1`, `k2`, `k3` are the one view the program reads; `modes` (as
+    `ModeIndex` keys) and `index` ((k1, k2, k3) to row) serve the public
+    key API and are built from them on first use.
     """
 
     def __init__(self, N: int):
@@ -218,17 +220,26 @@ class _ModeTable:
         k1, k2, k3 = lattice
         canonical = (k3 >= 0) & ((k1 > 0) | ((k1 == 0) & (k2 >= 0)))
         self.N = N
-        self.k1, self.k2, self.k3 = stored = lattice[:, canonical]
-        keys = list(zip(*stored.tolist()))
-        self.modes = tuple(ModeIndex(*k) for k in keys)
-        self.index = dict(zip(keys, range(len(keys))))
+        self.k1, self.k2, self.k3 = lattice[:, canonical]
         self.kp_sq = (self.k1 ** 2 + self.k2 ** 2).astype(float)
         self.k3_sq = (self.k3 ** 2).astype(float)
         self.k_sq = self.kp_sq + self.k3_sq
         self.self_paired = (self.k1 == 0) & (self.k2 == 0)
         # implicit conjugate partner counts double in quadratic forms
         self.weight = np.where(self.self_paired, 1.0, 2.0)
-        self.n = len(keys)
+        self.n = self.k1.size
+
+    def keys(self) -> List[Tuple[int, int, int]]:
+        """(k1, k2, k3) of every stored mode, as Python ints, in row order."""
+        return list(zip(self.k1.tolist(), self.k2.tolist(), self.k3.tolist()))
+
+    @cached_property
+    def modes(self) -> Tuple[ModeIndex, ...]:
+        return tuple(ModeIndex(*k) for k in self.keys())
+
+    @cached_property
+    def index(self) -> Dict[Tuple[int, int, int], int]:
+        return {k: i for i, k in enumerate(self.keys())}
 
 
 @lru_cache(maxsize=64)
@@ -430,9 +441,9 @@ def field_to_text(f: SpectralField) -> str:
     as k1,k2,k3,re_u,im_u,re_v,im_v in canonical order."""
     buf = io.StringIO()
     buf.write(f"# {FIELD_FORMAT_TAG} N={f.N} basis={BASIS_TAG}\n")
-    for k, (u, v) in zip(f.table.modes, f.coeffs):
+    for (k1, k2, k3), (u, v) in zip(f.table.keys(), f.coeffs):
         buf.write(
-            f"{k.k1},{k.k2},{k.k3},{_fmt(u.real)},{_fmt(u.imag)},"
+            f"{k1},{k2},{k3},{_fmt(u.real)},{_fmt(u.imag)},"
             f"{_fmt(v.real)},{_fmt(v.imag)}\n"
         )
     return buf.getvalue()
@@ -447,12 +458,14 @@ def field_from_text(text: str) -> SpectralField:
     if not header.startswith(f"# {FIELD_FORMAT_TAG}"):
         raise ValueError(f"line {n0}: unrecognized field header")
     fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
-    if not fields.get("N", "").isdigit():
-        raise ValueError(f"line {n0}: field header needs N=<truncation>, got {fields.get('N')!r}")
+    if not fields.get("N", "").isdigit() or int(fields["N"]) < 1:
+        raise ValueError(f"line {n0}: field header needs N=<truncation> >= 1, "
+                         f"got {fields.get('N')!r}")
     N = int(fields["N"])
     if fields.get("basis") != BASIS_TAG:
         raise ValueError(f"line {n0}: unsupported basis tag {fields.get('basis')!r}")
     tab = mode_table(N)
+    keys = tab.keys()
     arr = np.zeros((tab.n, 2), dtype=complex)
     rows = lines[1:]
     if len(rows) != tab.n:  # name the first surplus row or the last line
@@ -463,13 +476,13 @@ def field_from_text(text: str) -> SpectralField:
         try:
             if len(parts) != 7:
                 raise ValueError(f"{len(parts)} values, not 7")
-            k = ModeIndex(int(parts[0]), int(parts[1]), int(parts[2]))
+            k = (int(parts[0]), int(parts[1]), int(parts[2]))
             re_u, im_u, re_v, im_v = (float(p) for p in parts[3:])
         except ValueError as exc:
             raise ValueError(f"line {n}: malformed field row ({exc})") from None
         if not all(map(math.isfinite, (re_u, im_u, re_v, im_v))):
             raise ValueError(f"line {n}: non-finite coefficient in row {i}")
-        if k != tab.modes[i]:
+        if k != keys[i]:
             raise ValueError(f"line {n}: row {i} out of canonical order: {k}")
         arr[i, 0] = complex(re_u, im_u)
         arr[i, 1] = complex(re_v, im_v)

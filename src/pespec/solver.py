@@ -110,13 +110,18 @@ class SolverConfig:
 # the advection term
 
 class _SiteLayout:
-    """Stored modes unfolded onto the full exponential lattice.
+    """Stored modes as the exponential sites of the half spectrum.
 
-    Each canonical stored mode owns one, two or four exponential sites
-    e^{i k.x}: the cosine in z splits into (k', +-k3) at weight 1/sqrt(2)
-    and the implicit reality partner adds (-k', +-k3) with conjugated
-    values.  `rows`, `conj` and `scale` turn a stored coefficient array
-    into per-site values in one fancy-indexing pass.
+    A canonical stored mode stands for the sites e^{i k.x} of (k', +-k3),
+    at weight 1/sqrt(2) each when k3 > 0, and of their reality partners
+    (-k', +-k3) with conjugated values.  Every field of B is even or odd
+    in z, so it is fixed by its sites with m3 >= 0, and real, so each of
+    its planes is fixed by m1 >= 0.  Canonical modes have k1 >= 0, so
+    those sites are each stored mode's own (k1, k2, k3), and, for a
+    conjugate pair with k1 = 0, the partner (0, -k2, k3).  `rows`,
+    `conj` and `scale` turn a stored coefficient array into these
+    per-site values in one fancy-indexing pass, and `fill_index` places
+    them in the (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].
 
     The transform grid takes G = next_fast_len(3N + 1) points along x
     and y and the M + 1 points z_j = pi j / M of the even extension of
@@ -124,42 +129,28 @@ class _SiteLayout:
     products, which need no fast length.  `cos_syn` and `sin_syn` map
     the cosine planes 0..N or sine planes 1..N to the grid (the sine
     to its interior rows), `cos_ana` and `sin_ana` map it back; each is
-    the DCT-I or DST-I of an identity.  Every
-    field of B is even or odd in z, so it is fixed by its sites with
-    m3 >= 0, and real, so each of its planes is fixed by m1 >= 0:
-    `fill` selects those sites and `fill_index` places them in the
-    (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].  Canonical
-    modes have k1 >= 0, so mode k reads an even flux at `read_index`,
-    (k3, k2, k1), and an odd one, whose planes start at m3 = 1, at
-    `read_odd`.  `deriv` holds the per-mode factors i k1, i k2 and k3
-    of the three flux divergence terms, each times the weight of the
-    mode's z-images (sqrt(2) for k3 > 0).
+    the DCT-I or DST-I of an identity.  Mode k reads an even flux at
+    `read_index`, (k3, k2, k1), and an odd one, whose planes start at
+    m3 = 1, at `read_odd`.  `deriv` holds the per-mode factors i k1,
+    i k2 and k3 of the three flux divergence terms, each times the
+    weight of the mode's z-images (sqrt(2) for k3 > 0).
     """
 
     def __init__(self, N: int):
         tab = mode_table(N)
-        entries: List[tuple] = []  # (site, row, conj, scale) per site
-        for i, k in enumerate(tab.modes):
-            s = 1.0 / _SQRT2 if k.k3 > 0 else 1.0
-            images = [((k.k1, k.k2, k.k3), False)]
-            if k.k3 > 0:
-                images.append(((k.k1, k.k2, -k.k3), False))
-            if not k.is_self_paired:
-                images += [((-k1, -k2, k3), True) for (k1, k2, k3), _ in images]
-            entries += [(site, i, c, s) for site, c in images]
-        sites, rows, conj, scale = zip(*entries)
-        self.sites = np.array(sites, dtype=int)
-        self.rows = np.array(rows, dtype=int)
-        self.conj = np.array(conj, dtype=bool)
-        self.scale = np.array(scale, dtype=float)
+        pairs = np.flatnonzero((tab.k1 == 0) & ~tab.self_paired)
+        self.rows = np.concatenate([np.arange(tab.n), pairs])
+        self.conj = np.arange(self.rows.size) >= tab.n
+        self.scale = np.where(tab.k3 > 0, 1.0 / _SQRT2, 1.0)[self.rows]
+        m2 = np.where(self.conj, -tab.k2[self.rows], tab.k2[self.rows])
+        self.sites = np.stack([tab.k1[self.rows], m2, tab.k3[self.rows]], axis=1)
         self.G = G = sfft.next_fast_len(3 * N + 1)
         self.M = M = (3 * N + 2) // 2
         self.cos_syn = sfft.dct(np.eye(N + 1), type=1, n=M + 1, axis=0)
         self.cos_ana = sfft.dct(np.eye(M + 1), type=1, axis=0, norm="forward")[:N + 1]
         self.sin_syn = sfft.dst(np.eye(N), type=1, n=M - 1, axis=0)
         self.sin_ana = sfft.dst(np.eye(M - 1), type=1, axis=0, norm="forward")[:N]
-        self.fill = np.flatnonzero((self.sites[:, 2] >= 0) & (self.sites[:, 0] >= 0))
-        m1, m2, m3 = self.sites[self.fill].T
+        m1, m2, m3 = self.sites.T
         self.fill_index = (m3, m2 % G, m1)
         self.read_index = (tab.k3, tab.k2 % G, tab.k1)
         # a k3 = 0 mode reads plane m3 = 1 here, and its factor k3 zeroes it
@@ -174,11 +165,10 @@ def _site_layout(N: int) -> _SiteLayout:
     return _SiteLayout(int(N))
 
 
-def _site_values(lay: _SiteLayout, f: SpectralField, sel=slice(None)) -> np.ndarray:
-    """Per-site values of f on the sites `sel` (all of them by default)."""
-    vals = f.coeffs[lay.rows[sel]] * lay.scale[sel, None]
-    conj = lay.conj[sel]
-    vals[conj] = np.conj(vals[conj])
+def _site_values(lay: _SiteLayout, f: SpectralField) -> np.ndarray:
+    """Per-site values of f on the half-spectrum sites of `lay`."""
+    vals = f.coeffs[lay.rows] * lay.scale[:, None]
+    vals[lay.conj] = np.conj(vals[lay.conj])
     return vals
 
 
@@ -207,7 +197,6 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     """
     lay = _site_layout(f.N)
     G, M, N = lay.G, lay.M, f.N
-    sites = lay.sites[lay.fill]
 
     def along_z(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
         return (mat @ p.reshape(len(p), -1)).reshape(len(mat), *p.shape[1:])
@@ -225,10 +214,10 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     def odd_flux(p: np.ndarray) -> np.ndarray:
         return sfft.rfft2(along_z(lay.sin_ana, p), norm="forward")[lay.read_odd]
 
-    fv = _site_values(lay, f, lay.fill)
+    fv = _site_values(lay, f)
     u = [grid(fv[:, 0]), grid(fv[:, 1])]
-    w = grid(1j * _w_site_values(sites, fv), odd=True)
-    v = u if g is f else [grid(gc) for gc in _site_values(lay, g, lay.fill).T]
+    w = grid(1j * _w_site_values(lay.sites, fv), odd=True)
+    v = u if g is f else [grid(gc) for gc in _site_values(lay, g).T]
     d1, d2, d3 = lay.deriv
     flux = {}
     out = np.empty((len(d1), 2), dtype=complex)

@@ -2,20 +2,52 @@
 
 `direct_B(f, g)` sums the advection term over every pair of exponential
 lattice sites, with no transform and no grid, so it shares nothing with
-the production backend but the map between stored modes and sites.  It
-is quadratic in the site count (about 0.6 s per call at N = 8), which is
-why the program evaluates B on the dealiased grid only and this sum
-lives with the tests.  Both backends take w from `_w_site_values`, so
-`vertical_velocity`, which builds w per stored mode instead, is the
-separate oracle for that map.
+the production backend: it unfolds the stored modes onto all their sites
+itself (`full_unfolding`), where the backend keeps only the half
+spectrum.  It is quadratic in the site count (about 0.6 s per call at
+N = 8), which is why the program evaluates B on the dealiased grid only
+and this sum lives with the tests.  Both backends take w from
+`_w_site_values`, so `vertical_velocity`, which builds w per stored mode
+instead, is the separate oracle for that map.
 """
 import math
+from functools import lru_cache
 from typing import Dict
 
 import numpy as np
 
-from pespec.modes import ModeIndex, SpectralField
-from pespec.solver import _site_layout, _site_values, _w_site_values
+from pespec.modes import ModeIndex, SpectralField, mode_table
+from pespec.solver import _w_site_values
+
+
+@lru_cache(maxsize=None)
+def full_unfolding(N: int):
+    """(sites, rows, conj, scale) of every exponential site of truncation N.
+
+    Each canonical stored mode owns one, two or four sites e^{i k.x}: the
+    cosine in z splits into (k', +-k3) at weight 1/sqrt(2) and the
+    implicit reality partner adds (-k', +-k3) with conjugated values.
+    """
+    entries = []  # (site, row, conj, scale) per site
+    for i, k in enumerate(mode_table(N).modes):
+        s = 1.0 / math.sqrt(2.0) if k.k3 > 0 else 1.0
+        images = [((k.k1, k.k2, k.k3), False)]
+        if k.k3 > 0:
+            images.append(((k.k1, k.k2, -k.k3), False))
+        if not k.is_self_paired:
+            images += [((-k1, -k2, k3), True) for (k1, k2, k3), _ in images]
+        entries += [(site, i, c, s) for site, c in images]
+    sites, rows, conj, scale = zip(*entries)
+    return (np.array(sites, dtype=np.int64), np.array(rows), np.array(conj, dtype=bool),
+            np.array(scale))
+
+
+def site_values(f: SpectralField) -> np.ndarray:
+    """Per-site values of f on every site of `full_unfolding(f.N)`."""
+    _, rows, conj, scale = full_unfolding(f.N)
+    vals = f.coeffs[rows] * scale[:, None]
+    vals[conj] = np.conj(vals[conj])
+    return vals
 
 
 def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
@@ -66,21 +98,20 @@ def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:
     if f.N != g.N:
         raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")
     N = f.N
-    lay = _site_layout(N)
-    fv = _site_values(lay, f)
-    gv = _site_values(lay, g)
-    wv = _w_site_values(lay.sites, fv)
+    gsites = full_unfolding(N)[0]
+    fv = site_values(f)
+    gv = site_values(g)
+    wv = _w_site_values(gsites, fv)
 
     side = 2 * N + 1
     acc = np.zeros((side ** 3, 2), dtype=complex)
-    gsites = lay.sites
     lin_base = (gsites[:, 0] + N) * side * side + (gsites[:, 1] + N) * side + (
         gsites[:, 2] + N
     )
     active = np.nonzero(np.abs(fv).sum(axis=1) + np.abs(wv) > 0.0)[0]
     Nsq = N * N
     for i in active:
-        m = lay.sites[i]
+        m = gsites[i]
         p = gsites + m
         keep = (p * p).sum(axis=1) <= Nsq
         keep &= np.any(p != 0, axis=1)

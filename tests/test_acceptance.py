@@ -52,7 +52,7 @@ from pespec.modes import (
     mode_table,
     random_field,
 )
-from pespec.noise import noise_direction_array
+from pespec.linear import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import SolverConfig, nonlinear_B, simulate_path
 

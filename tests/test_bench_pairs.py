@@ -90,3 +90,38 @@ def test_summary_counts_head_wins_in_the_metric_direction(bench_pairs):
     assert summary["rate"]["head_wins"] == 5
     assert summary["job_s"]["head_wins"] == 0   # ties are not wins
     assert all(summary[m["name"]]["within_bound"] for m in END_TO_END)
+
+
+def spread_runs(base, head):
+    """Pairs with the given per-pair base and head values of setup_s."""
+    return [{"seed": i,
+             "base": {"correct": True, "failed": 0, "setup_s": b},
+             "head": {"correct": True, "failed": 0, "setup_s": h}}
+            for i, (b, h) in enumerate(zip(base, head))]
+
+
+SETUP_ONLY = END_TO_END[:1]
+
+
+def test_wide_overlapping_base_is_unresolved(bench_pairs):
+    # base quartiles 0.40-0.52 span 27% of its median, beyond the 25% bound,
+    # and the head runs fall among the base's
+    runs = spread_runs(base=[0.35, 0.40, 0.45, 0.52, 0.60],
+                       head=[0.38, 0.44, 0.47, 0.50, 0.55])
+    summary = bench_pairs._summary(runs, SETUP_ONLY)["setup_s"]
+    assert summary["within_bound"] is True
+    assert summary["resolved"] is False
+
+
+def test_wide_base_beaten_on_every_run_is_resolved(bench_pairs):
+    runs = spread_runs(base=[0.35, 0.40, 0.45, 0.52, 0.60],
+                       head=[0.20, 0.22, 0.25, 0.28, 0.30])
+    assert bench_pairs._summary(runs, SETUP_ONLY)["setup_s"]["resolved"] is True
+
+
+def test_narrow_base_is_resolved(bench_pairs):
+    runs = spread_runs(base=[0.44, 0.45, 0.45, 0.46, 0.47],
+                       head=[0.50, 0.52, 0.55, 0.58, 0.60])
+    summary = bench_pairs._summary(runs, SETUP_ONLY)["setup_s"]
+    assert summary["resolved"] is True
+    assert summary["within_bound"] is True

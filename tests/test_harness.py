@@ -98,6 +98,7 @@ class TestConfig:
         ("N", "x"), ("nu_h", "abc"), ("seed", "1.5"), ("N_sweep", "4,eight"),
         ("N_obs", "3.0"), ("replications", "many"), ("store_every", "2x"),
         ("dt", "1e-3s"), ("q", "1/0"), ("q", "one"), ("T", ""), ("seed", "-1"),
+        ("N_sweep", "0,2"), ("N_sweep", "-3"),
     ])
     def test_malformed_number_names_its_key(self, tmp_path, key, value):
         path = self.write(tmp_path, f"{key} = 1\n")

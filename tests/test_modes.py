@@ -1,5 +1,8 @@
 """Tests for mode bookkeeping, fields, and spectral operators."""
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,10 @@ class TestSpectralField:
         with pytest.raises(ValueError, match="header"):
             field_from_text("nonsense\n1,0,0,0,0,0,0\n")
 
+    def test_header_truncation_below_one_names_line_1(self):
+        with pytest.raises(ValueError, match="line 1: field header needs N=<truncation> >= 1"):
+            field_from_text("# pespec-field v1 N=0 basis=orthonormal-cos-halfpair")
+
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             field_from_text("")
@@ -215,6 +222,38 @@ class TestSpectralField:
     def test_formatter_writes_plain_numbers(self):
         assert [_fmt(x) for x in (np.float64(0.5), 0.1, np.float32(2.0), 3, "V2")] == \
             ["0.5", "0.1", "2.0", "3", "V2"]
+
+
+class TestModeTable:
+    def test_program_paths_build_no_mode_keys(self):
+        # the ModeIndex tuple and the key dict serve the public key API
+        # only: simulating, estimating, the text round trip, the exact
+        # strand classes and B read the integer columns
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {src!r})",
+            "import numpy as np",
+            "from pespec.estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z,"
+            " estimate_nu_z_hat",
+            "from pespec.harness import _build_strands",
+            "from pespec.modes import mode_table, random_field",
+            "from pespec.params import ModelParams",
+            "from pespec.solver import (SolverConfig, nonlinear_B, simulate_path,",
+            "                           trajectory_from_text, trajectory_to_text)",
+            "params = ModelParams(T=0.02)",
+            "V0 = random_field(4, np.random.default_rng(0), amplitude=0.3)",
+            "traj = simulate_path(params, V0, SolverConfig(N=4, dt=0.005), 1)",
+            "traj = trajectory_from_text(trajectory_to_text(traj, include_noise=True))",
+            "cfg = EstimatorConfig(variant='V2')",
+            "for estimate in (estimate_nu_h, estimate_nu_z, estimate_nu_z_hat):",
+            "    estimate(traj, cfg)",
+            "_build_strands(params, 4, 4.0, 1, 0.005, 4)",
+            "nonlinear_B(V0, V0)",
+            "print(sorted({'modes', 'index'} & set(vars(mode_table(4)))))",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestOperators:

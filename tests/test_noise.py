@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pespec.linear import decay_sq_integral, mode_rates
+from pespec.linear import decay_sq_integral, mode_rates, noise_direction_array
 from pespec.modes import ModeIndex, mode_table, storage_modes
-from pespec.noise import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import SCHEMES, SolverConfig, draw_increments
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from scipy import fft as sfft
 from scipy import stats
 
-from advection_oracle import direct_B, vertical_velocity
-from pespec.linear import mode_rates
+from advection_oracle import direct_B, full_unfolding, site_values, vertical_velocity
+from pespec.linear import mode_rates, noise_direction_array
 from pespec.modes import (
     BAROTROPIC,
     ModeIndex,
@@ -31,7 +31,6 @@ from pespec.modes import (
     random_field,
 )
 from pespec import solver
-from pespec.noise import noise_direction_array
 from pespec.params import ModelParams
 from pespec.solver import (
     SCHEMES,
@@ -105,18 +104,37 @@ class TestVerticalVelocity:
         # the sine element sqrt(2) w_k sin(k3 z) puts +-w_k / (i sqrt(2)) on
         # the sites (k', +-k3); the reality partner (-k', -+k3) conjugates
         f = random_field(N, np.random.default_rng(seed))
-        lay = _site_layout(N)
-        w = _w_site_values(lay.sites, _site_values(lay, f))
+        sites, rows, conj, _ = full_unfolding(N)
+        w = _w_site_values(sites, site_values(f))
         oracle = vertical_velocity(f)
-        m3 = lay.sites[:, 2]
+        m3 = sites[:, 2]
         assert np.all(w[m3 == 0] == 0)
         for j in np.flatnonzero(m3 != 0):
-            k = mode_table(N).modes[lay.rows[j]]
-            sign = np.sign(m3[j]) * (-1 if lay.conj[j] else 1)
+            k = mode_table(N).modes[rows[j]]
+            sign = np.sign(m3[j]) * (-1 if conj[j] else 1)
             want = sign * oracle[k] / (1j * math.sqrt(2.0))
-            if lay.conj[j]:
+            if conj[j]:
                 want = np.conj(want)
             assert abs(w[j] - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
+    def test_half_spectrum_layout_is_the_oracle_restricted(self, N):
+        # B fills exactly the sites with m3 >= 0 and m1 >= 0 of the full
+        # unfolding, each with the same stored row, conjugation and scale
+        def site_map(sites, rows, conj, scale):
+            return {tuple(k): (r, c, s) for k, r, c, s in
+                    zip(sites.tolist(), rows.tolist(), conj.tolist(), scale.tolist())}
+
+        sites, rows, conj, scale = full_unfolding(N)
+        half = (sites[:, 2] >= 0) & (sites[:, 0] >= 0)
+        lay = _site_layout(N)
+        assert len(lay.sites) == int(half.sum())
+        assert site_map(lay.sites, lay.rows, lay.conj, lay.scale) == \
+            site_map(sites[half], rows[half], conj[half], scale[half])
+        f = random_field(N, np.random.default_rng(700 + N))
+        got = dict(zip(map(tuple, lay.sites.tolist()), _site_values(lay, f)))
+        for k, want in zip(map(tuple, sites[half].tolist()), site_values(f)[half]):
+            assert got[k].tobytes() == want.tobytes()
 
 
 class TestNonlinearB:

@@ -13,9 +13,11 @@ every run's last-line metrics and, per workload and side, the median
 and quartiles of each end-to-end metric, the ratio of the medians
 (base over head, so above 1 means the head is faster or smaller), and
 per metric, judged in the direction of its `better` entry in the head's
-BENCHMARK.json, the number of pairs the head won and whether the head's
+BENCHMARK.json, the number of pairs the head won, whether the head's
 median stays within the metric's `bound` (a fraction of the base
-median) of the base's.
+median) of the base's, and whether the runs resolve the metric at all:
+`resolved` is false when the base's interquartile range exceeds the
+bound, unless every head run beats every base run.
 """
 from __future__ import annotations
 
@@ -69,8 +71,9 @@ def _spread(values) -> dict:
 
 
 def _summary(runs, end_to_end) -> dict:
-    """Per metric of BENCHMARK.json's `end_to_end` list: spreads, head wins
-    and whether the head's median is within `bound` of the base's."""
+    """Per metric of BENCHMARK.json's `end_to_end` list: spreads, head wins,
+    whether the head's median is within `bound` of the base's, and whether
+    the base's spread is narrow enough for that verdict to mean anything."""
     out = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -78,11 +81,15 @@ def _summary(runs, end_to_end) -> dict:
         head = _spread([r["head"][name] for r in runs])
         # sign * value is lower-is-better in both directions
         worse_by = sign * (head["median"] - base["median"])
+        limit = metric["bound"] * abs(base["median"])
+        head_beats_all = (max(sign * r["head"][name] for r in runs)
+                          < min(sign * r["base"][name] for r in runs))
         out[name] = {"base": base, "head": head,
                      "ratio_of_medians": base["median"] / head["median"],
                      "head_wins": sum(sign * r["head"][name] < sign * r["base"][name]
                                       for r in runs),
-                     "within_bound": worse_by <= metric["bound"] * abs(base["median"])}
+                     "within_bound": worse_by <= limit,
+                     "resolved": base["q3"] - base["q1"] <= limit or head_beats_all}
     out["all_correct"] = all(r[side]["correct"] and r[side]["failed"] == 0
                              for r in runs for side in ("base", "head"))
     return out
