@@ -8,7 +8,8 @@ for `linear-validate`, where both linear modes compute the same, `--mode`;
 Each command returns a RunReport, printed the same way: result lines,
 gate lines, warnings, then the files written.  The exit code is 0 when
 all hard gates pass and 1 otherwise, so shell pipelines can chain on
-success.
+success; a flag or config value the command cannot take exits 2 with a
+one-line usage error.
 """
 from __future__ import annotations
 
@@ -105,12 +106,17 @@ def _print_report(report: RunReport) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "ntcheck":
         report = number_theory_checks(n_max=args.n_max, N=args.lattice_N,
                                       output_dir=args.out)
     else:
-        report = RUNNERS[args.command](_resolve_config(args))
+        try:
+            cfg = _resolve_config(args)
+        except ValueError as exc:  # a malformed config is a usage error: exit 2
+            parser.error(str(exc))
+        report = RUNNERS[args.command](cfg)
     _print_report(report)
     return 0 if report.hard_ok else 1
 

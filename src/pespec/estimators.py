@@ -20,10 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .modes import (
     BAROCLINIC,
@@ -353,6 +353,6 @@ def confidence_interval(estimate: float, sigma: float, N: int,
         raise ValueError("level must lie strictly between 0 and 1")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    z = special.ndtri(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = float(z * np.sqrt(sigma) / N ** 2)
     return (estimate - half, estimate + half)

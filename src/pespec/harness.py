@@ -24,10 +24,10 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
                          theoretical_covariance)
@@ -652,6 +652,24 @@ def run_consistency(cfg: ExperimentConfig) -> RunReport:
 # value scipy.stats.anderson uses
 _AD_NORMAL_1PCT = 1.035
 
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_ndtr(w: float) -> float:
+    """log Phi(w), the standard normal log-CDF, to roundoff in both tails.
+
+    Above zero it is log1p of minus the upper tail; below -37, where
+    erfc leaves the normal floating-point range, the Mills-ratio series.
+    """
+    if w > 0.0:
+        return math.log1p(-0.5 * math.erfc(w * _SQRT1_2))
+    if w < -37.0:
+        u = 1.0 / (w * w)
+        series = u * (-1.0 + u * (3.0 + u * (-15.0 + 105.0 * u)))
+        return -0.5 * w * w - math.log(-w) - _LOG_SQRT_2PI + math.log1p(series)
+    return math.log(0.5 * math.erfc(-w * _SQRT1_2))
+
 
 def _anderson_normal(x: np.ndarray) -> Tuple[float, float]:
     """Anderson-Darling statistic against a fitted normal, with its 1% critical value.
@@ -659,15 +677,19 @@ def _anderson_normal(x: np.ndarray) -> Tuple[float, float]:
     The critical value carries the small-sample factor
     1 + 0.75/n + 2.25/n^2 and is rounded to the table's three decimals.
     A fixed table keeps the gate independent of `stats.anderson`, whose
-    critical values are deprecated from SciPy 1.17 on.
+    critical values are deprecated from SciPy 1.17 on.  The n terms of
+    the sum cancel against -n down to a statistic of order one, so they
+    are added with `math.fsum`, which leaves only their own roundoff.
     """
     y = np.sort(x)
     n = y.size
     w = (y - np.mean(x)) / np.std(x, ddof=1)
     i = np.arange(1, n + 1)
-    a2 = -n - np.sum((2 * i - 1.0) / n * (special.log_ndtr(w) + special.log_ndtr(-w)[::-1]))
+    lower = np.array([_log_ndtr(v) for v in w.tolist()])
+    upper = np.array([_log_ndtr(-v) for v in w.tolist()])
+    a2 = -n - math.fsum((2 * i - 1.0) / n * (lower + upper[::-1]))
     crit = round(_AD_NORMAL_1PCT / (1.0 + 0.75 / n + 2.25 / n / n), 3)
-    return float(a2), crit
+    return a2, crit
 
 
 def _normaltest_p(x: np.ndarray) -> float:
@@ -777,12 +799,12 @@ def run_normality(cfg: ExperimentConfig) -> RunReport:
         out / "normality_rows.csv", ["rep", "e1", "e2"],
         [[i, float(e1[i]), float(e2[i])] for i in range(reps)]))
 
-    qq_normal = special.ndtri((np.arange(1, reps + 1) - 0.5) / reps)
+    quantile = NormalDist().inv_cdf
     e1s, e2s = np.sort(e1), np.sort(e2)
     report.outputs.append(_write_csv(
         out / "normality_qq.csv",
         ["rank", "normal_quantile", "e1_sorted", "e2_sorted"],
-        [[i + 1, float(qq_normal[i]), float(e1s[i]), float(e2s[i])]
+        [[i + 1, quantile((i + 0.5) / reps), float(e1s[i]), float(e2s[i])]
          for i in range(reps)]))
 
     summary_rows = [

@@ -43,8 +43,9 @@ class ModelParams:
         for name in ("nu_h", "nu_z", "f0", "sigma0", "gamma", "alpha", "T"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.nu_h <= 0 or self.nu_z <= 0:
-            raise ValueError("viscosities must be positive")
+        for name in ("nu_h", "nu_z"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"viscosity {name} must be positive, not {getattr(self, name)!r}")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be nonnegative")
         if self.gamma <= 1.5:

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Union
 
 import numpy as np
-from scipy import fft as sfft
 
 from .linear import StrandSampler, _phi1, mode_rates, mode_strands
 from .modes import (
@@ -137,6 +136,8 @@ class _SiteLayout:
     """
 
     def __init__(self, N: int):
+        from scipy import fft as sfft  # loaded with the first B, not with the package
+
         tab = mode_table(N)
         pairs = np.flatnonzero((tab.k1 == 0) & ~tab.self_paired)
         self.rows = np.concatenate([np.arange(tab.n), pairs])
@@ -195,6 +196,8 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     and f1 g2 as f2 g1: 3 inverse and 5 forward transforms, 8 scipy.fft
     calls and 8 GEMMs, in place of 5 and 6.
     """
+    from scipy import fft as sfft
+
     lay = _site_layout(f.N)
     G, M, N = lay.G, lay.M, f.N
 

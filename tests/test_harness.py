@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from pespec.estimators import theoretical_covariance
+from pespec.estimators import confidence_interval, theoretical_covariance
 from pespec.harness import (
     ExperimentConfig,
     _anderson_normal,
+    _log_ndtr,
     _normaltest_p,
     _build_strands,
     _estimation_grid,
@@ -376,6 +377,33 @@ class TestAndersonDarling:
         assert crit == float(ref.critical_values[-1])
 
 
+class TestNormalHelpers:
+    """The stdlib normal quantile and `_log_ndtr` against scipy.special."""
+
+    @pytest.mark.parametrize("n", [20, 100, 200, 1000])
+    def test_qq_quantiles(self, tmp_path, n):
+        cfg = ExperimentConfig(params=DEFAULTS.with_(T=0.05), replications=n,
+                               N_sweep=(2,), seed=1, output_dir=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_normality(cfg)
+        _, *rows = (tmp_path / "normality_qq.csv").read_text().splitlines()
+        quantiles = np.array([float(row.split(",")[1]) for row in rows])
+        expected = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+        np.testing.assert_allclose(quantiles, expected, rtol=1e-15, atol=0)
+
+    def test_interval_quantile(self):
+        _, half = confidence_interval(0.0, 1.0, 1)
+        assert half == pytest.approx(float(special.ndtri(0.975)), rel=1e-15)
+
+    def test_log_cdf(self):
+        # both tails, signed zeros, and the series below -37
+        w = np.concatenate([np.linspace(-37.0, 37.0, 7401), [0.0, -0.0, 1e-300, -1e-300],
+                            [-37.5, -40.0, -100.0, -1e4]])
+        ours = np.array([_log_ndtr(v) for v in w.tolist()])
+        np.testing.assert_allclose(ours, special.log_ndtr(w), rtol=1e-13, atol=0)
+
+
 class TestNormaltest:
     @pytest.mark.parametrize("n", [20, 57, 200, 1000])
     @pytest.mark.parametrize("law", ["normal", "t5", "exponential"])
@@ -686,6 +714,17 @@ class TestCli:
                       "--mode", "LinearExact"])
         assert exc.value.code == 2
         assert not (tmp_path / "linear_validation_manifest.jsonl").exists()
+
+    @pytest.mark.parametrize("line,key", [("nu_h = -1", "nu_h"), ("nu_z = 0", "nu_z"),
+                                          ("seed = -1", "seed")])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, line, key):
+        cfg = self.write_cfg(tmp_path, line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["normality", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("pespec: error: ") and key in last
+        assert not (tmp_path / "normality_manifest.jsonl").exists()
 
     def test_linear_validate_refuses_a_nonlinear_config(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "mode = FullNonlinear\n")

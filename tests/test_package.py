@@ -31,12 +31,43 @@ def test_every_subcommand_runs_through_the_harness():
     assert set(sub.choices) == set(cli.RUNNERS) | {"ntcheck"}
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second to import; the package needs
-    # only scipy.special and scipy.fft
+SCIPY_FREE_RUNS = """
+import sys, warnings
+from pathlib import Path
+sys.path.insert(0, {src!r})
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import pespec
+print("import", loaded())
+out = Path({out!r})
+warnings.simplefilter("ignore")
+cfg = pespec.ExperimentConfig(params=pespec.ModelParams(T=0.05),
+                              solver=pespec.SolverConfig(N=4, dt=1e-3),
+                              replications=20, N_sweep=(4,), seed=1, output_dir=out)
+pespec.run_normality(cfg)
+print("normality", loaded())
+pespec.run_consistency(cfg)
+print("consistency", loaded())
+pespec.run_linear_validation(cfg)
+print("linear-validate", loaded())
+pespec.confidence_interval(1.0, 2.0, 4)
+print("confidence_interval", loaded())
+f = pespec.random_field(4, __import__("numpy").random.default_rng(1))
+pespec.nonlinear_B(f, f)
+print("B", "scipy.fft" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_with_the_advection_term(tmp_path):
+    # SciPy is needed only for the FFTs of B; the package, the linear
+    # studies and the normal quantiles run on NumPy and the stdlib
     src = str(Path(pespec.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import pespec; "
-            "print('scipy.stats' in sys.modules)")
+    code = SCIPY_FREE_RUNS.format(src=src, out=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    *steps, last = out.stdout.strip().splitlines()
+    assert steps == [f"{name} []" for name in ("import", "normality", "consistency",
+                                               "linear-validate", "confidence_interval")]
+    assert last == "B True"

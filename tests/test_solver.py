@@ -30,7 +30,6 @@ from pespec.modes import (
     mode_table,
     random_field,
 )
-from pespec import solver
 from pespec.params import ModelParams
 from pespec.solver import (
     SCHEMES,
@@ -231,14 +230,17 @@ class TestNonlinearB:
         nonlinear_B(f, g)  # build the cached site layout outside the count
         calls = []
 
-        class Counting:
-            def __getattr__(self, name):
-                def call(*args, **kwargs):
-                    calls.append(name)
-                    return getattr(sfft, name)(*args, **kwargs)
-                return call
+        def counting(name):
+            transform = getattr(sfft, name)
 
-        monkeypatch.setattr(solver, "sfft", Counting())
+            def call(*args, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+            return call
+
+        for name in sfft.__all__:
+            if callable(getattr(sfft, name)):
+                monkeypatch.setattr(sfft, name, counting(name))
         nonlinear_B(f, f)
         assert Counter(calls) == {"irfft2": 3, "rfft2": 5}
         assert len(calls) == 8
