@@ -44,8 +44,9 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("nu_h", "nu_z"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"viscosity {name} must be positive, not {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"viscosity {name} must be positive, not {value!r}")
         if self.sigma0 < 0:
             raise ValueError("sigma0 must be nonnegative")
         if self.gamma <= 1.5:
