@@ -22,6 +22,7 @@ from .harness import (
     MODES,
     ExperimentConfig,
     RunReport,
+    _check_config,
     _config_from_dict,
     load_config,
     number_theory_checks,
@@ -114,6 +115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         try:
             cfg = _resolve_config(args)
+            _check_config(args.command, cfg)  # the runner's own check, before it runs
+        except OSError as exc:
+            parser.error(f"cannot read config file {args.config}: {exc.strerror or exc}")
         except ValueError as exc:  # a malformed config is a usage error: exit 2
             parser.error(str(exc))
         report = RUNNERS[args.command](cfg)

@@ -720,6 +720,20 @@ def _normaltest_p(x: np.ndarray) -> float:
     return math.exp(-0.5 * (z_s * z_s + z_k * z_k))
 
 
+def _check_config(command: str, cfg: ExperimentConfig) -> None:
+    """Raise a ValueError naming the config key that `command`'s runner cannot take."""
+    p = cfg.params
+    if command == "normality" and p.alpha <= p.gamma - 1.0:
+        raise ValueError("config keys alpha and gamma must satisfy alpha > gamma - 1 in a "
+                         f"normality run, not alpha = {p.alpha!r}, gamma = {p.gamma!r}")
+    if command == "normality" and cfg.replications < 20:
+        raise ValueError("config key replications must be at least 20 in a normality run, "
+                         f"not {cfg.replications}")
+    if command == "linear-validate" and cfg.mode == "FullNonlinear":
+        raise ValueError("config key mode must be a linear mode in a linear validation, "
+                         f"not {cfg.mode!r}")
+
+
 def run_normality(cfg: ExperimentConfig) -> RunReport:
     """Sample the N^2-scaled error pair and test it against the limit law.
 
@@ -735,11 +749,8 @@ def run_normality(cfg: ExperimentConfig) -> RunReport:
     predicted shift instead of zero; the unshifted z-scores are reported
     as soft context.
     """
+    _check_config("normality", cfg)
     report = RunReport(command="normality")
-    if cfg.params.alpha <= cfg.params.gamma - 1.0:
-        raise ValueError("normality runs need alpha > gamma - 1")
-    if cfg.replications < 20:
-        raise ValueError("normality runs need at least 20 replications")
     N = cfg.N_sweep[-1]
     reps = cfg.replications
     rng = np.random.default_rng(cfg.seed)
@@ -942,8 +953,7 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
     small truncation at dt=1e-3 (hard gate: at least 95% within 3
     combined standard errors).
     """
-    if cfg.mode == "FullNonlinear":
-        raise ValueError("linear validation runs need a linear mode")
+    _check_config("linear-validate", cfg)
     report = RunReport(command="linear-validate")
     rng = np.random.default_rng(cfg.seed)
     out = cfg.output_dir
@@ -990,8 +1000,7 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
                                    frac_cross >= 0.95, frac_cross, 0.95))
     report.outputs.append(_write_csv(
         out / "linear_solver_vs_exact.csv", ["mode", "z_cross"],
-        [[f"({int(tab.k1[i])},{int(tab.k2[i])},{int(tab.k3[i])})", float(z_cross[i])]
-         for i in range(tab.n)]))
+        [[f"({k})", float(z)] for k, z in zip(tab.key_text, z_cross)]))
     report.outputs.append(_write_manifest(
         out / "linear_validation_manifest.jsonl", report.manifest_entry(cfg)))
     return report
@@ -1005,11 +1014,16 @@ _DEFAULT_ALPHAS = {1: (0.0, 0.5, 1.0), 2: (-1.0, 0.0, 1.0, 2.0),
                    3: (-1.0, 0.0, 1.0, 2.0)}
 
 
+def _sums_of_squares(m: int, d: int) -> np.ndarray:
+    """k1^2 + ... + kd^2 over the cube [-m, m]^d, raveled in C order."""
+    sq = out = np.arange(-m, m + 1) ** 2
+    for _ in range(d - 1):
+        out = np.add.outer(out, sq).ravel()
+    return out
+
+
 def _r3_counts(n_max: int) -> np.ndarray:
-    m = math.isqrt(n_max)
-    axis = np.arange(-m, m + 1)
-    sq = axis * axis
-    n = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
+    n = _sums_of_squares(math.isqrt(n_max), 3)
     return np.bincount(n[n <= n_max], minlength=n_max + 1)
 
 
@@ -1020,14 +1034,7 @@ def _three_square_excluded(n: int) -> bool:
 
 
 def _lattice_sum(d: int, alpha: float, N: int) -> float:
-    axis = np.arange(-N, N + 1)
-    if d == 1:
-        ksq = axis * axis
-    elif d == 2:
-        ksq = (axis[:, None] ** 2 + axis[None, :] ** 2).ravel()
-    else:
-        sq = axis * axis
-        ksq = (sq[:, None, None] + sq[None, :, None] + sq[None, None, :]).ravel()
+    ksq = _sums_of_squares(N, d)
     ksq = ksq[(ksq >= 1) & (ksq <= N * N)]
     return float(np.sum(ksq.astype(float) ** (alpha / 2.0)))
 

@@ -11,7 +11,6 @@ weight 2 in every quadratic form.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,6 @@ __all__ = [
     "selector_mask",
     "apply_operator",
     "project",
-    "leray_h",
     "hydrostatic_leray",
     "inner_product",
     "field_norm",
@@ -234,6 +232,11 @@ class _ModeTable:
         return list(zip(self.k1.tolist(), self.k2.tolist(), self.k3.tolist()))
 
     @cached_property
+    def key_text(self) -> List[str]:
+        """'k1,k2,k3' of every stored mode, as the field text writes it."""
+        return [f"{k1},{k2},{k3}" for k1, k2, k3 in self.keys()]
+
+    @cached_property
     def modes(self) -> Tuple[ModeIndex, ...]:
         return tuple(ModeIndex(*k) for k in self.keys())
 
@@ -375,27 +378,18 @@ def project(f: SpectralField, sel: ModeSelector) -> SpectralField:
     return f.with_coeffs(f.coeffs * mask[:, None])
 
 
-def leray_h(f: SpectralField) -> SpectralField:
-    """2D Leray projection of a barotropic-only field: remove the gradient
-    component k'(k'.v)/|k'|^2 of every coefficient."""
+def hydrostatic_leray(f: SpectralField) -> SpectralField:
+    """Leray-project the barotropic part, pass the baroclinic part through:
+    remove the gradient component k'(k'.v)/|k'|^2 of every k3 = 0 row."""
     tab = f.table
     baro = tab.k3 == 0
-    if np.any(np.abs(f.coeffs[~baro]) > 0):
-        raise ValueError("leray_h expects a barotropic-only field")
     out = np.array(f.coeffs)
-    kp = np.stack([tab.k1, tab.k2], axis=1).astype(float)
-    dot = kp[:, 0] * out[:, 0] + kp[:, 1] * out[:, 1]
-    denom = np.where(tab.kp_sq > 0, tab.kp_sq, 1.0)
-    corr = kp * (dot / denom)[:, None]
-    out[baro] -= corr[baro]
+    rows = out[baro]
+    kp = np.stack([tab.k1[baro], tab.k2[baro]], axis=1).astype(float)
+    dot = kp[:, 0] * rows[:, 0] + kp[:, 1] * rows[:, 1]
+    # |k'|^2 is a whole number, 0 only at k' = 0, where dot is 0
+    out[baro] = rows - kp * (dot / np.maximum(tab.kp_sq[baro], 1.0))[:, None]
     return f.with_coeffs(out)
-
-
-def hydrostatic_leray(f: SpectralField) -> SpectralField:
-    """Leray-project the barotropic part, pass the baroclinic part through."""
-    baro = leray_h(project(f, BAROTROPIC))
-    clin = project(f, BAROCLINIC)
-    return f.with_coeffs(baro.coeffs + clin.coeffs)
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -436,25 +430,60 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _rows_to_text(coeffs: np.ndarray, keys: Optional[Sequence[str]] = None) -> str:
+    """Rows of an (n, 2) complex coefficient block: re_u,im_u,re_v,im_v per
+    row, after the row's key text 'k1,k2,k3' when `keys` is given."""
+    flat = np.ascontiguousarray(coeffs, dtype=complex).view(float).ravel().tolist()
+    cells = [iter(map(_fmt, flat))] * 4  # four reads of one iterator per row
+    rows = zip(*cells) if keys is None else zip(keys, *cells)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _rows_from_text(rows: Sequence[str], numbers: Sequence[int],
+                    keys: Optional[Sequence[str]] = None) -> np.ndarray:
+    """Parse `_rows_to_text` rows: field rows, row i keyed keys[i], or noise
+    rows when `keys` is None.  rows[i] sits on text line numbers[i]; a
+    ValueError names the line of the first bad row.  The floats are viewed
+    as complex, since complex arithmetic would normalize signed zeros."""
+    skip, what = (0, "noise") if keys is None else (3, "coefficient")
+    vals = []
+    for i, row in enumerate(rows):
+        parts = row.split(",")
+        try:
+            if len(parts) != skip + 4:
+                raise ValueError(f"{len(parts)} values, not {skip + 4}")
+            x = list(map(float, parts[skip:]))
+        except ValueError as exc:
+            raise ValueError(f"line {numbers[i]}: malformed {what} row ({exc})") from None
+        if keys is not None and ",".join(parts[:3]) != keys[i]:
+            raise ValueError(f"line {numbers[i]}: row {i} out of canonical order: "
+                             f"({','.join(parts[:3])}) where ({keys[i]}) belongs")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"line {numbers[i]}: non-finite {what} in row {i}")
+        vals.append(x)
+    return np.array(vals, dtype=float).reshape(-1, 4).view(complex)
+
+
 def field_to_text(f: SpectralField) -> str:
     """Serialize: header with N and basis tag, then one row per stored mode
     as k1,k2,k3,re_u,im_u,re_v,im_v in canonical order."""
-    buf = io.StringIO()
-    buf.write(f"# {FIELD_FORMAT_TAG} N={f.N} basis={BASIS_TAG}\n")
-    for (k1, k2, k3), (u, v) in zip(f.table.keys(), f.coeffs):
-        buf.write(
-            f"{k1},{k2},{k3},{_fmt(u.real)},{_fmt(u.imag)},"
-            f"{_fmt(v.real)},{_fmt(v.imag)}\n"
-        )
-    return buf.getvalue()
+    return (f"# {FIELD_FORMAT_TAG} N={f.N} basis={BASIS_TAG}\n"
+            + _rows_to_text(f.coeffs, f.table.key_text))
 
 
 def field_from_text(text: str) -> SpectralField:
     """Parse `field_to_text` output; malformed input raises ValueError naming the line."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+    numbered = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ValueError("empty field text: line 1 should hold the field header")
-    n0, header = lines[0]
+    numbers, lines = zip(*numbered)
+    return _field_from_lines(lines, numbers)
+
+
+def _field_from_lines(lines: Sequence[str], numbers: Sequence[int]) -> SpectralField:
+    """The field of a header line lines[0] and the mode rows after it;
+    lines[i] sits on text line numbers[i]."""
+    n0, header = numbers[0], lines[0]
     if not header.startswith(f"# {FIELD_FORMAT_TAG}"):
         raise ValueError(f"line {n0}: unrecognized field header")
     fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
@@ -465,25 +494,8 @@ def field_from_text(text: str) -> SpectralField:
     if fields.get("basis") != BASIS_TAG:
         raise ValueError(f"line {n0}: unsupported basis tag {fields.get('basis')!r}")
     tab = mode_table(N)
-    keys = tab.keys()
-    arr = np.zeros((tab.n, 2), dtype=complex)
     rows = lines[1:]
     if len(rows) != tab.n:  # name the first surplus row or the last line
-        n = rows[tab.n][0] if len(rows) > tab.n else lines[-1][0]
+        n = numbers[1 + tab.n] if len(rows) > tab.n else numbers[len(lines) - 1]
         raise ValueError(f"line {n}: {len(rows)} mode rows, but N={N} has {tab.n}")
-    for i, (n, ln) in enumerate(rows):
-        parts = ln.split(",")
-        try:
-            if len(parts) != 7:
-                raise ValueError(f"{len(parts)} values, not 7")
-            k = (int(parts[0]), int(parts[1]), int(parts[2]))
-            re_u, im_u, re_v, im_v = (float(p) for p in parts[3:])
-        except ValueError as exc:
-            raise ValueError(f"line {n}: malformed field row ({exc})") from None
-        if not all(map(math.isfinite, (re_u, im_u, re_v, im_v))):
-            raise ValueError(f"line {n}: non-finite coefficient in row {i}")
-        if k != keys[i]:
-            raise ValueError(f"line {n}: row {i} out of canonical order: {k}")
-        arr[i, 0] = complex(re_u, im_u)
-        arr[i, 1] = complex(re_v, im_v)
-    return SpectralField(N, arr)
+    return SpectralField(N, _rows_from_text(rows, numbers[1:], tab.key_text))

@@ -61,5 +61,3 @@ class ModelParams:
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
 
-
-DEFAULT_PARAMS = ModelParams()

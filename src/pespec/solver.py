@@ -30,8 +30,10 @@ from .linear import StrandSampler, _phi1, mode_rates, mode_strands
 from .modes import (
     BASIS_TAG,
     SpectralField,
+    _field_from_lines,
     _fmt,
-    field_from_text,
+    _rows_from_text,
+    _rows_to_text,
     field_to_text,
     hydrostatic_leray,
     mode_table,
@@ -575,13 +577,9 @@ def trajectory_to_text(traj: Trajectory, include_noise: bool = False) -> str:
     for t, state in zip(traj.times, traj.states):
         buf.write(f"time {_fmt(t)}\n")
         buf.write(field_to_text(state))
-    if n_noise:
-        for j, incr in enumerate(traj.noise_log):
-            buf.write(f"noise-step {j}\n")
-            for u, v in incr:
-                buf.write(
-                    f"{_fmt(u.real)},{_fmt(u.imag)},{_fmt(v.real)},{_fmt(v.imag)}\n"
-                )
+    for j in range(n_noise):
+        buf.write(f"noise-step {j}\n")
+        buf.write(_rows_to_text(traj.noise_log[j]))
     return buf.getvalue()
 
 
@@ -656,38 +654,18 @@ def trajectory_from_text(text: str) -> Trajectory:
         if not math.isfinite(t):
             raise ValueError(f"line {pos + 1}: time {marker[1]} is not finite")
         times.append(t)
-        block = "\n".join(lines[pos + 1: pos + 2 + n_modes])
-        try:
-            states.append(field_from_text(block))
-        except ValueError as exc:
-            raise ValueError(f"field block from line {pos + 2}: {exc}") from None
-        pos += 1 + 1 + n_modes
-    noise_log: Optional[List[np.ndarray]] = None
-    if n_noise:
-        noise_log = []
-        for j in range(n_noise):
-            if _line(lines, pos, f"noise-step {j}") != f"noise-step {j}":
-                raise ValueError(f"expected noise-step {j} at line {pos + 1}")
-            try:
-                rows = np.array(
-                    [[float(x) for x in ln.split(",")]
-                     for ln in lines[pos + 1: pos + 1 + n_modes]]
-                )
-                if rows.shape != (n_modes, 4):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"noise-step {j} at line {pos + 1} needs {n_modes} "
-                                 "rows of four numbers") from None
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            if len(bad):
-                raise ValueError(f"line {pos + 2 + bad[0]}: non-finite noise in row {bad[0]}")
-            # assemble by part assignment: complex arithmetic would
-            # normalize signed zeros and break byte-exact round trips
-            incr = np.empty((n_modes, 2), dtype=complex)
-            incr.real = rows[:, 0::2]
-            incr.imag = rows[:, 1::2]
-            noise_log.append(incr)
-            pos += 1 + n_modes
+        _line(lines, pos + 1, "a field header")
+        end = pos + 2 + n_modes
+        states.append(_field_from_lines(lines[pos + 1: end], range(pos + 2, end + 1)))
+        pos = end
+    noise_log: Optional[List[np.ndarray]] = [] if n_noise else None
+    for j in range(n_noise):
+        if _line(lines, pos, f"noise-step {j}") != f"noise-step {j}":
+            raise ValueError(f"expected noise-step {j} at line {pos + 1}")
+        _line(lines, pos + n_modes, f"row {n_modes - 1} of noise-step {j}")
+        end = pos + 1 + n_modes
+        noise_log.append(_rows_from_text(lines[pos + 1: end], range(pos + 2, end + 1)))
+        pos = end
     if pos < len(lines):
         raise ValueError(f"line {pos + 1}: unexpected text after the last "
                          f"{'noise' if n_noise else 'field'} block")

@@ -726,10 +726,43 @@ class TestCli:
         assert last.startswith("pespec: error: ") and key in last
         assert not (tmp_path / "normality_manifest.jsonl").exists()
 
-    def test_linear_validate_refuses_a_nonlinear_config(self, tmp_path):
+    def test_linear_validate_refuses_a_nonlinear_config(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "mode = FullNonlinear\n")
-        with pytest.raises(ValueError, match="linear mode"):
+        with pytest.raises(ValueError, match="^config key mode must be a linear mode"):
+            run_linear_validation(load_config(cfg, {"output_dir": str(tmp_path)}))
+        with pytest.raises(SystemExit) as exc:
             cli.main(["linear-validate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("pespec: error: config key mode must be a linear mode")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("lines,keys", [
+        ("replications = 19\n", "key replications"),
+        ("replications = 20\nalpha = 3.5\n", "keys alpha and gamma"),
+    ])
+    def test_normality_preconditions_are_usage_errors(self, tmp_path, capsys, lines, keys):
+        # the same check the runner makes, reached before it runs
+        cfg = self.write_cfg(tmp_path, lines)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["normality", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"pespec: error: config {keys} ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["normality", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"pespec: error: cannot read config file {cfg}: ")
+        assert not out.exists()
 
     def test_noiseless_simulate_and_estimate_start_from_a_random_field(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "sigma0 = 0\n")

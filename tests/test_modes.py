@@ -26,7 +26,6 @@ from pespec.modes import (
     field_to_text,
     hydrostatic_leray,
     inner_product,
-    leray_h,
     mode_table,
     project,
     random_field,
@@ -192,6 +191,20 @@ class TestSpectralField:
         assert g.N == f.N
         np.testing.assert_array_equal(g.coeffs, f.coeffs)
 
+    def test_signed_zeros_round_trip(self):
+        coeffs = random_field(2, np.random.default_rng(4)).coeffs.copy()
+        i, j = mode_table(2).index[(1, 0, 1)], mode_table(2).index[(0, 0, 1)]
+        coeffs[i] = [complex(-0.0, -0.0), complex(0.5, -0.0)]
+        coeffs[j, 0] = -0.0  # self-paired: the imaginary part is +0.0
+        f = SpectralField(2, coeffs)
+        text = field_to_text(f)
+        assert "\n1,0,1,-0.0,-0.0,0.5,-0.0\n" in text
+        assert "\n0,0,1,-0.0,0.0," in text
+        g = field_from_text(text)
+        np.testing.assert_array_equal(np.signbit(g.coeffs.view(float)),
+                                      np.signbit(f.coeffs.view(float)))
+        assert field_to_text(g) == text
+
     def test_serialized_header_carries_truncation(self):
         f = SpectralField.zeros(2)
         text = field_to_text(f)
@@ -279,25 +292,23 @@ class TestOperators:
 
     def test_leray_projects_horizontal_gradient(self):
         f = SpectralField.from_mapping(2, {ModeIndex(1, 1, 0): (1.0, 0.0)})
-        g = leray_h(f)
+        g = hydrostatic_leray(f)
         np.testing.assert_allclose(g.coeff(ModeIndex(1, 1, 0)), [0.5, -0.5])
-
-    def test_leray_rejects_baroclinic_content(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(0, 0, 1): (1.0, 0.0)})
-        with pytest.raises(ValueError, match="barotropic"):
-            leray_h(f)
 
     def test_leray_is_idempotent(self):
         rng = np.random.default_rng(3)
         f = project(random_field(3, rng), BAROTROPIC)
-        g = leray_h(f)
-        np.testing.assert_allclose(leray_h(g).coeffs, g.coeffs, atol=1e-14)
+        g = hydrostatic_leray(f)
+        np.testing.assert_allclose(hydrostatic_leray(g).coeffs, g.coeffs, atol=1e-14)
 
     def test_hydrostatic_projection_lands_in_state_space(self):
         rng = np.random.default_rng(5)
         raw = SpectralField(3, random_field(3, rng).coeffs + 0.3)
         f = hydrostatic_leray(SpectralField(3, raw.coeffs.copy()))
         assert f.is_divergence_free()
+        # the baroclinic rows pass through untouched
+        clin = mode_table(3).k3 != 0
+        np.testing.assert_array_equal(f.coeffs[clin], raw.coeffs[clin])
 
     def test_inner_product_self_paired(self):
         f = SpectralField.from_mapping(2, {ModeIndex(0, 0, 1): (1.0, 2.0)})

@@ -573,9 +573,51 @@ class TestTrajectoryIO:
         row = lines[j + 3].split(",")
         row[4] = value
         lines[j + 3] = ",".join(row)
-        with pytest.raises(ValueError, match=f"field block from line {j + 2}: "
-                                             "line 3: non-finite coefficient in row 1"):
+        with pytest.raises(ValueError, match=f"^line {j + 4}: non-finite coefficient in row 1$"):
             trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        ("cut", r"malformed coefficient row \(6 values, not 7\)"),
+        ("letter", r"malformed coefficient row \(could not convert string to float: '1x'\)"),
+        ("swap", r"row 2 out of canonical order: \(.*\) where \(.*\) belongs"),
+    ])
+    def test_bad_field_row_names_its_line(self, edit, message):
+        lines = _TRAJECTORY_TEXT.splitlines()
+        j = [i for i, line in enumerate(lines) if line.startswith("time ")][2] + 4
+        row = lines[j].split(",")
+        if edit == "cut":
+            lines[j] = ",".join(row[:-1])
+        elif edit == "letter":
+            lines[j] = ",".join(row[:3] + ["1x"] + row[4:])
+        else:
+            lines[j], lines[j + 1] = lines[j + 1], lines[j]
+        with pytest.raises(ValueError, match=f"^line {j + 1}: {message}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("step,message", [
+        (0, r"line {line}: malformed noise row \(1 values, not 4\)"),
+        (3, "trajectory text ends before line {line}, which should hold row {row} of noise-step 3"),
+    ])
+    def test_short_noise_block_names_its_line(self, step, message):
+        # with a row gone, the block's last row would sit on the line after it
+        lines = _TRAJECTORY_TEXT.splitlines()
+        j = lines.index(f"noise-step {step}")
+        del lines[j + 1]
+        n = mode_table(2).n
+        with pytest.raises(ValueError, match=f"^{message.format(line=j + 1 + n, row=n - 1)}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    def test_noise_signed_zeros_round_trip(self):
+        traj = self.make()
+        incr = np.array(traj.noise_log[1])
+        incr[3] = [complex(-0.0, -0.0), complex(-0.0, 0.25)]
+        traj.noise_log[1] = incr
+        txt = trajectory_to_text(traj, include_noise=True)
+        assert "\n-0.0,-0.0,-0.0,0.25\n" in txt
+        back = trajectory_from_text(txt)
+        np.testing.assert_array_equal(np.signbit(back.noise_log[1].view(float)),
+                                      np.signbit(incr.view(float)))
+        assert trajectory_to_text(back, include_noise=True) == txt
 
     @pytest.mark.parametrize("noise", [False, True], ids=["fields", "noise"])
     def test_trailing_lines_rejected(self, noise):
