@@ -27,11 +27,8 @@ from .harness import (
 )
 from .linear import noise_direction_array, strand_noise_chol
 from .modes import (
-    ModeIndex,
     ModeSelector,
     SpectralField,
-    apply_operator,
-    field_norm,
     inner_product,
     random_field,
 )
@@ -51,12 +48,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ModelParams",
-    "ModeIndex",
     "ModeSelector",
     "SpectralField",
-    "apply_operator",
     "inner_product",
-    "field_norm",
     "random_field",
     "noise_direction_array",
     "strand_noise_chol",

@@ -116,8 +116,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             cfg = _resolve_config(args)
             _check_config(args.command, cfg)  # the runner's own check, before it runs
-        except OSError as exc:
-            parser.error(f"cannot read config file {args.config}: {exc.strerror or exc}")
+        except (OSError, UnicodeDecodeError) as exc:  # the latter is a ValueError
+            reason = getattr(exc, "strerror", None) or exc
+            parser.error(f"cannot read config file {args.config}: {reason}")
         except ValueError as exc:  # a malformed config is a usage error: exit 2
             parser.error(str(exc))
         report = RUNNERS[args.command](cfg)

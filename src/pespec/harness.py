@@ -316,8 +316,6 @@ def _family_strands(params: ModelParams, N: int, alpha: float, q):
     weight = mode_table(N).weight
     families = _oracle_families(N, alpha, q)
     (mask_h, *_), (mask_r, *_) = families
-    if not mask_h.any() or not mask_r.any():
-        raise ValueError("estimator families need barotropic and resonant modes")
     owner, *strands = mode_strands(params, N, np.flatnonzero(mask_h | mask_r))
 
     def per_strand(j):  # the Ito (j = 0) or denominator (j = 1) weights
@@ -398,12 +396,15 @@ def _oracle_families(N: int, alpha: float, q):
 
     The barotropic family pairs A_h^{1+alpha} with the increments, the
     resonant family A_z A^alpha; the denominators square the half powers.
+    Each family must hold a mode.
     """
     tab = mode_table(N)
-    return ((np.array(selector_mask(N, BAROTROPIC)),
-             tab.kp_sq ** (1.0 + alpha), tab.kp_sq ** (2.0 + alpha)),
-            (np.array(selector_mask(N, ModeSelector.resonant(q))),
-             tab.k3_sq * tab.k_sq ** alpha, tab.k3_sq ** 2 * tab.k_sq ** alpha))
+    mask_h = np.array(selector_mask(N, BAROTROPIC))
+    mask_r = np.array(selector_mask(N, ModeSelector.resonant(q)))
+    if not mask_h.any() or not mask_r.any():
+        raise ValueError("estimator families need barotropic and resonant modes")
+    return ((mask_h, tab.kp_sq ** (1.0 + alpha), tab.kp_sq ** (2.0 + alpha)),
+            (mask_r, tab.k3_sq * tab.k_sq ** alpha, tab.k3_sq ** 2 * tab.k_sq ** alpha))
 
 
 def _left_sums(z, dt: float, n_steps: int):
@@ -439,8 +440,6 @@ def _oracle_table(params: ModelParams, N: int, alpha: float, q,
     lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
     table = []
     for mask, mu_i, mu_d in _oracle_families(N, alpha, q):
-        if not mask.any():
-            raise ValueError("estimator families need barotropic and resonant modes")
         z = lam[mask] + 1j * f0[mask]
         table.append(_OracleFamily(tab.weight[mask], mu_i[mask], mu_d[mask],
                                    amp[mask] ** 2, z, _left_sums(lam[mask], dt, n_steps),

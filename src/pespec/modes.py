@@ -15,25 +15,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .params import RationalLike, as_fraction
 
 __all__ = [
-    "ModeIndex",
     "ModeSelector",
     "SpectralField",
-    "enumerate_modes",
-    "storage_modes",
     "mode_table",
     "selector_mask",
-    "apply_operator",
     "project",
     "hydrostatic_leray",
     "inner_product",
-    "field_norm",
     "random_field",
     "field_to_text",
     "field_from_text",
@@ -41,60 +36,6 @@ __all__ = [
 
 FIELD_FORMAT_TAG = "pespec-field v1"
 BASIS_TAG = "orthonormal-cos-halfpair"
-
-
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Integer lattice wavevector k = (k1, k2, k3), never the zero mode."""
-
-    k1: int
-    k2: int
-    k3: int
-
-    def __post_init__(self) -> None:
-        if self.k1 == self.k2 == self.k3 == 0:
-            raise ValueError("zero mode is excluded (fields have zero mean)")
-        for c in (self.k1, self.k2, self.k3):
-            if not isinstance(c, (int, np.integer)):
-                raise TypeError("mode components must be integers")
-
-    @property
-    def kp_sq(self) -> int:
-        """|k'|^2 = k1^2 + k2^2."""
-        return self.k1 * self.k1 + self.k2 * self.k2
-
-    @property
-    def k_sq(self) -> int:
-        return self.kp_sq + self.k3 * self.k3
-
-    @property
-    def is_barotropic(self) -> bool:
-        return self.k3 == 0
-
-    @property
-    def is_self_paired(self) -> bool:
-        """True when k' = 0, i.e. the mode is its own reality partner."""
-        return self.k1 == 0 and self.k2 == 0
-
-    def conjugate_partner(self) -> "ModeIndex":
-        return ModeIndex(-self.k1, -self.k2, self.k3)
-
-    def canonical(self) -> "ModeIndex":
-        """Representative stored for this basis element (k3 folded to >= 0)."""
-        k1, k2, k3 = self.k1, self.k2, abs(self.k3)
-        if k1 < 0 or (k1 == 0 and k2 < 0):
-            k1, k2 = -k1, -k2
-        return ModeIndex(k1, k2, k3)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self == self.canonical()
-
-    def sort_key(self) -> Tuple[int, int, int, int]:
-        return (self.k_sq, self.k1, self.k2, self.k3)
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.k1, self.k2, self.k3)
 
 
 @dataclass(frozen=True)
@@ -170,22 +111,11 @@ BAROTROPIC = ModeSelector.barotropic()
 BAROCLINIC = ModeSelector.baroclinic()
 
 
-def enumerate_modes(N: int, sel: ModeSelector = ALL) -> List[ModeIndex]:
-    """All lattice sites k with 1 <= |k| <= N matching `sel`.
-
-    The full lattice is returned (both signs of k' and k3), ordered
-    lexicographically by (|k|^2, k1, k2, k3).  Counting checks against
-    closed-form lattice asymptotics rely on this raw-site convention.
-    """
-    sites = _lattice(int(N))
-    return [ModeIndex(*k) for k in zip(*sites[:, sel.mask(*sites)].tolist())]
-
-
 @lru_cache(maxsize=64)
 def _lattice(N: int) -> np.ndarray:
     """The sites 1 <= |k| <= N as a read-only (3, n_sites) int64 array of
     rows k1, k2, k3, sorted by (|k|^2, k1, k2, k3): one vectorised pass
-    over the cube [-N, N]^3, the one enumeration every mode list reads."""
+    over the cube [-N, N]^3, the one enumeration the mode table reads."""
     if N < 1:
         raise ValueError("N must be >= 1")
     axis = np.arange(-N, N + 1, dtype=np.int64)
@@ -198,19 +128,12 @@ def _lattice(N: int) -> np.ndarray:
     return sites
 
 
-def storage_modes(N: int) -> Tuple[ModeIndex, ...]:
-    """Canonical stored representatives for truncation N, in sort-key order."""
-    return mode_table(N).modes
-
-
 class _ModeTable:
     """Precomputed per-truncation arrays shared by all fields at one N.
 
     The stored modes are the canonical sites of `_lattice(N)`: k3 >= 0
     and k' lexicographically positive, or k' = 0.  Their integer columns
-    `k1`, `k2`, `k3` are the one view the program reads; `modes` (as
-    `ModeIndex` keys) and `index` ((k1, k2, k3) to row) serve the public
-    key API and are built from them on first use.
+    `k1`, `k2`, `k3` are the mode keys: a mode is a row of the table.
     """
 
     def __init__(self, N: int):
@@ -235,14 +158,6 @@ class _ModeTable:
     def key_text(self) -> List[str]:
         """'k1,k2,k3' of every stored mode, as the field text writes it."""
         return [f"{k1},{k2},{k3}" for k1, k2, k3 in self.keys()]
-
-    @cached_property
-    def modes(self) -> Tuple[ModeIndex, ...]:
-        return tuple(ModeIndex(*k) for k in self.keys())
-
-    @cached_property
-    def index(self) -> Dict[Tuple[int, int, int], int]:
-        return {k: i for i, k in enumerate(self.keys())}
 
 
 @lru_cache(maxsize=64)
@@ -276,9 +191,9 @@ def _coerce_coeffs(N: int, coeffs: np.ndarray) -> np.ndarray:
 class SpectralField:
     """Immutable horizontal-velocity field in the cosine spectral basis.
 
-    Coefficients are complex 2-vectors (u, v) indexed by the canonical
-    stored modes of `storage_modes(N)`.  The conjugate-partner half of the
-    lattice is implicit, so reality of the physical field is structural.
+    Coefficients are complex 2-vectors (u, v), one per row of
+    `mode_table(N)`, the canonical stored modes.  The conjugate-partner half
+    of the lattice is implicit, so reality of the physical field is structural.
     """
 
     N: int
@@ -290,49 +205,6 @@ class SpectralField:
     @classmethod
     def zeros(cls, N: int) -> "SpectralField":
         return cls(N, np.zeros((mode_table(N).n, 2), dtype=complex))
-
-    @classmethod
-    def from_mapping(
-        cls, N: int, values: Mapping[ModeIndex, Sequence[complex]]
-    ) -> "SpectralField":
-        """Build a field from {mode: (u, v)}; non-canonical keys are folded
-        onto their stored representative through the reality symmetry."""
-        tab = mode_table(N)
-        arr = np.zeros((tab.n, 2), dtype=complex)
-        seen: Dict[int, ModeIndex] = {}
-        for k, val in values.items():
-            if not isinstance(k, ModeIndex):
-                k = ModeIndex(*k)
-            if k.k_sq > N * N:
-                raise ValueError(f"mode {k} exceeds truncation N={N}")
-            canon = k.canonical()
-            vec = np.asarray(val, dtype=complex)
-            if vec.shape != (2,):
-                raise ValueError("each coefficient must be a 2-vector")
-            # a value quoted at (-k', k3) is the conjugate of the stored one
-            if (k.k1, k.k2) != (canon.k1, canon.k2):
-                vec = np.conj(vec)
-            i = tab.index[canon.as_tuple()]
-            if i in seen:
-                prev = arr[i]
-                if not np.allclose(prev, vec, rtol=1e-12, atol=1e-12):
-                    raise ValueError(
-                        f"inconsistent values for conjugate pair at {canon}"
-                    )
-            arr[i] = vec
-            seen[i] = canon
-        return cls(N, arr)
-
-    def coeff(self, k: ModeIndex) -> np.ndarray:
-        """Coefficient at any lattice site, conjugating off-canonical ones."""
-        if not isinstance(k, ModeIndex):
-            k = ModeIndex(*k)
-        canon = k.canonical()
-        i = mode_table(self.N).index[canon.as_tuple()]
-        val = self.coeffs[i]
-        if (k.k1, k.k2) != (canon.k1, canon.k2):
-            return np.conj(val)
-        return val.copy()
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.N, coeffs)
@@ -368,11 +240,6 @@ def eigenvalue_array(N: int, a: float, b: float, c: float,
     return hsq ** a * zsq ** b * ksq ** c
 
 
-def apply_operator(f: SpectralField, a: float, b: float, c: float) -> SpectralField:
-    eig = eigenvalue_array(f.N, a, b, c)
-    return f.with_coeffs(f.coeffs * eig[:, None])
-
-
 def project(f: SpectralField, sel: ModeSelector) -> SpectralField:
     mask = selector_mask(f.N, sel)
     return f.with_coeffs(f.coeffs * mask[:, None])
@@ -399,10 +266,6 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     tab = f.table
     per_mode = np.sum(f.coeffs * np.conj(g.coeffs), axis=1).real
     return float(np.dot(tab.weight, per_mode))
-
-
-def field_norm(f: SpectralField) -> float:
-    return math.sqrt(max(inner_product(f, f), 0.0))
 
 
 def random_field(

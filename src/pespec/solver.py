@@ -7,9 +7,10 @@ projected advection term P B(V, V).  B is computed in flux form on a
 collocation grid dealiased by the 3/2 rule, exact on the truncation, by
 depth parity: every field it involves is a cosine or a sine series in
 z, so real 2D transforms run on the N + 1 coefficient planes m3 = 0..N
-and one small real matrix product (GEMM) maps them to the half period
-along z or back (B(u, u): 8 scipy.fft calls and 8 GEMMs); the exact
-convolution over lattice site pairs (Direct) is only a test oracle.  All
+and small real matrix products (GEMMs), one per grid row, map them to
+the half period along z or back (B(u, u): 8 scipy.fft calls and 8 z
+products); the exact convolution over lattice site pairs (Direct) is
+only a test oracle.  All
 schemes take the per-step noise vectors as an argument, so trajectories
 are reproducible and the applied increments can be logged for the
 estimator validation identities.
@@ -190,13 +191,15 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     is exact up to roundoff: products of modes bounded by N alias only
     beyond N.  f_a and g_c are cosine series in z and w a sine series,
     its sites times i so that each m3 plane is Hermitian: irfft2 on the
-    N + 1 planes m3 >= 0, then one GEMM along z by `cos_syn` or
-    `sin_syn` on the (planes, G*G) view of the result.  The even fluxes
-    f_a g_c go back by `cos_ana` and rfft2 to F, so d_a is i m_a F; the
-    odd fluxes w g_c by `sin_ana` and rfft2 to i times their
-    coefficients, S, so dz is m3 S.  When g is f, f's grids serve as g's
-    and f1 g2 as f2 g1: 3 inverse and 5 forward transforms, 8 scipy.fft
-    calls and 8 GEMMs, in place of 5 and 6.
+    N + 1 planes m3 >= 0, then a product along z by `cos_syn` or
+    `sin_syn`: G GEMMs of the matrix by one (planes, G) row slab each,
+    small enough that BLAS runs each on one thread, so B's bits do not
+    depend on the thread count.  The even fluxes f_a g_c go back by
+    `cos_ana` and rfft2 to F, so d_a is i m_a F; the odd fluxes w g_c by
+    `sin_ana` and rfft2 to i times their coefficients, S, so dz is m3 S.
+    When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3 inverse and
+    5 forward transforms, 8 scipy.fft calls and 8 z products, in place of
+    5 and 6.
     """
     from scipy import fft as sfft
 
@@ -204,7 +207,7 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     G, M, N = lay.G, lay.M, f.N
 
     def along_z(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return (mat @ p.reshape(len(p), -1)).reshape(len(mat), *p.shape[1:])
+        return np.matmul(mat, p.transpose(1, 0, 2)).transpose(1, 0, 2)
 
     def grid(vals: np.ndarray, odd: bool = False) -> np.ndarray:
         c = np.zeros((N + 1, G, G // 2 + 1), dtype=complex)

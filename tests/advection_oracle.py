@@ -12,11 +12,11 @@ instead, is the separate oracle for that map.
 """
 import math
 from functools import lru_cache
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
-from pespec.modes import ModeIndex, SpectralField, mode_table
+from pespec.modes import SpectralField, mode_table
 from pespec.solver import _w_site_values
 
 
@@ -29,13 +29,13 @@ def full_unfolding(N: int):
     implicit reality partner adds (-k', +-k3) with conjugated values.
     """
     entries = []  # (site, row, conj, scale) per site
-    for i, k in enumerate(mode_table(N).modes):
-        s = 1.0 / math.sqrt(2.0) if k.k3 > 0 else 1.0
-        images = [((k.k1, k.k2, k.k3), False)]
-        if k.k3 > 0:
-            images.append(((k.k1, k.k2, -k.k3), False))
-        if not k.is_self_paired:
-            images += [((-k1, -k2, k3), True) for (k1, k2, k3), _ in images]
+    for i, (k1, k2, k3) in enumerate(mode_table(N).keys()):
+        s = 1.0 / math.sqrt(2.0) if k3 > 0 else 1.0
+        images = [((k1, k2, k3), False)]
+        if k3 > 0:
+            images.append(((k1, k2, -k3), False))
+        if (k1, k2) != (0, 0):  # the reality partner, unless self-paired
+            images += [((-m1, -m2, m3), True) for (m1, m2, m3), _ in images]
         entries += [(site, i, c, s) for site, c in images]
     sites, rows, conj, scale = zip(*entries)
     return (np.array(sites, dtype=np.int64), np.array(rows), np.array(conj, dtype=bool),
@@ -50,7 +50,7 @@ def site_values(f: SpectralField) -> np.ndarray:
     return vals
 
 
-def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
+def vertical_velocity(f: SpectralField) -> Dict[Tuple[int, int, int], complex]:
     """Sine-series coefficients of w = -int_0^z div_h u.
 
     Integrating the cos(k3 z) column of the divergence gives sin(k3 z)/k3,
@@ -58,13 +58,12 @@ def vertical_velocity(f: SpectralField) -> Dict[ModeIndex, complex]:
     matching sine element.  The horizontal average is divergence-free and
     contributes nothing; w is odd in z with zero vertical mean.
     """
-    tab = f.table
-    out: Dict[ModeIndex, complex] = {}
-    for i, k in enumerate(tab.modes):
-        if k.k3 == 0:
+    out: Dict[Tuple[int, int, int], complex] = {}
+    for i, (k1, k2, k3) in enumerate(f.table.keys()):
+        if k3 == 0:
             continue
-        div = k.k1 * f.coeffs[i, 0] + k.k2 * f.coeffs[i, 1]
-        out[k] = complex(-1j * div / k.k3)
+        div = k1 * f.coeffs[i, 0] + k2 * f.coeffs[i, 1]
+        out[(k1, k2, k3)] = complex(-1j * div / k3)
     return out
 
 

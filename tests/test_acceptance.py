@@ -46,8 +46,7 @@ from pespec.modes import (
     BAROCLINIC,
     BAROTROPIC,
     ModeSelector,
-    apply_operator,
-    field_norm,
+    eigenvalue_array,
     inner_product,
     mode_table,
     random_field,
@@ -206,15 +205,17 @@ class TestCriterion5SolverOracles:
             g = random_field(4, rng)
             direct = direct_B(f, g)
             fast = nonlinear_B(f, g)
-            diff = field_norm(direct.with_coeffs(direct.coeffs - fast.coeffs))
-            assert diff <= 1e-10 * field_norm(direct)
+            diff = direct.with_coeffs(direct.coeffs - fast.coeffs)
+            assert math.sqrt(inner_product(diff, diff)) <= 1e-10 * math.sqrt(
+                inner_product(direct, direct))
 
     def test_advection_does_no_work(self):
         rng = np.random.default_rng(SEED + 2)
         for _ in range(5):
             f = random_field(4, rng)
             for B in (direct_B(f, f), nonlinear_B(f, f)):
-                rel = abs(inner_product(B, f)) / (field_norm(B) * field_norm(f))
+                rel = abs(inner_product(B, f)) / math.sqrt(
+                    inner_product(B, B) * inner_product(f, f))
                 assert rel < 1e-12
 
     def test_solver_marginals_match_exact_law(self):
@@ -250,17 +251,17 @@ class TestCriterion5SolverOracles:
             return half * (g0 + g2), half * (g0 - g2)
 
         samples = []
-        i = tab.index[(1, 0, 1)]
+        i = tab.keys().index((1, 0, 1))
         v_par, v_perp = split_variances(i, amp[i] / math.sqrt(2.0))
         par = finals[:, i, :].real @ dirs[i]
         perp = finals[:, i, :].real @ np.array([-dirs[i, 1], dirs[i, 0]])
         samples += [par / math.sqrt(v_par), perp / math.sqrt(v_perp)]
 
-        i = tab.index[(0, 0, 2)]
+        i = tab.keys().index((0, 0, 2))
         v_par, _ = split_variances(i, amp[i])
         samples.append(finals[:, i, :].real @ dirs[i] / math.sqrt(v_par))
 
-        i = tab.index[(2, 1, 0)]
+        i = tab.keys().index((2, 1, 0))
         v_par, _ = split_variances(i, amp[i] / math.sqrt(2.0))
         samples.append(finals[:, i, :].real @ dirs[i] / math.sqrt(v_par))
 
@@ -286,9 +287,9 @@ class TestCriterion7ResonantIdentity:
         sel = ModeSelector.resonant(q)
         f = random_field(16, np.random.default_rng(SEED), sel=sel)
         assert np.any(f.coeffs != 0)
-        a_h = apply_operator(f, 1, 0, 0)
-        a_z = apply_operator(f, 0, 1, 0)
-        np.testing.assert_array_equal(a_h.coeffs, float(q) * a_z.coeffs)
+        a_h = f.coeffs * eigenvalue_array(16, 1, 0, 0)[:, None]
+        a_z = f.coeffs * eigenvalue_array(16, 0, 1, 0)[:, None]
+        np.testing.assert_array_equal(a_h, float(q) * a_z)
 
 
 class TestCriterion8Determinism:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from pespec import solver
+from lattice_oracle import field_from_keys
 from pespec.estimators import (
     EstimateResult,
     EstimatorConfig,
@@ -38,7 +39,7 @@ from pespec.modes import (
     BAROTROPIC,
     ModeSelector,
     SpectralField,
-    apply_operator,
+    eigenvalue_array,
     hydrostatic_leray,
     inner_product,
     project,
@@ -87,14 +88,14 @@ class TestPathFunctionals:
     def test_quadratic_constant_self_paired_mode(self):
         # (0,0,2) pairs with itself, so the integrand is mu^2 c^2 with
         # mu = k3^2 = 4 and no partner duplication
-        f = SpectralField.from_mapping(3, {(0, 0, 2): (0.7, 0.0)})
+        f = field_from_keys(3, {(0, 0, 2): (0.7, 0.0)})
         traj = constant_trajectory(f, T=0.5)
         got = quadratic_integral(traj, (0.0, 1.0, 0.0), BAROCLINIC)
         assert got == pytest.approx(16.0 * 0.49 * 0.5, rel=1e-14)
 
     def test_quadratic_constant_paired_mode_counts_partner(self):
         c = 0.5 + 0.25j
-        f = SpectralField.from_mapping(2, {(1, 0, 0): (0.0, c)})
+        f = field_from_keys(2, {(1, 0, 0): (0.0, c)})
         traj = constant_trajectory(f, T=0.8)
         got = quadratic_integral(traj, (1.0, 0.0, 0.0), BAROTROPIC)
         assert got == pytest.approx(2.0 * abs(c) ** 2 * 0.8, rel=1e-14)
@@ -104,7 +105,7 @@ class TestPathFunctionals:
         # the conjugate partner doubles the lattice sum
         alpha, T = 3.0, 0.4
         c = 0.3 - 0.2j
-        f = SpectralField.from_mapping(3, {(1, 0, 1): (c, 0.1j)})
+        f = field_from_keys(3, {(1, 0, 1): (c, 0.1j)})
         traj = constant_trajectory(f, T=T)
         want = 2.0 * 2.0 ** alpha * (abs(c) ** 2 + 0.01) * T
         assert cross_integral(traj, alpha, BAROCLINIC) == pytest.approx(want, rel=1e-14)
@@ -129,7 +130,7 @@ class TestPathFunctionals:
         # discrete martingale, so the ensemble mean sits at zero
         rng = np.random.default_rng(17)
         base = SpectralField.zeros(2)
-        row = base.table.index[(1, 0, 0)]
+        row = base.table.keys().index((1, 0, 0))
         steps, reps, dt = 25, 2000, 0.02
         times = np.linspace(0.0, steps * dt, steps + 1)
         cfg = SolverConfig(N=2, dt=dt)
@@ -224,7 +225,9 @@ class TestNonlinearIntegral:
         ref = 0.0
         for dt, f in zip(np.diff(traj.times), traj.states[:-1]):
             b = hydrostatic_leray(solver.nonlinear_B(f, f))
-            ref += dt * inner_product(apply_operator(project(f, sel), *weights), b)
+            p = project(f, sel)
+            wp = p.with_coeffs(p.coeffs * eigenvalue_array(f.N, *weights)[:, None])
+            ref += dt * inner_product(wp, b)
         got = nonlinear_integral(traj, 4.0, sel, "V2")
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 

@@ -764,6 +764,19 @@ class TestCli:
         assert err[-1].startswith(f"pespec: error: cannot read config file {cfg}: ")
         assert not out.exists()
 
+    def test_non_utf8_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["normality", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("pespec: error:")] == [
+            f"pespec: error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte"]
+        assert not out.exists()
+
     def test_noiseless_simulate_and_estimate_start_from_a_random_field(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "sigma0 = 0\n")
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

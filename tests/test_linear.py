@@ -34,14 +34,14 @@ def implied_cov(lam, f0, amp, zeta, dt):
 def rates_at(k, params, N=4):
     """(lam, f0, amp) of `mode_rates` over the N mode table, at stored mode k."""
     tab = mode_table(N)
-    i = tab.index[k]
+    i = tab.keys().index(k)
     return tuple(r[i] for r in mode_rates(params, tab.kp_sq, tab.k3_sq))
 
 
 def stored_mode_moments(k, params, T, N=4):
     """Mean and variance of int_0^T |U_k|^2 dt for stored mode k, summed
     over the independent strands that `mode_strands` unfolds it into."""
-    _, lam, f0, amp, _ = mode_strands(params, N, [mode_table(N).index[k]])
+    _, lam, f0, amp, _ = mode_strands(params, N, [mode_table(N).keys().index(k)])
     mean = sum(expected_time_energy(l, a, T) for l, a in zip(lam, amp))
     var = sum(variance_time_energy(l, f, a, T) for l, f, a in zip(lam, f0, amp))
     return mean, var

@@ -1,28 +1,29 @@
 """Tests for mode bookkeeping, fields, and spectral operators."""
-import subprocess
-import sys
+import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import brute_force_modes, brute_force_storage
+from lattice_oracle import (
+    brute_force_modes,
+    brute_force_storage,
+    field_from_keys,
+    is_canonical,
+    sort_key,
+)
 from pespec.modes import (
     ALL,
     BAROCLINIC,
     BAROTROPIC,
-    ModeIndex,
     ModeSelector,
     SpectralField,
-    apply_operator,
     eigenvalue_array,
-    enumerate_modes,
     _fmt,
+    _lattice,
     field_from_text,
-    field_norm,
     field_to_text,
     hydrostatic_leray,
     inner_product,
@@ -30,88 +31,50 @@ from pespec.modes import (
     project,
     random_field,
     selector_mask,
-    storage_modes,
 )
 
 
-def mode_strategy(n=4):
-    def build(t):
-        k1, k2, k3 = t
-        if k1 == 0 and k2 == 0 and k3 == 0:
-            k1 = 1
-        return ModeIndex(k1, k2, k3)
-
-    ints = st.integers(min_value=-n, max_value=n)
-    return st.tuples(ints, ints, ints).map(build)
+def lattice_sites(N, sel=ALL):
+    """The sites of `_lattice(N)` that `sel` keeps, as (k1, k2, k3) tuples."""
+    sites = _lattice(N)
+    return list(zip(*sites[:, sel.mask(*sites)].tolist()))
 
 
-class TestModeIndex:
-    def test_zero_mode_rejected(self):
-        with pytest.raises(ValueError, match="zero mode"):
-            ModeIndex(0, 0, 0)
-
-    def test_wavenumber_helpers(self):
-        k = ModeIndex(1, 2, 3)
-        assert k.kp_sq == 5
-        assert k.k_sq == 14
-        assert not k.is_barotropic
-        assert ModeIndex(2, -1, 0).is_barotropic
-
-    def test_conjugate_partner_flips_horizontal(self):
-        k = ModeIndex(1, -2, 3)
-        assert k.conjugate_partner().as_tuple() == (-1, 2, 3)
-
-    def test_canonical_folds_vertical_sign_then_horizontal(self):
-        assert ModeIndex(-1, 2, -3).canonical().as_tuple() == (1, -2, 3)
-        assert ModeIndex(0, -2, 1).canonical().as_tuple() == (0, 2, 1)
-        assert ModeIndex(0, 0, -4).canonical().as_tuple() == (0, 0, 4)
-
-    def test_self_paired(self):
-        assert ModeIndex(0, 0, 2).is_self_paired
-        assert not ModeIndex(1, 0, 2).is_self_paired
-
-    @given(mode_strategy())
-    def test_canonical_is_idempotent(self, k):
-        c = k.canonical()
-        assert c.is_canonical
-        assert c.canonical() == c
-
-    def test_requires_integers(self):
-        with pytest.raises(TypeError):
-            ModeIndex(1.5, 0, 0)
+def fold(k):
+    """The canonical site that stores lattice site k: k3 to |k3|, then k'
+    to its lexicographically positive sign."""
+    k1, k2, k3 = k
+    return (k1, k2, abs(k3)) if is_canonical((k1, k2, abs(k3))) else (-k1, -k2, abs(k3))
 
 
 class TestEnumeration:
     def test_smallest_truncation_has_six_sites(self):
-        modes = enumerate_modes(1)
+        modes = lattice_sites(1)
         assert len(modes) == 6
-        tuples = {m.as_tuple() for m in modes}
-        assert tuples == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
+        assert set(modes) == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
 
     def test_resonant_count_at_n2(self):
         # |k'|^2 = k3^2 with |k| <= 2: (+-1,0,+-1) and (0,+-1,+-1)
-        modes = enumerate_modes(2, ModeSelector.resonant(1))
+        modes = lattice_sites(2, ModeSelector.resonant(1))
         assert len(modes) == 8
 
     def test_barotropic_count_at_n10(self):
-        modes = enumerate_modes(10, BAROTROPIC)
+        modes = lattice_sites(10, BAROTROPIC)
         assert len(modes) == 316
 
     def test_sorted_by_shell(self):
-        modes = enumerate_modes(3)
-        keys = [m.sort_key() for m in modes]
+        keys = [sort_key(k) for k in lattice_sites(3)]
         assert keys == sorted(keys)
 
     def test_storage_covers_lattice_once(self):
-        stored = storage_modes(4)
-        assert all(m.is_canonical for m in stored)
-        lattice = enumerate_modes(4)
-        folded = {m.canonical() for m in lattice}
-        assert folded == set(stored)
+        stored = mode_table(4).keys()
+        assert all(is_canonical(k) for k in stored)
+        lattice = lattice_sites(4)
+        assert {fold(k) for k in lattice} == set(stored)
         # horizontal conjugation folds two to one, and the vertical cosine
         # identifies +-k3, so an interior mode absorbs four lattice sites
         n_sites = sum(
-            (1 if m.is_self_paired else 2) * (2 if m.k3 > 0 else 1) for m in stored
+            (1 if (k1, k2) == (0, 0) else 2) * (2 if k3 > 0 else 1) for k1, k2, k3 in stored
         )
         assert len(lattice) == n_sites
 
@@ -127,9 +90,9 @@ class TestEnumeration:
         assert not selector_mask(12, ModeSelector.resonant(q)).any()
 
     def test_selector_partition(self):
-        all_modes = set(enumerate_modes(3))
-        baro = set(enumerate_modes(3, BAROTROPIC))
-        clin = set(enumerate_modes(3, BAROCLINIC))
+        all_modes = set(lattice_sites(3))
+        baro = set(lattice_sites(3, BAROTROPIC))
+        clin = set(lattice_sites(3, BAROCLINIC))
         assert baro | clin == all_modes
         assert not baro & clin
 
@@ -144,45 +107,29 @@ class TestLatticeOracle:
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.label())
     def test_enumerate_modes(self, N, sel):
-        assert enumerate_modes(N, sel) == brute_force_modes(N, sel)
+        assert lattice_sites(N, sel) == brute_force_modes(N, sel)
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_storage_modes(self, N):
-        stored = storage_modes(N)
-        assert list(stored) == brute_force_storage(N)
-        assert all(type(c) is int for k in stored for c in k.as_tuple())
-        assert mode_table(N).index == {k.as_tuple(): i for i, k in enumerate(stored)}
+        stored = mode_table(N).keys()
+        assert stored == brute_force_storage(N)
+        assert all(type(c) is int for k in stored for c in k)
 
     @pytest.mark.parametrize("N", range(1, 7))
     @pytest.mark.parametrize("sel", SELECTORS, ids=lambda s: s.label())
     def test_selector_mask(self, N, sel):
         want = set(brute_force_modes(N, sel))
-        assert selector_mask(N, sel).tolist() == [k in want for k in storage_modes(N)]
+        assert selector_mask(N, sel).tolist() == [k in want for k in mode_table(N).keys()]
 
 
 class TestSpectralField:
-    def test_from_mapping_folds_conjugates(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(-1, 0, 1): (1 + 2j, 3 - 1j)})
-        np.testing.assert_allclose(f.coeff(ModeIndex(1, 0, 1)), [1 - 2j, 3 + 1j])
-        np.testing.assert_allclose(f.coeff(ModeIndex(-1, 0, 1)), [1 + 2j, 3 - 1j])
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError, match="conjugate"):
-            SpectralField.from_mapping(
-                2,
-                {
-                    ModeIndex(1, 0, 1): (1.0, 0.0),
-                    ModeIndex(-1, 0, 1): (2.0, 0.0),
-                },
-            )
-
     def test_self_paired_must_be_real(self):
         with pytest.raises(ValueError, match="real"):
-            SpectralField.from_mapping(2, {ModeIndex(0, 0, 1): (1j, 0.0)})
+            field_from_keys(2, {(0, 0, 1): (1j, 0.0)})
 
     def test_out_of_range_mode_rejected(self):
         with pytest.raises(ValueError, match="truncation"):
-            SpectralField.from_mapping(1, {ModeIndex(1, 1, 0): (1.0, 0.0)})
+            field_from_keys(1, {(1, 1, 0): (1.0, 0.0)})
 
     def test_roundtrip_serialization(self):
         rng = np.random.default_rng(42)
@@ -193,7 +140,8 @@ class TestSpectralField:
 
     def test_signed_zeros_round_trip(self):
         coeffs = random_field(2, np.random.default_rng(4)).coeffs.copy()
-        i, j = mode_table(2).index[(1, 0, 1)], mode_table(2).index[(0, 0, 1)]
+        keys = mode_table(2).keys()
+        i, j = keys.index((1, 0, 1)), keys.index((0, 0, 1))
         coeffs[i] = [complex(-0.0, -0.0), complex(0.5, -0.0)]
         coeffs[j, 0] = -0.0  # self-paired: the imaginary part is +0.0
         f = SpectralField(2, coeffs)
@@ -237,63 +185,26 @@ class TestSpectralField:
             ["0.5", "0.1", "2.0", "3", "V2"]
 
 
-class TestModeTable:
-    def test_program_paths_build_no_mode_keys(self):
-        # the ModeIndex tuple and the key dict serve the public key API
-        # only: simulating, estimating, the text round trip, the exact
-        # strand classes and B read the integer columns
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        code = "\n".join([
-            f"import sys; sys.path.insert(0, {src!r})",
-            "import numpy as np",
-            "from pespec.estimators import EstimatorConfig, estimate_nu_h, estimate_nu_z,"
-            " estimate_nu_z_hat",
-            "from pespec.harness import _build_strands",
-            "from pespec.modes import mode_table, random_field",
-            "from pespec.params import ModelParams",
-            "from pespec.solver import (SolverConfig, nonlinear_B, simulate_path,",
-            "                           trajectory_from_text, trajectory_to_text)",
-            "params = ModelParams(T=0.02)",
-            "V0 = random_field(4, np.random.default_rng(0), amplitude=0.3)",
-            "traj = simulate_path(params, V0, SolverConfig(N=4, dt=0.005), 1)",
-            "traj = trajectory_from_text(trajectory_to_text(traj, include_noise=True))",
-            "cfg = EstimatorConfig(variant='V2')",
-            "for estimate in (estimate_nu_h, estimate_nu_z, estimate_nu_z_hat):",
-            "    estimate(traj, cfg)",
-            "_build_strands(params, 4, 4.0, 1, 0.005, 4)",
-            "nonlinear_B(V0, V0)",
-            "print(sorted({'modes', 'index'} & set(vars(mode_table(4)))))",
-        ])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             timeout=120, check=True)
-        assert out.stdout.strip() == "[]"
-
-
 class TestOperators:
     def test_eigenvalue_combinations(self):
-        i = mode_table(4).index[(1, 2, 3)]
+        i = mode_table(4).keys().index((1, 2, 3))
         assert eigenvalue_array(4, 0, 0, 1)[i] == 14.0
         assert eigenvalue_array(4, 1, 0, 0)[i] == 5.0
         assert eigenvalue_array(4, 0, 1, 0)[i] == 9.0
         assert eigenvalue_array(4, 1, 0, 2)[i] == 5.0 * 196.0
 
     def test_zero_factor_conventions(self):
-        i = mode_table(1).index[(0, 0, 1)]
+        i = mode_table(1).keys().index((0, 0, 1))
         assert eigenvalue_array(1, 0, 0, 1)[i] == 1.0
         # 0^0 = 1 so a vanishing factor with zero exponent is harmless
         assert eigenvalue_array(1, 0, 1, 0)[i] == 1.0
         with pytest.raises(ValueError, match="negative horizontal exponent"):
             eigenvalue_array(1, -1, 0, 0)
 
-    def test_apply_operator_scales_coefficients(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(1, 0, 1): (1.0, 2.0)})
-        g = apply_operator(f, 0, 0, 1)
-        np.testing.assert_allclose(g.coeff(ModeIndex(1, 0, 1)), [2.0, 4.0])
-
     def test_leray_projects_horizontal_gradient(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(1, 1, 0): (1.0, 0.0)})
+        f = field_from_keys(2, {(1, 1, 0): (1.0, 0.0)})
         g = hydrostatic_leray(f)
-        np.testing.assert_allclose(g.coeff(ModeIndex(1, 1, 0)), [0.5, -0.5])
+        np.testing.assert_allclose(g.coeffs[mode_table(2).keys().index((1, 1, 0))], [0.5, -0.5])
 
     def test_leray_is_idempotent(self):
         rng = np.random.default_rng(3)
@@ -311,12 +222,12 @@ class TestOperators:
         np.testing.assert_array_equal(f.coeffs[clin], raw.coeffs[clin])
 
     def test_inner_product_self_paired(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(0, 0, 1): (1.0, 2.0)})
-        g = SpectralField.from_mapping(2, {ModeIndex(0, 0, 1): (3.0, -1.0)})
+        f = field_from_keys(2, {(0, 0, 1): (1.0, 2.0)})
+        g = field_from_keys(2, {(0, 0, 1): (3.0, -1.0)})
         assert inner_product(f, g) == pytest.approx(1.0)
 
     def test_inner_product_counts_conjugate_partner(self):
-        f = SpectralField.from_mapping(2, {ModeIndex(1, 0, 1): (1.0, 0.0)})
+        f = field_from_keys(2, {(1, 0, 1): (1.0, 0.0)})
         assert inner_product(f, f) == pytest.approx(2.0)
 
     def test_inner_product_requires_matching_truncation(self):
@@ -337,7 +248,7 @@ class TestOperators:
     def test_random_field_stays_divergence_free(self, seed):
         f = random_field(3, np.random.default_rng(seed))
         assert f.is_divergence_free()
-        assert np.isfinite(field_norm(f))
+        assert np.isfinite(math.sqrt(inner_product(f, f)))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ exact rationals) and are asserted against the production advection
 term and against the Direct site-pair sum kept as its test oracle.
 """
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -17,13 +21,12 @@ from scipy import fft as sfft
 from scipy import stats
 
 from advection_oracle import direct_B, full_unfolding, site_values, vertical_velocity
+from lattice_oracle import field_from_keys
 from pespec.linear import mode_rates, noise_direction_array
 from pespec.modes import (
     BAROTROPIC,
-    ModeIndex,
     SpectralField,
     field_from_text,
-    field_norm,
     field_to_text,
     hydrostatic_leray,
     inner_product,
@@ -53,9 +56,14 @@ from scalar_ou import ou_exact_step
 METHODS = {"Direct": direct_B, "PseudoSpectralDealiased": nonlinear_B}
 
 
+def norm(f):
+    """The L2 norm of f."""
+    return math.sqrt(inner_product(f, f))
+
+
 def two_mode_field(N=3):
     """The field behind the frozen advection coefficients below."""
-    return SpectralField.from_mapping(N, {
+    return field_from_keys(N, {
         (1, 0, 1): (0.5 + 1j / 3, -0.25),
         (0, 1, 0): (0.2 - 1j / 7, 0.0),
     })
@@ -73,20 +81,20 @@ FROZEN_B = {
 
 class TestVerticalVelocity:
     def test_barotropic_field_has_no_vertical_motion(self):
-        f = SpectralField.from_mapping(2, {(1, 1, 0): (1.0, -1.0)})
+        f = field_from_keys(2, {(1, 1, 0): (1.0, -1.0)})
         assert all(w == 0 for w in vertical_velocity(f).values())
 
     def test_single_mode_value(self):
         # unit u-component on k = (1,0,1): w-coefficient is -i k1/k3 = -i
-        f = SpectralField.from_mapping(2, {(1, 0, 1): (1.0, 0.0)})
-        assert vertical_velocity(f)[ModeIndex(1, 0, 1)] == pytest.approx(-1j)
+        f = field_from_keys(2, {(1, 0, 1): (1.0, 0.0)})
+        assert vertical_velocity(f)[(1, 0, 1)] == pytest.approx(-1j)
 
     def test_two_mode_field_value(self):
         w = vertical_velocity(two_mode_field())
-        assert w[ModeIndex(1, 0, 1)] == pytest.approx(1 / 3 - 1j / 2)
+        assert w[(1, 0, 1)] == pytest.approx(1 / 3 - 1j / 2)
 
     def test_divergence_free_columns_give_zero(self):
-        f = SpectralField.from_mapping(3, {
+        f = field_from_keys(3, {
             (1, 2, 1): (-2.0 + 1j, 1.0 - 0.5j),  # coeff parallel to k'perp
             (0, 0, 2): (0.7, -0.3),              # k' = 0 column
         })
@@ -95,7 +103,7 @@ class TestVerticalVelocity:
     def test_keys_are_the_baroclinic_modes(self):
         f = SpectralField.zeros(2)
         keys = set(vertical_velocity(f))
-        expected = {k for k in mode_table(2).modes if k.k3 != 0}
+        expected = {k for k in mode_table(2).keys() if k[2] != 0}
         assert keys == expected
 
     @pytest.mark.parametrize("N,seed", [(3, 0), (5, 1)])
@@ -107,9 +115,10 @@ class TestVerticalVelocity:
         w = _w_site_values(sites, site_values(f))
         oracle = vertical_velocity(f)
         m3 = sites[:, 2]
+        keys = mode_table(N).keys()
         assert np.all(w[m3 == 0] == 0)
         for j in np.flatnonzero(m3 != 0):
-            k = mode_table(N).modes[rows[j]]
+            k = keys[rows[j]]
             sign = np.sign(m3[j]) * (-1 if conj[j] else 1)
             want = sign * oracle[k] / (1j * math.sqrt(2.0))
             if conj[j]:
@@ -140,16 +149,16 @@ class TestNonlinearB:
     @pytest.mark.parametrize("method", METHODS)
     def test_frozen_coefficients(self, method):
         B = METHODS[method](two_mode_field(), two_mode_field())
-        for i, k in enumerate(B.table.modes):
-            want = FROZEN_B.get(k.as_tuple(), (0.0, 0.0))
+        for i, k in enumerate(B.table.keys()):
+            want = FROZEN_B.get(k, (0.0, 0.0))
             np.testing.assert_allclose(B.coeffs[i], want, atol=1e-13)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_bilinearity_at_zero(self, method):
         f = two_mode_field()
         z = SpectralField.zeros(3)
-        assert field_norm(METHODS[method](z, f)) == 0.0
-        assert field_norm(METHODS[method](f, z)) == 0.0
+        assert norm(METHODS[method](z, f)) == 0.0
+        assert norm(METHODS[method](f, z)) == 0.0
 
     def test_methods_agree_on_random_fields(self):
         # the dealiased grid matches the Direct oracle at 1e-10 relative
@@ -157,8 +166,8 @@ class TestNonlinearB:
             f = random_field(4, np.random.default_rng(seed))
             bd = direct_B(f, f)
             bp = nonlinear_B(f, f)
-            diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
-            assert diff <= 1e-10 * field_norm(bd)
+            diff = norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
+            assert diff <= 1e-10 * norm(bd)
 
     @pytest.mark.parametrize("same", [False, True], ids=["f_g", "f_f"])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
@@ -171,13 +180,13 @@ class TestNonlinearB:
         g = f if same else random_field(N, np.random.default_rng(200 + N))
         bd = direct_B(f, g)
         bp = nonlinear_B(f, g)
-        diff = field_norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
+        diff = norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
         if N == 1:
             # no two nonzero sites of the unit ball add up to a third one
-            assert field_norm(bd) == 0.0
-            assert field_norm(bp) <= 1e-14 * field_norm(f) * field_norm(g)
+            assert norm(bd) == 0.0
+            assert norm(bp) <= 1e-14 * norm(f) * norm(g)
         else:
-            assert diff <= 1e-10 * field_norm(bd)
+            assert diff <= 1e-10 * norm(bd)
 
     # the Direct sum takes about 6 s at N = 12, and it checks no program code
     @pytest.mark.parametrize("method,N", [(m, N) for m in METHODS for N in (4, 8, 12)
@@ -185,7 +194,7 @@ class TestNonlinearB:
     def test_energy_orthogonality(self, method, N):
         f = random_field(N, np.random.default_rng(11))
         B = METHODS[method](f, f)
-        rel = abs(inner_product(B, f)) / (field_norm(B) * field_norm(f))
+        rel = abs(inner_product(B, f)) / (norm(B) * norm(f))
         assert rel < 1e-12
 
     @pytest.mark.parametrize("N", [2, 4, 8, 12])
@@ -196,7 +205,7 @@ class TestNonlinearB:
         g = random_field(N, np.random.default_rng(400 + N), sel=BAROTROPIC)
         B = nonlinear_B(f, g)
         baroclinic = B.table.k3 > 0
-        assert field_norm(B) > 0.0
+        assert norm(B) > 0.0
         assert np.abs(B.coeffs[baroclinic]).max() <= 1e-14 * np.abs(B.coeffs).max()
 
     @pytest.mark.parametrize("N", [2, 5, 8])
@@ -206,8 +215,32 @@ class TestNonlinearB:
         f = random_field(N, np.random.default_rng(500 + N))
         shared = nonlinear_B(f, f)
         general = nonlinear_B(f, f.with_coeffs(f.coeffs.copy()))
-        diff = field_norm(shared.with_coeffs(shared.coeffs - general.coeffs))
-        assert diff <= 1e-14 * field_norm(general)
+        diff = norm(shared.with_coeffs(shared.coeffs - general.coeffs))
+        assert diff <= 1e-14 * norm(general)
+
+    def test_bits_agree_across_blas_thread_counts(self):
+        # each z product is G small GEMMs, which OpenBLAS keeps on one
+        # thread; one GEMM over all G^2 grid columns was split across
+        # threads from N = 16 on, and its last bits moved with the count
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {src!r})",
+            "import hashlib",
+            "import numpy as np",
+            "from pespec.modes import random_field",
+            "from pespec.solver import nonlinear_B",
+            "for N in (16, 20):",
+            "    rng = np.random.default_rng(N)",
+            "    f, g = random_field(N, rng), random_field(N, rng)",
+            "    for B in (nonlinear_B(f, f), nonlinear_B(f, g)):",
+            "        print(N, hashlib.sha256(B.coeffs.tobytes()).hexdigest())",
+        ])
+        hashes = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 timeout=120, check=True,
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+                  for threads in ("1", "2")]
+        assert len(hashes[0].splitlines()) == 4
+        assert hashes[0] == hashes[1]
 
     @pytest.mark.parametrize("N", range(1, 17))
     def test_z_matrices_round_trip(self, N):
@@ -297,30 +330,30 @@ class TestLinearStepping:
 
     def test_exponential_euler_decay_is_exact(self):
         p = ModelParams(sigma0=0.0)
-        V0 = SpectralField.from_mapping(2, {(1, 1, 0): (1.0, -1.0)})
+        V0 = field_from_keys(2, {(1, 1, 0): (1.0, -1.0)})
         cfg = SolverConfig(N=2, dt=0.05, include_nonlinear=False)
         traj = simulate_path(p, V0, cfg, 0)
-        i = mode_table(2).index[(1, 1, 0)]
+        i = mode_table(2).keys().index((1, 1, 0))
         got = traj.states[-1].coeffs[i, 0]
         assert got == pytest.approx(math.exp(-2.0 * p.nu_h * 1.0), rel=1e-13)
 
     def test_rotation_turns_clockwise(self):
         # quarter period on the k'=0 column: (1, 0) -> (0, -1) times decay
         p = ModelParams(sigma0=0.0, f0=math.pi / 2.0)
-        V0 = SpectralField.from_mapping(2, {(0, 0, 1): (1.0, 0.0)})
+        V0 = field_from_keys(2, {(0, 0, 1): (1.0, 0.0)})
         cfg = SolverConfig(N=2, dt=0.01, include_nonlinear=False)
         fin = simulate_path(p, V0, cfg, 0).states[-1]
-        i = mode_table(2).index[(0, 0, 1)]
+        i = mode_table(2).keys().index((0, 0, 1))
         np.testing.assert_allclose(
             fin.coeffs[i], [0.0, -math.exp(-p.nu_z)], atol=1e-12)
 
     def test_euler_maruyama_decay_factor(self):
         p = ModelParams(sigma0=0.0)
-        V0 = SpectralField.from_mapping(2, {(1, 1, 0): (1.0, -1.0)})
+        V0 = field_from_keys(2, {(1, 1, 0): (1.0, -1.0)})
         cfg = SolverConfig(N=2, dt=0.1, scheme="EulerMaruyama",
                            include_nonlinear=False)
         fin = simulate_path(p, V0, cfg, 0).states[-1]
-        i = mode_table(2).index[(1, 1, 0)]
+        i = mode_table(2).keys().index((1, 1, 0))
         lam = 2.0 * p.nu_h
         assert fin.coeffs[i, 0] == pytest.approx((1.0 - lam * 0.1) ** 10)
 
@@ -392,7 +425,7 @@ class TestNonlinearStepping:
 
     def test_blowup_reports_step(self):
         p = ModelParams(sigma0=0.0)
-        big = SpectralField.from_mapping(
+        big = field_from_keys(
             2, {(1, 0, 1): (1e160, -2e159), (0, 1, 0): (1e160, 0.0)})
         with pytest.raises(BlowUpError, match="step 1 of 10"):
             simulate_path(p, big, SolverConfig(N=2, dt=0.1), 0)
@@ -427,7 +460,7 @@ class TestSimulatePath:
 
     def test_rejects_initial_state_outside_h(self):
         p = ModelParams()
-        bad = SpectralField.from_mapping(2, {(1, 1, 0): (1.0, 1.0)})
+        bad = field_from_keys(2, {(1, 1, 0): (1.0, 1.0)})
         with pytest.raises(ValueError, match="divergence-free"):
             simulate_path(p, bad, SolverConfig(N=2, dt=0.25), 0)
 
@@ -483,7 +516,7 @@ class TestSimulatePath:
         p = ModelParams(T=1.0)
         cfg = SolverConfig(N=2, dt=0.1, include_nonlinear=False)
         tab = mode_table(2)
-        i = tab.index[(1, 0, 1)]
+        i = tab.keys().index((1, 0, 1))
         reps = 400
         rng = np.random.default_rng(2024)
         solver_samples = np.empty(reps)
