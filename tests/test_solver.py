@@ -220,8 +220,8 @@ class TestNonlinearB:
 
     def test_bits_agree_across_blas_thread_counts(self):
         # each z product is G small GEMMs, which OpenBLAS keeps on one
-        # thread; one GEMM over all G^2 grid columns was split across
-        # threads from N = 16 on, and its last bits moved with the count
+        # thread; a GEMM split across threads sums in another order, so
+        # B's last bits would move with the thread count
         src = str(Path(__file__).resolve().parents[1] / "src")
         code = "\n".join([
             f"import sys; sys.path.insert(0, {src!r})",
