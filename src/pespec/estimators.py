@@ -34,7 +34,7 @@ from .modes import (
     selector_mask,
 )
 from .params import ModelParams, RationalLike, as_fraction
-from .solver import Trajectory
+from .solver import Trajectory, _observed_truncation
 
 __all__ = [
     "EstimatorConfig",
@@ -97,17 +97,6 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # path functionals
 
-def _observed_mask(N: int, sel: ModeSelector, n_obs: Optional[int]) -> np.ndarray:
-    mask = np.array(selector_mask(N, sel))
-    if n_obs is not None:
-        if n_obs > N:
-            raise ValueError(f"N_obs={n_obs} exceeds the trajectory truncation {N}")
-        mask &= mode_table(N).k_sq <= n_obs * n_obs
-    if not mask.any():
-        raise ValueError(f"no observed modes for selector {sel.label()}")
-    return mask
-
-
 # time integrals carry dt_i; the Ito sums' increments already do
 _RIEMANN_KINDS = ("energy", "advection")
 
@@ -121,12 +110,17 @@ def _left_sum(traj: Trajectory, kind: str, exponents: Tuple[float, float, float]
     left samples i, times dt_i for the time integrals, where X is
     `traj.left_pairing(kind, cut)`, w_k the conjugate-pair weight of
     `inner_product` and lambda_k the operator eigenvalue with
-    `exponents`, squared when `squared`.
+    `exponents`, squared when `squared`.  The observed modes are a
+    prefix of X's columns.
     """
-    mask = _observed_mask(traj.N, sel, n_obs)
-    eig = eigenvalue_array(traj.N, *exponents, mask=mask)
-    wgt = mode_table(traj.N).weight[mask] * (eig * eig if squared else eig)
-    per_sample = traj.left_pairing(kind, cut)[:, mask] @ wgt
+    n = _observed_truncation(traj.N, n_obs)
+    mask = selector_mask(n, sel)
+    if not mask.any():
+        raise ValueError(f"no observed modes for selector {sel.label()}")
+    eig = eigenvalue_array(n, *exponents, mask=mask)
+    tab = mode_table(n)
+    wgt = tab.weight[mask] * (eig * eig if squared else eig)
+    per_sample = traj.left_pairing(kind, cut)[:, :tab.n][:, mask] @ wgt
     if kind in _RIEMANN_KINDS:
         return float(np.diff(traj.times) @ per_sample)
     return float(per_sample.sum())
@@ -172,18 +166,18 @@ def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
     """Left-endpoint sum of the weighted pairing with P B(V, V).
 
     V1 uses the advection term of the full stored path (requires modes
-    beyond N_obs), V2 recomputes it from the observed truncation.  The
-    hydrostatic Leray projection is applied before pairing.  The per-mode
-    pairings come from `Trajectory.left_pairing`, which evaluates B once
-    per stored sample and truncation for all estimators; on a simulated
-    path the full-truncation pairing is the drift the solver actually
-    integrated.
+    beyond N_obs), V2 recomputes it from the observed modes alone, on
+    the grid of truncation N_obs.  The hydrostatic Leray projection is
+    applied before pairing.  The per-mode pairings come from
+    `Trajectory.left_pairing`, which evaluates B once per stored sample
+    and truncation for all estimators; on a simulated path the
+    full-truncation pairing is the drift the solver actually integrated.
     """
     if variant == "V3":
         raise ValueError("variant V3 drops the advection terms; nothing to integrate")
     if variant not in ("V1", "V2"):
         raise ValueError(f"unknown variant {variant!r}")
-    cut = traj.N if n_obs is None else n_obs
+    cut = _observed_truncation(traj.N, n_obs)
     if variant == "V1" and cut >= traj.N:
         raise ValueError(
             "full path unavailable: V1 needs the trajectory to carry modes "
@@ -296,7 +290,7 @@ def estimate_nu_z_hat(traj: Trajectory, cfg: EstimatorConfig) -> EstimateResult:
     martingale parts; this is the variance-limiting family.
     """
     sel = ModeSelector.resonant(cfg.q)
-    cut = traj.N if cfg.N_obs is None else min(cfg.N_obs, traj.N)
+    cut = _observed_truncation(traj.N, cfg.N_obs)
     n_min = _smallest_resonant_truncation(sel.q)
     if n_min is None or n_min > cut:
         hint = "" if n_min is None else \

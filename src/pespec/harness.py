@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import (EstimatorConfig, estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
-                         theoretical_covariance)
+from .estimators import (EstimatorConfig, _smallest_resonant_truncation, estimate_nu_h,
+                         estimate_nu_z, estimate_nu_z_hat, theoretical_covariance)
 from .linear import (ShellSampler, StrandSampler, _psi_array, expected_time_energy,
                      mode_rates, mode_strands, variance_time_energy)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
@@ -545,6 +545,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
 
 def run_estimate(cfg: ExperimentConfig) -> RunReport:
     """Simulate one path and write each estimator's value and parts to estimates.csv."""
+    _check_config("estimate", cfg)
     report = RunReport(command="estimate")
     N = cfg.solver.N
     traj, ecfg = _simulate(cfg, N, cfg.solver.include_nonlinear,
@@ -584,6 +585,7 @@ def run_consistency(cfg: ExperimentConfig) -> RunReport:
     soft warning (single sweeps are noisy); having at least one usable
     replication per N is the hard gate.
     """
+    _check_config("consistency", cfg)
     report = RunReport(command="consistency")
     rng = np.random.default_rng(cfg.seed)
     rows: List[List] = []
@@ -731,6 +733,38 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
     if command == "linear-validate" and cfg.mode == "FullNonlinear":
         raise ValueError("config key mode must be a linear mode in a linear validation, "
                          f"not {cfg.mode!r}")
+    if command in ("estimate", "consistency", "normality"):
+        _check_observation(command, cfg)
+
+
+def _check_observation(command: str, cfg: ExperimentConfig) -> None:
+    """Raise a ValueError naming N_obs when the run's estimates cannot observe it.
+
+    N_obs must fit the smallest truncation the run simulates: N for
+    estimate, the first of the sweep for consistency and the last, the
+    only one it samples, for normality.
+    """
+    n_obs = cfg.estimator.N_obs
+    if command != "estimate" and cfg.mode == "LinearExact":
+        if n_obs is not None:
+            raise ValueError("config key N_obs must be empty in LinearExact mode, which "
+                             f"observes every mode, not {n_obs}")
+        return
+    N = {"estimate": cfg.solver.N, "consistency": cfg.N_sweep[0],
+         "normality": cfg.N_sweep[-1]}[command]
+    if n_obs is not None and n_obs > N:
+        raise ValueError(f"config key N_obs must be at most the truncation N = {N} of "
+                         f"this {command} run, not {n_obs}")
+    nonlinear = (cfg.solver.include_nonlinear if command == "estimate"
+                 else cfg.mode == "FullNonlinear")
+    if nonlinear and cfg.estimator.variant == "V1" and (n_obs is None or n_obs >= N):
+        raise ValueError(f"config key N_obs must be below the truncation N = {N} with "
+                         "variant V1, which pairs against the modes beyond N_obs, not "
+                         f"{'empty' if n_obs is None else n_obs}")
+    n_min = _smallest_resonant_truncation(cfg.params.q)
+    if n_obs is not None and n_min is not None and n_obs < n_min:
+        raise ValueError(f"config key N_obs must be at least {n_min}, the smallest "
+                         f"truncation with resonant modes at q = {cfg.params.q}, not {n_obs}")
 
 
 def run_normality(cfg: ExperimentConfig) -> RunReport:

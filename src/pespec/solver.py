@@ -352,8 +352,7 @@ def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
     c = state.coeffs
     b = None
     if cfg.include_nonlinear:
-        bf = nonlinear_B(state, state, cfg.resolved_convolution())
-        b = hydrostatic_leray(bf).coeffs
+        b = hydrostatic_leray(nonlinear_B(state, state)).coeffs
     dt = cfg.dt
     if cfg.scheme == "ExponentialEuler":
         new = _apply_pair(fac.decay, c)
@@ -369,9 +368,12 @@ def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
     return state.with_coeffs(new), b
 
 
-def _truncate(f: SpectralField, cut: int) -> SpectralField:
-    keep = f.table.k_sq <= cut * cut
-    return f.with_coeffs(f.coeffs * keep[:, None])
+def _observed_truncation(N: int, n_obs: Optional[int]) -> int:
+    """The truncation n of the observed modes |k| <= n_obs; by the table's
+    (|k|^2, k1, k2, k3) order they are the first `mode_table(n).n` rows."""
+    if n_obs is not None and n_obs > N:
+        raise ValueError(f"N_obs={n_obs} exceeds the trajectory truncation {N}")
+    return N if n_obs is None else int(n_obs)
 
 
 def _pairing_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -448,16 +450,17 @@ class Trajectory:
 
         X is V_i itself for "energy", V_{i+1} - V_i for "ito", the noise
         applied between samples i and i+1 for "noise" (needs a noise log),
-        and P B(src_i, src_i) for "advection", with src_i = V_i truncated
-        to |k| <= `cut` (all of V_i when `cut` is None).  "energy" and
-        "ito" come from one `coefficient_stack` call; "noise", which no
-        estimator reads, is built only when asked for, from its own.  B
-        is evaluated once per sample and truncation: `simulate_path`
-        hands over the full-truncation rows from the steps it took.
+        and P B(src_i, src_i) for "advection", with src_i the modes
+        |k| <= `cut` of V_i (all of V_i when `cut` is None), a field on
+        truncation `cut`'s own grid: its rows are only those modes.
+        "energy" and "ito" come from one `coefficient_stack` call;
+        "noise", which no estimator reads, is built only when asked for,
+        from its own.  B is evaluated once per sample and truncation:
+        `simulate_path` hands over the full-truncation rows.
         """
         key: Union[int, str] = kind
         if kind == "advection":
-            key = self.N if cut is None else min(int(cut), self.N)
+            key = _observed_truncation(self.N, cut)
         elif kind not in ("energy", "ito", "noise"):
             raise ValueError(f"unknown pairing kind {kind!r}")
         elif kind == "noise" and self.noise_log is None:
@@ -465,12 +468,12 @@ class Trajectory:
         if key in self._pairing:
             return self._pairing[key]
         if kind == "advection":
-            method = self.config.resolved_convolution()
-            rows = np.empty((self.n_samples - 1, len(self.states[0].coeffs)))
+            n = mode_table(key).n
+            rows = np.empty((self.n_samples - 1, n))
             for i, state in enumerate(self.states[:-1]):
-                src = state if key == self.N else _truncate(state, key)
-                b = hydrostatic_leray(nonlinear_B(src, src, method)).coeffs
-                rows[i] = _pairing_rows(state.coeffs, b)
+                src = SpectralField(key, state.coeffs[:n])
+                b = hydrostatic_leray(nonlinear_B(src, src)).coeffs
+                rows[i] = _pairing_rows(src.coeffs, b)
             self._pairing[key] = rows
         elif kind == "noise":
             self._pairing[key] = _pairing_rows(self.coefficient_stack()[:-1],

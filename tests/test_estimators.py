@@ -42,6 +42,7 @@ from pespec.modes import (
     eigenvalue_array,
     hydrostatic_leray,
     inner_product,
+    mode_table,
     project,
     random_field,
 )
@@ -207,7 +208,8 @@ class TestNonlinearIntegral:
         traj = constant_trajectory(f3)
         n1 = nonlinear_integral(traj, 4.0, BAROTROPIC, "V1", 3)
         n2 = nonlinear_integral(traj, 4.0, BAROTROPIC, "V2", 3)
-        assert n1 == n2
+        # V1 evaluates B on the N = 6 grid, V2 on the N = 3 one: roundoff apart
+        assert n2 == pytest.approx(n1, rel=1e-14, abs=0.0)
 
     def test_v1_differs_from_v2_below_cut(self):
         f = random_field(6, np.random.default_rng(9))
@@ -312,10 +314,11 @@ class TestAdvectionOncePerState:
         ecfg = EstimatorConfig(variant="V2", N_obs=3)
         self.estimates(traj, ecfg)
         assert len(calls) == traj.n_samples - 1
-        outside = traj.states[0].table.k_sq > 9
+        # B receives truncation-3 fields, the observed prefix of each state
+        n3 = mode_table(3).n
         for src, state in zip(calls, traj.states):
-            assert not src[outside].any()
-            np.testing.assert_array_equal(src[~outside], state.coeffs[~outside])
+            assert src.shape == (n3, 2)
+            np.testing.assert_array_equal(src, state.coeffs[:n3])
 
     def test_linear_path_records_nothing(self, monkeypatch):
         calls = self.spy_on_B(monkeypatch)

@@ -22,6 +22,7 @@ from pespec.estimators import confidence_interval, theoretical_covariance
 from pespec.harness import (
     ExperimentConfig,
     _anderson_normal,
+    _check_config,
     _log_ndtr,
     _normaltest_p,
     _build_strands,
@@ -750,6 +751,47 @@ class TestCli:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"pespec: error: config {keys} ")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command,lines", [
+        ("estimate", "N = 4\nT = 0.005\ndt = 0.001\nN_obs = 6\n"),
+        ("consistency", "mode = FullNonlinear\nN_sweep = 2,4\nN_obs = 3\n"),
+        ("normality", "mode = FullNonlinear\nreplications = 20\nN_obs = 3\n"),
+        ("estimate", "N = 4\nvariant = V1\n"),
+        ("estimate", "N = 4\nvariant = V1\nN_obs = 4\n"),
+        ("consistency", "mode = FullNonlinear\nvariant = V1\nN_obs = 2\n"),
+        ("estimate", "N_obs = 1\n"),
+        ("consistency", "mode = LinearViaSolver\nN_obs = 1\n"),
+        ("consistency", "N_obs = 2\n"),
+        ("normality", "replications = 20\nN_obs = 2\n"),
+    ])
+    def test_unobservable_n_obs_is_a_usage_error(self, tmp_path, capsys, command, lines):
+        # rejected before the first path is simulated
+        cfg = self.write_cfg(tmp_path, lines)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("pespec: error:")] == err[-1:]
+        assert err[-1].startswith("pespec: error: config key N_obs ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command,lines", [
+        ("consistency", "mode = FullNonlinear\nN_sweep = 4,8\nvariant = V1\nN_obs = 3\n"),
+        ("normality", "mode = FullNonlinear\nN_sweep = 2,4\nN_obs = 4\n"),
+        ("consistency", "mode = LinearViaSolver\nN_sweep = 2,4\nN_obs = 2\n"),
+        ("estimate", "N = 4\nvariant = V1\ninclude_nonlinear = false\n"),
+    ])
+    def test_observable_n_obs_passes_the_check(self, tmp_path, command, lines):
+        _check_config(command, load_config(self.write_cfg(tmp_path,
+                                                          "replications = 20\n" + lines)))
+
+    def test_estimate_below_the_truncation(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, "N = 4\nT = 0.005\ndt = 0.001\n"
+                                       "variant = V1\nN_obs = 3\n")
+        assert cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "estimates.csv").read_text().splitlines()
+        column = header.split(",").index("N_obs")
+        assert [row.split(",")[column] for row in rows] == ["3", "3", "3"]
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys, kind):

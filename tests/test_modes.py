@@ -66,6 +66,17 @@ class TestEnumeration:
         keys = [sort_key(k) for k in lattice_sites(3)]
         assert keys == sorted(keys)
 
+    def test_observed_modes_are_a_prefix(self):
+        # the (|k|^2, k1, k2, k3) order stores the modes |k| <= n of any
+        # truncation N >= n first, in the order of mode_table(n)
+        for N in range(1, 17):
+            big = mode_table(N)
+            for n in range(1, N + 1):
+                small = mode_table(n)
+                for col in ("k1", "k2", "k3"):
+                    np.testing.assert_array_equal(getattr(big, col)[:small.n],
+                                                  getattr(small, col))
+
     def test_storage_covers_lattice_once(self):
         stored = mode_table(4).keys()
         assert all(is_canonical(k) for k in stored)

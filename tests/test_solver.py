@@ -423,6 +423,26 @@ class TestNonlinearStepping:
         assert pairing.shape == (20, tab.n)
         assert np.all(np.abs(pairing @ tab.weight) <= 1e-13 * (np.abs(pairing) @ tab.weight))
 
+    @pytest.mark.parametrize("N,cuts", [(8, range(2, 8)), (12, (4, 8, 12))])
+    def test_observed_advection_pairing_matches_the_zero_padded_one(self, N, cuts):
+        # B on the observed prefix, on the cut's own grid, against B at N on
+        # a copy zeroed beyond |k| = cut, on the observed rows
+        rng = np.random.default_rng(900 + N)
+        states = [random_field(N, rng, amplitude=0.5) for _ in range(3)]
+        traj = Trajectory(times=np.arange(3.0), states=states, params=ModelParams(T=2.0),
+                          config=SolverConfig(N=N, dt=1.0))
+        k_sq = mode_table(N).k_sq
+        for cut in cuts:
+            n = mode_table(cut).n
+            want = np.empty((2, n))
+            for i, state in enumerate(states[:-1]):
+                padded = state.with_coeffs(state.coeffs * (k_sq <= cut * cut)[:, None])
+                b = hydrostatic_leray(nonlinear_B(padded, padded)).coeffs[:n]
+                want[i] = (np.conj(state.coeffs[:n]) * b).real.sum(axis=1)
+            pairing = traj.left_pairing("advection", cut)
+            assert pairing.shape == (2, n)
+            assert np.abs(pairing - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_blowup_reports_step(self):
         p = ModelParams(sigma0=0.0)
         big = field_from_keys(
