@@ -352,7 +352,8 @@ def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
     c = state.coeffs
     b = None
     if cfg.include_nonlinear:
-        b = hydrostatic_leray(nonlinear_B(state, state)).coeffs
+        bf = nonlinear_B(state, state)
+        b = hydrostatic_leray(bf).coeffs
     dt = cfg.dt
     if cfg.scheme == "ExponentialEuler":
         new = _apply_pair(fac.decay, c)
