@@ -134,6 +134,9 @@ class _ModeTable:
     The stored modes are the canonical sites of `_lattice(N)`: k3 >= 0
     and k' lexicographically positive, or k' = 0.  Their integer columns
     `k1`, `k2`, `k3` are the mode keys: a mode is a row of the table.
+    The row indices of the barotropic (k3 = 0) and self-paired (k' = 0)
+    modes, and the k' pairs and max(|k'|^2, 1) divisors of the former,
+    are kept for the projection and coercion that every step runs.
     """
 
     def __init__(self, N: int):
@@ -149,6 +152,11 @@ class _ModeTable:
         # implicit conjugate partner counts double in quadratic forms
         self.weight = np.where(self.self_paired, 1.0, 2.0)
         self.n = self.k1.size
+        self.self_paired_rows = np.flatnonzero(self.self_paired)
+        self.baro_rows = baro = np.flatnonzero(self.k3 == 0)
+        self.baro_kp = np.stack([self.k1[baro], self.k2[baro]], axis=1).astype(float)
+        # |k'|^2 is a whole number, 0 only at k' = 0, where k'.v is 0
+        self.baro_kp_sq = np.maximum(self.kp_sq[baro], 1.0)
 
     def keys(self) -> List[Tuple[int, int, int]]:
         """(k1, k2, k3) of every stored mode, as Python ints, in row order."""
@@ -179,10 +187,11 @@ def _coerce_coeffs(N: int, coeffs: np.ndarray) -> np.ndarray:
     arr = np.array(coeffs, dtype=complex)
     if arr.shape != (tab.n, 2):
         raise ValueError(f"coefficient array must have shape ({tab.n}, 2)")
-    sp = tab.self_paired
-    if np.any(np.abs(arr[sp].imag) > 1e-12 * (1.0 + np.abs(arr[sp]).max(initial=0.0))):
+    sp = tab.self_paired_rows
+    vals = arr[sp]
+    if np.any(np.abs(vals.imag) > 1e-12 * (1.0 + np.abs(vals).max(initial=0.0))):
         raise ValueError("self-paired modes (k'=0) must carry real coefficients")
-    arr[sp] = arr[sp].real
+    arr[sp] = vals.real
     arr.setflags(write=False)
     return arr
 
@@ -216,8 +225,8 @@ class SpectralField:
     def is_divergence_free(self, tol: float = 1e-10) -> bool:
         """Check the horizontal-average (k3 = 0) part against k'.coeff = 0."""
         tab = self.table
-        baro = tab.k3 == 0
-        div = tab.k1[baro] * self.coeffs[baro, 0] + tab.k2[baro] * self.coeffs[baro, 1]
+        rows, kp = self.coeffs[tab.baro_rows], tab.baro_kp
+        div = kp[:, 0] * rows[:, 0] + kp[:, 1] * rows[:, 1]
         scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
         return bool(np.all(np.abs(div) <= tol * scale))
 
@@ -249,13 +258,11 @@ def hydrostatic_leray(f: SpectralField) -> SpectralField:
     """Leray-project the barotropic part, pass the baroclinic part through:
     remove the gradient component k'(k'.v)/|k'|^2 of every k3 = 0 row."""
     tab = f.table
-    baro = tab.k3 == 0
+    baro, kp = tab.baro_rows, tab.baro_kp
     out = np.array(f.coeffs)
     rows = out[baro]
-    kp = np.stack([tab.k1[baro], tab.k2[baro]], axis=1).astype(float)
     dot = kp[:, 0] * rows[:, 0] + kp[:, 1] * rows[:, 1]
-    # |k'|^2 is a whole number, 0 only at k' = 0, where dot is 0
-    out[baro] = rows - kp * (dot / np.maximum(tab.kp_sq[baro], 1.0))[:, None]
+    out[baro] = rows - kp * (dot / tab.baro_kp_sq)[:, None]
     return f.with_coeffs(out)
 
 
@@ -279,7 +286,7 @@ def random_field(
     divergence-free barotropic part, real self-paired coefficients."""
     tab = mode_table(N)
     raw = rng.standard_normal((tab.n, 2)) + 1j * rng.standard_normal((tab.n, 2))
-    raw[tab.self_paired] = rng.standard_normal((int(tab.self_paired.sum()), 2))
+    raw[tab.self_paired_rows] = rng.standard_normal((tab.self_paired_rows.size, 2))
     scale = amplitude * tab.k_sq ** (-spectral_exponent / 2.0)
     f = SpectralField(N, raw * scale[:, None])
     f = project(f, sel)

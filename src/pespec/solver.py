@@ -6,11 +6,11 @@ solved exactly in the complex-rate picture of `linear`) and the
 projected advection term P B(V, V).  B is computed in flux form on a
 collocation grid dealiased by the 3/2 rule, exact on the truncation, by
 depth parity: every field it involves is a cosine or a sine series in
-z, so real 2D transforms run on the N + 1 coefficient planes m3 = 0..N
-and small real matrix products (GEMMs), one per grid row, map them to
-the half period along z or back (B(u, u): 8 scipy.fft calls and 8 z
-products); the exact convolution over lattice site pairs (Direct) is
-only a test oracle.  All
+z, so real 2D transforms (`numpy.fft`) run on the N + 1 coefficient
+planes m3 = 0..N and small real matrix products (GEMMs), one per grid
+row, map them to the half period along z or back (B(u, u): 13
+numpy.fft calls and 8 z products); the exact convolution over lattice
+site pairs (Direct) is only a test oracle.  All
 schemes take the per-step noise vectors as an argument, so trajectories
 are reproducible and the applied increments can be logged for the
 estimator validation identities.
@@ -125,13 +125,14 @@ class _SiteLayout:
     per-site values in one fancy-indexing pass, and `fill_index` places
     them in the (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].
 
-    The transform grid takes G = next_fast_len(3N + 1) points along x
+    The transform grid takes G = _fast_len(3N + 1) points along x
     and y and the M + 1 points z_j = pi j / M of the even extension of
     length Gz = 2M, M = ceil((3N + 1)/2): the z transforms are matrix
     products, which need no fast length.  `cos_syn` and `sin_syn` map
     the cosine planes 0..N or sine planes 1..N to the grid (the sine
     to its interior rows), `cos_ana` and `sin_ana` map it back; each is
-    the DCT-I or DST-I of an identity.  Mode k reads an even flux at
+    the DCT-I or DST-I of an identity, the rfft of its even or odd
+    extension, as scipy.fft computes it.  Mode k reads an even flux at
     `read_index`, (k3, k2, k1), and an odd one, whose planes start at
     m3 = 1, at `read_odd`.  `deriv` holds the per-mode factors i k1,
     i k2 and k3 of the three flux divergence terms, each times the
@@ -139,8 +140,6 @@ class _SiteLayout:
     """
 
     def __init__(self, N: int):
-        from scipy import fft as sfft  # loaded with the first B, not with the package
-
         tab = mode_table(N)
         pairs = np.flatnonzero((tab.k1 == 0) & ~tab.self_paired)
         self.rows = np.concatenate([np.arange(tab.n), pairs])
@@ -148,12 +147,12 @@ class _SiteLayout:
         self.scale = np.where(tab.k3 > 0, 1.0 / _SQRT2, 1.0)[self.rows]
         m2 = np.where(self.conj, -tab.k2[self.rows], tab.k2[self.rows])
         self.sites = np.stack([tab.k1[self.rows], m2, tab.k3[self.rows]], axis=1)
-        self.G = G = sfft.next_fast_len(3 * N + 1)
+        self.G = G = _fast_len(3 * N + 1)
         self.M = M = (3 * N + 2) // 2
-        self.cos_syn = sfft.dct(np.eye(N + 1), type=1, n=M + 1, axis=0)
-        self.cos_ana = sfft.dct(np.eye(M + 1), type=1, axis=0, norm="forward")[:N + 1]
-        self.sin_syn = sfft.dst(np.eye(N), type=1, n=M - 1, axis=0)
-        self.sin_ana = sfft.dst(np.eye(M - 1), type=1, axis=0, norm="forward")[:N]
+        self.cos_syn = _dct1(np.eye(M + 1, N + 1))
+        self.cos_ana = _dct1(np.eye(M + 1), norm="forward")[:N + 1]
+        self.sin_syn = _dst1(np.eye(M - 1, N))
+        self.sin_ana = _dst1(np.eye(M - 1), norm="forward")[:N]
         m1, m2, m3 = self.sites.T
         self.fill_index = (m3, m2 % G, m1)
         self.read_index = (tab.k3, tab.k2 % G, tab.k1)
@@ -161,7 +160,35 @@ class _SiteLayout:
         self.read_odd = (np.maximum(tab.k3 - 1, 0), tab.k2 % G, tab.k1)
         s = np.where(tab.k3 > 0, _SQRT2, 1.0)
         self.deriv = (1j * tab.k1 * s, 1j * tab.k2 * s, tab.k3 * s)
-        self.self_paired = tab.self_paired
+        self.self_paired = tab.self_paired_rows
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, scipy.fft.next_fast_len(n):
+    a length that pocketfft factors into fast passes."""
+    def smooth(m: int) -> bool:
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    m = n
+    while not smooth(m):
+        m += 1
+    return m
+
+
+def _dct1(x: np.ndarray, norm: str = "backward") -> np.ndarray:
+    """DCT-I along axis 0: the real part of the rfft of the even extension,
+    in a C-ordered array, as BLAS takes it without a copy."""
+    even = np.concatenate([x, x[-2:0:-1]])
+    return np.ascontiguousarray(np.fft.rfft(even, axis=0, norm=norm).real)
+
+
+def _dst1(x: np.ndarray, norm: str = "backward") -> np.ndarray:
+    """DST-I along axis 0: minus the imaginary part of the rfft of the odd extension."""
+    zero = np.zeros_like(x[:1])
+    odd = np.concatenate([zero, x, zero, -x[::-1]])
+    return -np.fft.rfft(odd, axis=0, norm=norm).imag[1:len(x) + 1]
 
 
 @lru_cache(maxsize=32)
@@ -195,14 +222,15 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     `sin_syn`: G GEMMs of the matrix by one (planes, G) row slab each,
     small enough that BLAS runs each on one thread, so B's bits do not
     depend on the thread count.  The even fluxes f_a g_c go back by
-    `cos_ana` and rfft2 to F, so d_a is i m_a F; the odd fluxes w g_c by
-    `sin_ana` and rfft2 to i times their coefficients, S, so dz is m3 S.
+    `cos_ana` and a forward transform to F, so d_a is i m_a F; the odd
+    fluxes w g_c by `sin_ana` and a forward transform to i times their
+    coefficients, S, so dz is m3 S.  A forward transform is an rfft
+    along x, scaled by 1/G^2, and an fft along y of the columns m1 <= N
+    only, which rounds as scipy.fft's rfft2 does on those columns.
     When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3 inverse and
-    5 forward transforms, 8 scipy.fft calls and 8 z products, in place of
-    5 and 6.
+    5 forward transforms, 13 numpy.fft calls and 8 z products, in place
+    of 5 and 6.
     """
-    from scipy import fft as sfft
-
     lay = _site_layout(f.N)
     G, M, N = lay.G, lay.M, f.N
 
@@ -213,14 +241,19 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
         c = np.zeros((N + 1, G, G // 2 + 1), dtype=complex)
         c[lay.fill_index] = vals
         if odd:  # rows z_1..z_{M-1}: a sine vanishes at z = 0 and pi
-            return along_z(lay.sin_syn, sfft.irfft2(c[1:], s=(G, G), norm="forward"))
-        return along_z(lay.cos_syn, sfft.irfft2(c, s=(G, G), norm="forward"))
+            return along_z(lay.sin_syn, np.fft.irfft2(c[1:], s=(G, G), norm="forward"))
+        return along_z(lay.cos_syn, np.fft.irfft2(c, s=(G, G), norm="forward"))
+
+    def forward(p: np.ndarray) -> np.ndarray:
+        h = np.fft.rfft(p, axis=-1)[..., :N + 1]
+        h.view(float)[...] *= 1.0 / (G * G)  # a real scale, not a complex product
+        return np.fft.fft(h, axis=-2)
 
     def even_flux(p: np.ndarray) -> np.ndarray:
-        return sfft.rfft2(along_z(lay.cos_ana, p), norm="forward")[lay.read_index]
+        return forward(along_z(lay.cos_ana, p))[lay.read_index]
 
     def odd_flux(p: np.ndarray) -> np.ndarray:
-        return sfft.rfft2(along_z(lay.sin_ana, p), norm="forward")[lay.read_odd]
+        return forward(along_z(lay.sin_ana, p))[lay.read_odd]
 
     fv = _site_values(lay, f)
     u = [grid(fv[:, 0]), grid(fv[:, 1])]

@@ -1,8 +1,9 @@
 """tools/bench_pairs.py: reading one benchmark run, reporting a failed one,
-and judging each end-to-end metric against its bound."""
+judging each end-to-end metric against its bound, and the machine record."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -125,3 +126,9 @@ def test_narrow_base_is_resolved(bench_pairs):
     summary = bench_pairs._summary(runs, SETUP_ONLY)["setup_s"]
     assert summary["resolved"] is True
     assert summary["within_bound"] is True
+
+
+def test_missing_package_version_is_null(bench_pairs):
+    # a runtime-only environment has no SciPy; the machine record says null
+    assert bench_pairs._version("numpy") == np.__version__
+    assert bench_pairs._version("pespec-no-such-package") is None

@@ -39,6 +39,7 @@ sys.path.insert(0, {src!r})
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+import numpy as np
 import pespec
 print("import", loaded())
 out = Path({out!r})
@@ -54,20 +55,23 @@ pespec.run_linear_validation(cfg)
 print("linear-validate", loaded())
 pespec.confidence_interval(1.0, 2.0, 4)
 print("confidence_interval", loaded())
-f = pespec.random_field(4, __import__("numpy").random.default_rng(1))
+f = pespec.random_field(4, np.random.default_rng(1))
 pespec.nonlinear_B(f, f)
-print("B", "scipy.fft" in sys.modules)
+print("B", loaded())
+params = pespec.ModelParams(T=0.01)
+traj = pespec.simulate_path(params, f, pespec.SolverConfig(N=4, dt=1e-3), 2)
+pespec.estimate_nu_h(traj, pespec.EstimatorConfig(variant="V2"))
+print("nonlinear path", loaded())
 """
 
 
-def test_scipy_loads_only_with_the_advection_term(tmp_path):
-    # SciPy is needed only for the FFTs of B; the package, the linear
-    # studies and the normal quantiles run on NumPy and the stdlib
+def test_no_run_loads_scipy(tmp_path):
+    # the package, the linear studies, the normal quantiles and the
+    # advection term run on NumPy and the stdlib alone
     src = str(Path(pespec.__file__).parents[1])
     code = SCIPY_FREE_RUNS.format(src=src, out=str(tmp_path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    *steps, last = out.stdout.strip().splitlines()
-    assert steps == [f"{name} []" for name in ("import", "normality", "consistency",
-                                               "linear-validate", "confidence_interval")]
-    assert last == "B True"
+    assert out.stdout.strip().splitlines() == [
+        f"{name} []" for name in ("import", "normality", "consistency", "linear-validate",
+                                  "confidence_interval", "B", "nonlinear path")]

@@ -40,6 +40,14 @@ def _git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def _version(package: str):
+    """The installed version of `package`, or None where it is not installed."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _extract(commit: str, into: Path) -> Path:
     into.mkdir()
     archive = subprocess.run(["git", "-C", str(REPO), "archive", commit],
@@ -131,7 +139,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
-                    "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")},
+                    "numpy": metadata.version("numpy"), "scipy": _version("scipy")},
         "commits": commits,
         "seconds_per_run": args.seconds,
         "pairs": args.pairs,
