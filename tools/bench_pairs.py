@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(),
-                    "numpy": metadata.version("numpy"), "scipy": _version("scipy")},
+                    "numpy": _version("numpy"), "scipy": _version("scipy")},
         "commits": commits,
         "seconds_per_run": args.seconds,
         "pairs": args.pairs,
