@@ -353,8 +353,9 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
     belong in the model, so the estimates match the drop-advection
     variant applied to a linear trajectory.  Each step draws, in this
     order, one normal and one chi-square per class of non-rotating
-    strands, then the rotating strands' normals; the class sums give
-    the law of the estimator pair exactly (see `ShellSampler`).  The
+    strands, then the rotating strands' normals in one draw; the class
+    sums give the law of the estimator pair exactly (see `ShellSampler`).
+    The steps write into arrays allocated once per call, and the
     weights are applied once, after the last step.
     """
     if dt is None:
@@ -368,18 +369,24 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
     R = np.zeros((reps, shells.size.size))
     sum_R = np.zeros_like(R)
     sum_cross = np.zeros_like(R)
+    shell_work = shells.work(R.shape)
     Z = np.zeros((reps, rotating.n_strands), dtype=complex)
+    Z_new, d = np.empty_like(Z), np.empty_like(Z)
     sum_sq = np.zeros(Z.shape)
     sum_pair = np.zeros(Z.shape)
+    re, im = np.empty(Z.shape), np.empty(Z.shape)   # products of real, imaginary parts
+    strand_work = rotating.work(Z.shape)
+    # every array is allocated once; each step writes into them
     for _ in range(sysm.n_steps):
         sum_R += R
-        R, cross = shells.step(R, rng)
+        _, cross = shells.step(R, rng, shell_work, out=R)
         sum_cross += cross
-        Z_new = rotating.step(Z, rng)
-        d = Z_new - Z
-        sum_pair += Z.real * d.real + Z.imag * d.imag
-        sum_sq += Z.real ** 2 + Z.imag ** 2
-        Z = Z_new
+        rotating.step(Z, rng, strand_work, out=Z_new)
+        np.subtract(Z_new, Z, out=d)
+        sum_pair += np.add(np.multiply(Z.real, d.real, out=re),
+                           np.multiply(Z.imag, d.imag, out=im), out=re)
+        sum_sq += np.add(np.square(Z.real, out=re), np.square(Z.imag, out=im), out=re)
+        Z, Z_new = Z_new, Z
     # over a class, sum x (x' - x) = (a - 1) R + r sqrt(R) g
     pair = np.hstack([(shells.decay - 1.0) * sum_R + shells.scale * sum_cross, sum_pair])
     I_h, I_r = (pair @ sysm.ito).T
@@ -887,9 +894,11 @@ def _energy_sums(params: ModelParams, N: int, cols, dt: float, n_steps: int,
     sampler = StrandSampler(*strands, dt)
     Z = np.zeros((reps, owner.size), dtype=complex)
     acc = np.zeros((reps, owner.size))
+    re, im = np.empty(Z.shape), np.empty(Z.shape)
+    work = sampler.work(Z.shape)
     for _ in range(n_steps):
-        acc += Z.real ** 2 + Z.imag ** 2
-        Z = sampler.step(Z, rng)
+        acc += np.add(np.square(Z.real, out=re), np.square(Z.imag, out=im), out=re)
+        sampler.step(Z, rng, work, out=Z)
     return np.stack([acc[:, owner == c].sum(axis=1) for c in cols], axis=1)
 
 

@@ -196,8 +196,11 @@ class StrandSampler:
     dt; `noise` draws a block of one-step noise, strands on its last axis,
     and `step` advances a (replications, strands) complex block.  Every
     strand draws one normal n1; the rotating strands (f0 != 0) draw a
-    second normal n2, after all the n1 of the step.  A strand without
-    rotation has rank-one noise (s22 = 0) and needs no second draw.
+    second normal n2, after all the n1 of the step, in the same call.  A
+    strand without rotation has rank-one noise (s22 = 0) and needs no
+    second draw.  A loop that steps one block shape many times allocates
+    `work(shape)` once and passes it to every call; without it each call
+    allocates its own.
     """
 
     def __init__(self, lam, f0, amp, zeta, dt: float):
@@ -211,23 +214,54 @@ class StrandSampler:
         # contiguous rows: the factors broadcast over every replication
         self.s11, self.s21, self.s22 = np.ascontiguousarray(chol.T)
         self.rot = np.flatnonzero(f0 != 0.0)
+        self._s22_rot = self.s22[self.rot]
+        self._all_rot = self.rot.size == self.decay.size
 
     @property
     def n_strands(self) -> int:
         return self.decay.size
 
-    def noise(self, shape, rng: np.random.Generator) -> np.ndarray:
-        """eta = s11 n1 + i (s21 n1 + s22 n2), complex of the given shape."""
-        n1 = rng.standard_normal(shape)
-        eta = self.s11 * n1 + 1j * (self.s21 * n1)
+    def work(self, shape) -> tuple:
+        """Scratch arrays for `noise` over blocks of the given shape: one
+        buffer for both draws, viewed as n1 and n2, and the real and
+        complex planes of the arithmetic."""
+        shape = tuple(shape)
+        rot_shape = (*shape[:-1], self.rot.size)
+        size = math.prod(shape)
+        draws = np.empty(size + math.prod(rot_shape))
+        return (draws, draws[:size].reshape(shape), draws[size:].reshape(rot_shape),
+                np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex),
+                np.empty(rot_shape), np.empty(rot_shape, dtype=complex))
+
+    def noise(self, shape, rng: np.random.Generator, work=None) -> np.ndarray:
+        """eta = s11 n1 + i (s21 n1 + s22 n2), complex of the given shape.
+
+        The products and sums are those of the complex expression, in its
+        order, so eta has its bits; splitting eta into real and imaginary
+        planes would flip the sign of zeros where s11 or s21 is 0.
+        """
+        draws, n1, n2, x, y, eta, w, u = self.work(shape) if work is None else work
+        rng.standard_normal(out=draws)   # every n1 of the step, then every n2
+        np.multiply(self.s11, n1, out=x)
+        np.multiply(self.s21, n1, out=y)
+        np.multiply(1j, y, out=eta)
+        np.add(x, eta, out=eta)
         if self.rot.size:
-            n2 = rng.standard_normal((*shape[:-1], self.rot.size))
-            eta[..., self.rot] += 1j * (self.s22[self.rot] * n2)
+            np.multiply(self._s22_rot, n2, out=w)
+            np.multiply(1j, w, out=u)
+            if self._all_rot:
+                np.add(eta, u, out=eta)
+            else:
+                eta[..., self.rot] += u
         return eta
 
-    def step(self, Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Z at the next grid time, with Z's rows independent replications."""
-        return Z * self.decay + self.noise(Z.shape, rng)
+    def step(self, Z: np.ndarray, rng: np.random.Generator, work=None,
+             out=None) -> np.ndarray:
+        """Z at the next grid time, with Z's rows independent replications;
+        written into `out` when given, which may be Z itself."""
+        eta = self.noise(Z.shape, rng, work)
+        out = np.multiply(Z, self.decay, out=out)
+        return np.add(out, eta, out=out)
 
 
 class ShellSampler:
@@ -247,7 +281,8 @@ class ShellSampler:
     normals, and the law of every such statistic is unchanged.  The
     chi-square is 2 Gamma((m-1)/2), which is 0 for m = 1.  Built from
     per-class (a, r, m); `step` advances a (replications, classes) block
-    of R, all the normals of a step before its chi-squares.
+    of R, all the normals of a step before its chi-squares.  As with
+    `StrandSampler`, a loop passes `work(shape)` to every step.
     """
 
     def __init__(self, decay, scale, size):
@@ -261,12 +296,27 @@ class ShellSampler:
     def n_strands(self) -> int:
         return int(self.size.sum())
 
-    def step(self, R: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        """(R at the next grid time, sqrt(R) g = x.n over the step)."""
-        g = rng.standard_normal(R.shape)
-        half_chi2 = rng.standard_gamma(self.half_dof, R.shape)
-        root = np.sqrt(R)
-        return (self.decay * root + self.scale * g) ** 2 + self._twice_var * half_chi2, root * g
+    @staticmethod
+    def work(shape) -> tuple:
+        """Scratch arrays for `step` over blocks of R of the given shape."""
+        return tuple(np.empty(shape) for _ in range(4))
+
+    def step(self, R: np.ndarray, rng: np.random.Generator, work=None,
+             out=None) -> Tuple[np.ndarray, np.ndarray]:
+        """(R at the next grid time, sqrt(R) g = x.n over the step); the
+        new R is written into `out` when given, which may be R itself,
+        and x.n into the work arrays."""
+        g, half_chi2, root, tmp = self.work(R.shape) if work is None else work
+        rng.standard_normal(out=g)
+        rng.standard_gamma(self.half_dof, out=half_chi2)
+        np.sqrt(R, out=root)
+        out = np.multiply(self.decay, root, out=out)
+        np.multiply(self.scale, g, out=tmp)
+        np.add(out, tmp, out=out)
+        np.square(out, out=out)
+        np.multiply(self._twice_var, half_chi2, out=tmp)
+        np.add(out, tmp, out=out)
+        return out, np.multiply(root, g, out=root)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: reading one benchmark run, reporting a failed one,
-judging each end-to-end metric against its bound, and the machine record."""
+judging each end-to-end metric against its bound, and the machine record
+with its bytecode setting."""
 import importlib.util
 from pathlib import Path
 
@@ -132,3 +133,16 @@ def test_missing_package_version_is_null(bench_pairs):
     # a runtime-only environment has no SciPy; the machine record says null
     assert bench_pairs._version("numpy") == np.__version__
     assert bench_pairs._version("pespec-no-such-package") is None
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_machine_records_bytecode_caching(bench_pairs, monkeypatch, value):
+    # set-up probes in a fresh checkout recompile every module when Python
+    # may not write bytecode, so setup_s depends on this setting
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    machine = bench_pairs._machine()
+    assert machine["PYTHONDONTWRITEBYTECODE"] == value
+    assert machine["numpy"] == np.__version__

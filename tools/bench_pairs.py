@@ -17,7 +17,9 @@ BENCHMARK.json, the number of pairs the head won, whether the head's
 median stays within the metric's `bound` (a fraction of the base
 median) of the base's, and whether the runs resolve the metric at all:
 `resolved` is false when the base's interquartile range exceeds the
-bound, unless every head run beats every base run.
+bound, unless every head run beats every base run.  Its machine block
+names the core count, the platform, the library versions and the value
+of PYTHONDONTWRITEBYTECODE, on which `setup_s` depends.
 """
 from __future__ import annotations
 
@@ -46,6 +48,17 @@ def _version(package: str):
         return metadata.version(package)
     except metadata.PackageNotFoundError:
         return None
+
+
+def _machine() -> dict:
+    """The machine block: cores, platform, library versions, and whether
+    Python may cache bytecode.  With PYTHONDONTWRITEBYTECODE set, every
+    fresh set-up probe of a fresh checkout compiles every module again,
+    so `setup_s` compares across BENCH files only when this matches."""
+    return {"cores": os.cpu_count(), "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": _version("numpy"), "scipy": _version("scipy"),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def _extract(commit: str, into: Path) -> Path:
@@ -137,9 +150,7 @@ def main(argv=None) -> int:
             report[workload] = {"summary": _summary(runs, spec["end_to_end"]), "runs": runs}
 
     args.out.write_text(json.dumps({
-        "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(),
-                    "numpy": _version("numpy"), "scipy": _version("scipy")},
+        "machine": _machine(),
         "commits": commits,
         "seconds_per_run": args.seconds,
         "pairs": args.pairs,
