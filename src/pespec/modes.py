@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from itertools import compress, cycle, repeat
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,6 +168,16 @@ class _ModeTable:
         """'k1,k2,k3' of every stored mode, as the field text writes it."""
         return [f"{k1},{k2},{k3}" for k1, k2, k3 in self.keys()]
 
+    @cached_property
+    def key_prefixes(self) -> List[str]:
+        """'k1,k2,k3,' of every stored mode: how its field row begins."""
+        return [key + "," for key in self.key_text]
+
+    @cached_property
+    def row_template(self) -> str:
+        """The `%` template of a field block: 'k1,k2,k3,%r,%r,%r,%r' per row."""
+        return "".join(f"{key}%r,%r,%r,%r\n" for key in self.key_prefixes)
+
 
 @lru_cache(maxsize=64)
 def mode_table(N: int) -> _ModeTable:
@@ -293,6 +304,11 @@ def random_field(
     return hydrostatic_leray(f)
 
 
+# the cells of a field row that hold values, after its three key cells
+_VALUE_CELLS = (False, False, False, True, True, True, True)
+_NOISE_ROW = "%r,%r,%r,%r\n"
+
+
 def _fmt(x) -> str:
     """Text of one value; floats, NumPy's included, as their round-trip repr."""
     if isinstance(x, (float, np.floating)):
@@ -300,23 +316,48 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _rows_to_text(coeffs: np.ndarray, keys: Optional[Sequence[str]] = None) -> str:
+def _rows_to_text(coeffs: np.ndarray, tab: Optional[_ModeTable] = None) -> str:
     """Rows of an (n, 2) complex coefficient block: re_u,im_u,re_v,im_v per
-    row, after the row's key text 'k1,k2,k3' when `keys` is given."""
+    row, after the row's key text 'k1,k2,k3' when the mode table `tab` is
+    given.  One `%` operation formats the block; `%r` of a Python float is
+    its round-trip repr, the text `_fmt` writes."""
     flat = np.ascontiguousarray(coeffs, dtype=complex).view(float).ravel().tolist()
-    cells = [iter(map(_fmt, flat))] * 4  # four reads of one iterator per row
-    rows = zip(*cells) if keys is None else zip(keys, *cells)
-    return "".join(",".join(row) + "\n" for row in rows)
+    template = _NOISE_ROW * (len(flat) // 4) if tab is None else tab.row_template
+    return template % tuple(flat)
 
 
 def _rows_from_text(rows: Sequence[str], numbers: Sequence[int],
-                    keys: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Parse `_rows_to_text` rows: field rows, row i keyed keys[i], or noise
-    rows when `keys` is None.  rows[i] sits on text line numbers[i]; a
-    ValueError names the line of the first bad row.  The floats are viewed
-    as complex, since complex arithmetic would normalize signed zeros."""
-    skip, what = (0, "noise") if keys is None else (3, "coefficient")
-    vals = []
+                    tab: Optional[_ModeTable] = None) -> np.ndarray:
+    """Parse `_rows_to_text` rows: field rows, row i keyed by row i of the
+    mode table `tab`, or noise rows when `tab` is None.  rows[i] sits on
+    text line numbers[i].  The block is checked and parsed at once: every
+    key prefix, every comma count, one `float` pass over the value cells
+    and one finiteness test.  A block that fails goes to `_bad_row`, which
+    raises a ValueError naming the line of the first bad row.  The floats
+    are viewed as complex, since complex arithmetic would normalize signed
+    zeros."""
+    width = 4 if tab is None else 7
+    if ((tab is None or all(map(str.startswith, rows, tab.key_prefixes)))
+            and set(map(str.count, rows, repeat(","))) == {width - 1}):
+        cells = ",".join(rows).split(",")
+        if tab is not None:
+            cells = compress(cells, cycle(_VALUE_CELLS))
+        try:
+            x = np.fromiter(map(float, cells), float, 4 * len(rows))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(x).all():
+                return x.reshape(-1, 4).view(complex)
+    _bad_row(rows, numbers, tab)
+
+
+def _bad_row(rows: Sequence[str], numbers: Sequence[int],
+             tab: Optional[_ModeTable]) -> NoReturn:
+    """Raise the ValueError of the first row of a block that
+    `_rows_from_text` could not parse, checking each row in turn: its
+    column count, its values, its key, their finiteness."""
+    skip, what = (0, "noise") if tab is None else (3, "coefficient")
     for i, row in enumerate(rows):
         parts = row.split(",")
         try:
@@ -325,20 +366,19 @@ def _rows_from_text(rows: Sequence[str], numbers: Sequence[int],
             x = list(map(float, parts[skip:]))
         except ValueError as exc:
             raise ValueError(f"line {numbers[i]}: malformed {what} row ({exc})") from None
-        if keys is not None and ",".join(parts[:3]) != keys[i]:
+        if tab is not None and ",".join(parts[:3]) != tab.key_text[i]:
             raise ValueError(f"line {numbers[i]}: row {i} out of canonical order: "
-                             f"({','.join(parts[:3])}) where ({keys[i]}) belongs")
+                             f"({','.join(parts[:3])}) where ({tab.key_text[i]}) belongs")
         if not all(map(math.isfinite, x)):
             raise ValueError(f"line {numbers[i]}: non-finite {what} in row {i}")
-        vals.append(x)
-    return np.array(vals, dtype=float).reshape(-1, 4).view(complex)
+    raise AssertionError("a block that failed to parse has no bad row")
 
 
 def field_to_text(f: SpectralField) -> str:
     """Serialize: header with N and basis tag, then one row per stored mode
     as k1,k2,k3,re_u,im_u,re_v,im_v in canonical order."""
     return (f"# {FIELD_FORMAT_TAG} N={f.N} basis={BASIS_TAG}\n"
-            + _rows_to_text(f.coeffs, f.table.key_text))
+            + _rows_to_text(f.coeffs, f.table))
 
 
 def field_from_text(text: str) -> SpectralField:
@@ -368,4 +408,4 @@ def _field_from_lines(lines: Sequence[str], numbers: Sequence[int]) -> SpectralF
     if len(rows) != tab.n:  # name the first surplus row or the last line
         n = numbers[1 + tab.n] if len(rows) > tab.n else numbers[len(lines) - 1]
         raise ValueError(f"line {n}: {len(rows)} mode rows, but N={N} has {tab.n}")
-    return SpectralField(N, _rows_from_text(rows, numbers[1:], tab.key_text))
+    return SpectralField(N, _rows_from_text(rows, numbers[1:], tab))

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -307,22 +307,32 @@ class _StepFactors:
     `linear.mode_strands`: `strands` draws their exact OU noise, `wiener`
     = sqrt(dt) amp zeta scales a normal into a Wiener increment, and
     `slots` places each strand in the float view of the noise vectors.
+    Only ExponentialEuler reads `phi` and `strands`, so they are built on
+    first use.
     """
 
     def __init__(self, N: int, dt: float, params: ModelParams):
         tab = mode_table(N)
         lam, f0, _ = mode_rates(params, tab.kp_sq, tab.k3_sq)
         self.n = tab.n
+        self.dt = dt
         self.z = lam + 1j * f0
         self.decay = np.exp(-self.z * dt)
-        self.phi = dt * np.array([_phi1(-zz * dt) for zz in self.z])
         self.lam_max = float(lam.max())
         owner, lam_s, f0_s, amp_s, zeta = mode_strands(params, N, np.arange(tab.n))
-        self.strands = StrandSampler(lam_s, f0_s, amp_s, zeta, dt)
+        self._strand_rates = (lam_s, f0_s, amp_s, zeta)
         self.wiener = math.sqrt(dt) * amp_s * zeta
         # the second strand of a conjugate pair holds its imaginary parts
         part = np.r_[0, owner[1:] == owner[:-1]]
         self.slots = (4 * owner[:, None] + 2 * np.arange(2) + part[:, None]).ravel()
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.dt * np.array([_phi1(-zz * self.dt) for zz in self.z])
+
+    @cached_property
+    def strands(self) -> StrandSampler:
+        return StrandSampler(*self._strand_rates, self.dt)
 
 
 @lru_cache(maxsize=32)

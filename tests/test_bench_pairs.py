@@ -2,6 +2,7 @@
 judging each end-to-end metric against its bound, and the machine record
 with its bytecode setting."""
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +147,23 @@ def test_machine_records_bytecode_caching(bench_pairs, monkeypatch, value):
     machine = bench_pairs._machine()
     assert machine["PYTHONDONTWRITEBYTECODE"] == value
     assert machine["numpy"] == np.__version__
+
+
+def test_machine_records_malloc_settings(bench_pairs, monkeypatch):
+    # glibc's malloc settings move B's page faults, and so its time
+    for name in list(os.environ):
+        if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+            monkeypatch.delenv(name)
+    machine = bench_pairs._machine()
+    for name in ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                 "MALLOC_ARENA_MAX"):
+        assert machine[name] is None
+    assert not [k for k, v in machine.items() if k.startswith("MALLOC_") and v is not None]
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "100000000")
+    monkeypatch.setenv("MALLOC_PERTURB_", "7")
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=4000000")
+    machine = bench_pairs._machine()
+    assert machine["MALLOC_TRIM_THRESHOLD_"] == "100000000"
+    assert machine["MALLOC_PERTURB_"] == "7"
+    assert machine["GLIBC_TUNABLES"] == "glibc.malloc.mmap_threshold=4000000"
+    assert machine["MALLOC_MMAP_THRESHOLD_"] is None

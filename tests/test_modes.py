@@ -23,6 +23,8 @@ from pespec.modes import (
     eigenvalue_array,
     _fmt,
     _lattice,
+    _rows_from_text,
+    _rows_to_text,
     field_from_text,
     field_to_text,
     hydrostatic_leray,
@@ -194,6 +196,52 @@ class TestSpectralField:
     def test_formatter_writes_plain_numbers(self):
         assert [_fmt(x) for x in (np.float64(0.5), 0.1, np.float32(2.0), 3, "V2")] == \
             ["0.5", "0.1", "2.0", "3", "V2"]
+
+
+# repr changes notation at 1e16 and below 1e-4; signed zeros, the
+# smallest subnormal and the largest double are the other edges
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e16, np.nextafter(1e16, 0.0), 1e-5, 1e-4,
+                -1e-5, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _edge_block(n, seed):
+    """An (n, 2) complex block holding every edge value and, after them,
+    random values that need all 17 significant digits."""
+    rng = np.random.default_rng(seed)
+    flat = rng.standard_normal(4 * n) * 10.0 ** rng.integers(-300, 300, 4 * n)
+    flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+    return flat.view(complex).reshape(n, 2)
+
+
+def _per_value_text(coeffs, keys=None):
+    """The rows as one `_fmt` call per value writes them."""
+    flat = coeffs.view(float).ravel()
+    rows = [[_fmt(x) for x in flat[4 * i: 4 * i + 4]] for i in range(len(coeffs))]
+    if keys is not None:
+        rows = [[key] + row for key, row in zip(keys, rows)]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("N", [2, 5, 8])
+    @pytest.mark.parametrize("keyed", [True, False], ids=["field", "noise"])
+    def test_block_matches_per_value_form(self, N, keyed):
+        tab = mode_table(N)
+        coeffs = _edge_block(tab.n, N)
+        mantissas = [repr(x).split("e")[0] for x in coeffs.view(float).ravel().tolist()]
+        assert max(len(m.lstrip("-").replace(".", "").strip("0")) for m in mantissas) == 17
+        keys = tab.key_text if keyed else None
+        text = _rows_to_text(coeffs, tab if keyed else None)
+        assert text == _per_value_text(coeffs, keys)
+        back = _rows_from_text(text.splitlines(), range(1, tab.n + 1), tab if keyed else None)
+        assert back.shape == (tab.n, 2)
+        assert back.tobytes() == coeffs.tobytes()
+
+    def test_field_text_matches_per_value_form(self):
+        f = random_field(4, np.random.default_rng(4))
+        header, rows = field_to_text(f).split("\n", 1)
+        assert rows == _per_value_text(f.coeffs, f.table.key_text)
+        assert field_from_text(field_to_text(f)).coeffs.tobytes() == f.coeffs.tobytes()
 
 
 class TestOperators:

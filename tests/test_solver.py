@@ -22,6 +22,7 @@ from scipy import stats
 
 from advection_oracle import direct_B, full_unfolding, site_values, vertical_velocity
 from lattice_oracle import field_from_keys
+from pespec import linear
 from pespec.linear import mode_rates, noise_direction_array
 from pespec.modes import (
     BAROTROPIC,
@@ -42,6 +43,7 @@ from pespec.solver import (
     _fast_len,
     _site_layout,
     _site_values,
+    _step_factors,
     _w_site_values,
     draw_increments,
     nonlinear_B,
@@ -493,6 +495,24 @@ class TestSimulatePath:
         traj = simulate_path(p, None, SolverConfig(N=2, dt=0.1), 0)
         assert all(np.all(s.coeffs == 0) for s in traj.states)
 
+    def test_euler_maruyama_builds_no_strand_sampler(self, monkeypatch):
+        # only ExponentialEuler draws the exact-OU noise of the strands
+        calls = Counter()
+        chol = linear.strand_noise_chol
+
+        def spy(*args):
+            calls["strand_noise_chol"] += 1
+            return chol(*args)
+
+        monkeypatch.setattr(linear, "strand_noise_chol", spy)
+        _step_factors.cache_clear()
+        p = ModelParams(T=0.002)
+        simulate_path(p, None, SolverConfig(N=8, dt=1e-3, scheme="EulerMaruyama"), 1)
+        assert calls["strand_noise_chol"] == 0
+        simulate_path(p, None, SolverConfig(N=8, dt=1e-3, scheme="ExponentialEuler"), 1)
+        assert calls["strand_noise_chol"] > 0
+        _step_factors.cache_clear()
+
     def test_grid_validation(self):
         p = ModelParams()
         with pytest.raises(ValueError, match="whole steps"):
@@ -680,6 +700,57 @@ class TestTrajectoryIO:
         del lines[j + 1]
         n = mode_table(2).n
         with pytest.raises(ValueError, match=f"^{message.format(line=j + 1 + n, row=n - 1)}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("N", [4, 12])
+    def test_noise_round_trip_is_bitwise(self, N):
+        cfg = SolverConfig(N=N, dt=1e-3, store_every=2)
+        traj = simulate_path(ModelParams(T=0.004), None, cfg, N)
+        txt = trajectory_to_text(traj, include_noise=True)
+        back = trajectory_from_text(txt)
+        for a, b in zip(back.states, traj.states):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert len(back.noise_log) == len(traj.noise_log) == 4
+        for a, b in zip(back.noise_log, traj.noise_log):
+            assert a.tobytes() == b.tobytes()
+        assert trajectory_to_text(back, include_noise=True) == txt
+
+    @pytest.mark.parametrize("block", ["time ", "noise-step "])
+    def test_first_of_two_bad_rows_is_named(self, block):
+        # a short row, then a nan three rows below it in the same block
+        lines = _TRAJECTORY_TEXT.splitlines()
+        start = [i for i, line in enumerate(lines) if line.startswith(block)][1]
+        j = start + (3 if block == "time " else 2)
+        lines[j] = lines[j].rsplit(",", 1)[0]
+        lines[j + 3] = ",".join(lines[j + 3].split(",")[:-1] + ["nan"])
+        width, what = (7, "coefficient") if block == "time " else (4, "noise")
+        with pytest.raises(ValueError, match=rf"^line {j + 1}: malformed {what} row "
+                                             rf"\({width - 1} values, not {width}\)$"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("block", ["time ", "noise-step "])
+    def test_value_moved_to_the_next_row_is_named(self, block):
+        # the block keeps its number of values and every row its key
+        lines = _TRAJECTORY_TEXT.splitlines()
+        start = [i for i, line in enumerate(lines) if line.startswith(block)][1]
+        j = start + (3 if block == "time " else 2)
+        lines[j], moved = lines[j].rsplit(",", 1)
+        cells = lines[j + 1].split(",")
+        width, what = (7, "coefficient") if block == "time " else (4, "noise")
+        lines[j + 1] = ",".join(cells[:width - 4] + [moved] + cells[width - 4:])
+        with pytest.raises(ValueError, match=rf"^line {j + 1}: malformed {what} row "
+                                             rf"\({width - 1} values, not {width}\)$"):
+            trajectory_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("block", ["time ", "noise-step "])
+    def test_nan_in_the_last_row_is_named(self, block):
+        lines = _TRAJECTORY_TEXT.splitlines()
+        n = mode_table(2).n
+        start = [i for i, line in enumerate(lines) if line.startswith(block)][1]
+        j = start + n + (1 if block == "time " else 0)
+        lines[j] = ",".join(lines[j].split(",")[:-1] + ["nan"])
+        what = "coefficient" if block == "time " else "noise"
+        with pytest.raises(ValueError, match=f"^line {j + 1}: non-finite {what} in row {n - 1}$"):
             trajectory_from_text("\n".join(lines) + "\n")
 
     def test_noise_signed_zeros_round_trip(self):

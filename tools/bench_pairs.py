@@ -18,8 +18,9 @@ median stays within the metric's `bound` (a fraction of the base
 median) of the base's, and whether the runs resolve the metric at all:
 `resolved` is false when the base's interquartile range exceeds the
 bound, unless every head run beats every base run.  Its machine block
-names the core count, the platform, the library versions and the value
-of PYTHONDONTWRITEBYTECODE, on which `setup_s` depends.
+names the core count, the platform, the library versions and the values
+of PYTHONDONTWRITEBYTECODE, on which `setup_s` depends, and of
+GLIBC_TUNABLES and the MALLOC_* variables, on which B's time depends.
 """
 from __future__ import annotations
 
@@ -50,15 +51,26 @@ def _version(package: str):
         return None
 
 
+# environment variables that move the timings: without bytecode caching
+# every set-up probe of a fresh checkout compiles every module again, and
+# glibc's malloc settings decide whether B's work arrays fault in fresh
+# pages on every call
+_TIMING_ENV = ("PYTHONDONTWRITEBYTECODE", "GLIBC_TUNABLES", "MALLOC_ARENA_MAX",
+               "MALLOC_MMAP_MAX_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "MALLOC_TRIM_THRESHOLD_")
+
+
 def _machine() -> dict:
-    """The machine block: cores, platform, library versions, and whether
-    Python may cache bytecode.  With PYTHONDONTWRITEBYTECODE set, every
-    fresh set-up probe of a fresh checkout compiles every module again,
-    so `setup_s` compares across BENCH files only when this matches."""
+    """The machine block: cores, platform, library versions, and the
+    environment variables that move the timings (`_TIMING_ENV`, null when
+    unset, and any other MALLOC_* variable that is set).  `setup_s`
+    compares across BENCH files only when PYTHONDONTWRITEBYTECODE matches,
+    and B's time only when the malloc settings do."""
+    env = {name: os.environ.get(name) for name in _TIMING_ENV}
+    env.update({k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")})
     return {"cores": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(),
-            "numpy": _version("numpy"), "scipy": _version("scipy"),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+            "numpy": _version("numpy"), "scipy": _version("scipy"), **env}
 
 
 def _extract(commit: str, into: Path) -> Path:
