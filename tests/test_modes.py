@@ -237,12 +237,6 @@ class TestRowCodec:
         assert back.shape == (tab.n, 2)
         assert back.tobytes() == coeffs.tobytes()
 
-    def test_field_text_matches_per_value_form(self):
-        f = random_field(4, np.random.default_rng(4))
-        header, rows = field_to_text(f).split("\n", 1)
-        assert rows == _per_value_text(f.coeffs, f.table.key_text)
-        assert field_from_text(field_to_text(f)).coeffs.tobytes() == f.coeffs.tobytes()
-
 
 class TestOperators:
     def test_eigenvalue_combinations(self):

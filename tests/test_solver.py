@@ -511,7 +511,6 @@ class TestSimulatePath:
         assert calls["strand_noise_chol"] == 0
         simulate_path(p, None, SolverConfig(N=8, dt=1e-3, scheme="ExponentialEuler"), 1)
         assert calls["strand_noise_chol"] > 0
-        _step_factors.cache_clear()
 
     def test_grid_validation(self):
         p = ModelParams()
