@@ -1,4 +1,4 @@
-"""Exact per-mode Ornstein-Uhlenbeck dynamics and closed-form moments.
+"""Exact per-mode Ornstein-Uhlenbeck dynamics and the law of their energy sums.
 
 Every Fourier coefficient of the linear system is a 2D OU process
 dX = -M X dt + amp c dW with M = lam I + f0 J, J the quarter-turn matrix.
@@ -9,7 +9,8 @@ whose 2x2 covariance comes from the integrated, rotated rank-one forcing;
 `mode_strands` unfolds stored modes into such strands.  Strands without
 rotation that share their rates can also be advanced as one class,
 through their squared norm alone (`ShellSampler`).
-All moment formulas below are exact in dt and T; the Monte Carlo suite
+The cumulants of a strand's left-endpoint energy sum
+(`energy_sum_cumulants`) are exact on any grid; the Monte Carlo suite
 treats them as oracles.
 
 Reality bookkeeping: a stored mode with k' != 0 stands for a conjugate
@@ -21,7 +22,7 @@ increment N(0, dt).  So a pair is two independent strands at amp/sqrt(2)
 (`mode_strands`), which `solver.draw_increments` draws.
 This convention reproduces both the per-mode energy moments and the
 quadratic-variation constants of the estimator theory; see the tests
-against the closed forms below.
+of `energy_sum_cumulants` and of the strand samplers.
 """
 from __future__ import annotations
 
@@ -41,8 +42,7 @@ __all__ = [
     "strand_noise_chol",
     "StrandSampler",
     "ShellSampler",
-    "expected_time_energy",
-    "variance_time_energy",
+    "energy_sum_cumulants",
 ]
 
 
@@ -57,42 +57,6 @@ def _phi1(u: complex) -> complex:
             acc = (acc + 1.0 / math.factorial(n + 1)) * u
         return acc + 1.0
     return (cmath.exp(u) - 1.0) / u
-
-
-def _phi2(u: complex) -> complex:
-    """(exp(u)(u - 1) + 1)/u^2, i.e. int_0^1 s exp(us) ds."""
-    if abs(u) < 0.1:
-        acc = 0.0 + 0.0j
-        for n in range(9, 0, -1):
-            acc = (acc + (n + 1.0) / math.factorial(n + 2)) * u
-        return acc + 0.5
-    return (cmath.exp(u) * (u - 1.0) + 1.0) / (u * u)
-
-
-def _phi1_dd(u1: complex, u2: complex) -> complex:
-    """Divided difference (phi1(u1) - phi1(u2)) / (u1 - u2).
-
-    Subtracting nearby phi1 values loses all precision precisely where the
-    moment formulas need this quantity, so small arguments go through the
-    double series sum_{n>=1} h_n / (n+1)! with h_n the complete homogeneous
-    polynomial of degree n-1, and nearly coincident arguments through the
-    midpoint derivative phi2.
-    """
-    if u1 == u2:
-        return _phi2(u1)
-    if abs(u1) < 0.1 and abs(u2) < 0.1:
-        acc = 0.0 + 0.0j
-        p1 = 1.0 + 0.0j  # u1^(n-1) running power
-        h = 0.0 + 0.0j
-        for n in range(1, 12):
-            # h_n = sum_j u1^j u2^(n-1-j) built by recursion h_n = u2 h_(n-1) + u1^(n-1)
-            h = u2 * h + p1
-            p1 = p1 * u1
-            acc += h / math.factorial(n + 1)
-        return acc
-    if abs(u1 - u2) < 1e-7 * (1.0 + abs(u1)):
-        return _phi2(0.5 * (u1 + u2))
-    return (_phi1(u1) - _phi1(u2)) / (u1 - u2)
 
 
 def decay_sq_integral(z: complex, dt: float) -> complex:
@@ -320,26 +284,7 @@ class ShellSampler:
 
 
 # ---------------------------------------------------------------------------
-# exact time-energy moments
-
-def expected_time_energy(lam: float, amp: float, T: float) -> float:
-    """E int_0^T |X(t)|^2 dt for a strand of decay rate lam and noise
-    amplitude amp, started at zero (the rotation does not enter).
-
-    Equals amp^2 (T - g0(T)) / (2 lam) with g0(T) the decay-squared
-    integral; the lam -> 0 limit amp^2 T^2 / 2 is taken smoothly.
-    """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    a2 = amp * amp
-    m = lam * T
-    if m < 1e-4:
-        return a2 * T * T * (0.5 - m / 3.0 + m * m / 6.0 - m ** 3 / 15.0)
-    # T - g0(T) = (u + expm1(-u)) / (2 lam) with u = 2 lam T, written with
-    # expm1 so the near cancellation costs no precision
-    u = 2.0 * m
-    return a2 * (u + math.expm1(-u)) / (4.0 * lam * lam)
-
+# exact law of the left-endpoint energy sum
 
 def _psi_array(w: np.ndarray) -> np.ndarray:
     """(1 - exp(-w))/w elementwise, series-protected near zero."""
@@ -351,56 +296,28 @@ def _psi_array(w: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _variance_quad(lam: float, f0: float, T: float) -> float:
-    """Gauss-Legendre evaluation of the variance double integral.
 
-    Used in the weak-damping regime where the closed form would subtract
-    nearly equal exponential moments. The integrand is smooth there, so a
-    composite tensor rule is exact to machine precision; panel count tracks
-    the rotation phase.
+
+def energy_sum_cumulants(lam: float, f0: float, amp: float, zeta: complex,
+                         dt: float, n_steps: int) -> Tuple[float, float, float]:
+    """Cumulants (k1, k2, k4) of S = sum_{i < n_steps} |Z_i|^2 for one strand
+    stepped exactly from Z_0 = 0 on the grid t_i = i dt.
+
+    The path is linear in the step normals n: Z_i = sum_{j < i}
+    d^(i-1-j) (e1 n1_j + e2 n2_j) with the decay d = exp(-z dt) and
+    e1 = s11 + i s21, e2 = i s22 from `strand_noise_chol`.  So S = n.G n
+    is a Gaussian quadratic form and its cumulants are exact traces,
+    k_r = 2^(r-1) (r-1)! tr G^r (Mathai & Provost 1992, ch. 3):
+    k1 = tr G, k2 = 2 tr G^2, k4 = 48 tr G^4.  The strands of a stored
+    mode are independent, so its cumulants are the sums over them.
     """
-    panels = min(1 + int(abs(f0) * T / 4.0), 64)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wx = (half[:, None] * weights[None, :]).ravel()
-
-    t = T * x
-    s = t[:, None] * x[None, :]
-    z = complex(lam, f0)
-    g0 = s * _psi_array(2.0 * lam * s)
-    g2 = s * _psi_array(2.0 * z * s)
-    bracket = g0 * g0 + np.abs(g2) ** 2
-    inner = np.exp(-2.0 * lam * t[:, None] * (1.0 - x[None, :])) * bracket
-    per_t = t * (inner @ wx)
-    return float(2.0 * T * (wx @ per_t))
-
-
-def _variance_shape(lam: float, f0: float, T: float) -> float:
-    """Var[int_0^T |X|^2 dt] for a unit-amplitude strand started at zero.
-
-    From the Wick expansion the variance is
-    2 int int_{s<t} exp(-2 lam (t-s)) [g0(s)^2 + |g2(s)|^2] ds dt,
-    which reduces to second divided differences of phi1. Those cancel
-    quadratically as lam T -> 0, so weak damping is delegated to the
-    quadrature path instead.
-    """
-    m = lam * T
-    if m < 0.05:
-        return _variance_quad(lam, f0, T)
-    u2 = -2.0 * m
-    w1 = complex(u2, 2.0 * f0 * T)
-    b_top = _phi1_dd(0.0, u2) - 2.0 * _phi2(u2) + _phi1_dd(2.0 * u2, u2)
-    b_rot = _phi1_dd(0.0, u2) - 2.0 * _phi1_dd(w1, u2).real + _phi1_dd(2.0 * u2, u2)
-    y = f0 * T
-    return T ** 4 * (b_top.real / (2.0 * m * m) + b_rot.real / (2.0 * (m * m + y * y)))
-
-
-def variance_time_energy(lam: float, f0: float, amp: float, T: float) -> float:
-    """Exact Var[int_0^T |X(t)|^2 dt] for a strand of rates (lam, f0) and
-    noise amplitude amp, X(0) = 0."""
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    return amp ** 4 * _variance_shape(lam, f0, T)
+    d = cmath.exp(-complex(lam, f0) * dt)
+    s11, s21, s22 = strand_noise_chol(lam, f0, amp, zeta, dt)
+    lag = np.subtract.outer(np.arange(n_steps), np.arange(n_steps)) - 1
+    kernel = np.where(lag >= 0, d ** np.maximum(lag, 0), 0.0)
+    # one complex row per grid time, one column per step normal
+    path = np.kron(kernel, [[complex(s11, s21), 1j * s22]])
+    gram = (path.conj().T @ path).real
+    sq = gram @ gram
+    return (float(np.trace(gram)), 2.0 * float(np.sum(gram * gram)),
+            48.0 * float(np.sum(sq * sq)))

@@ -28,7 +28,6 @@ from pespec.harness import (
     _build_strands,
     _estimation_grid,
     _family_strands,
-    _grid_correction,
     _left_sums,
     _predicted_grid_bias,
     _r3_counts,
@@ -463,21 +462,6 @@ class TestPredictedGridBias:
         assert got == pytest.approx(want, rel=1e-10)
 
 
-class TestGridCorrection:
-    def test_exact_for_the_discrete_expectation(self):
-        lam, amp, T, n = 2.0, 1.3, 1.0, 40
-        dt = T / n
-        exact = amp * amp * (T - (1 - math.exp(-2 * lam * T)) / (2 * lam)) / (2 * lam)
-        c = _grid_correction(lam, amp, exact, dt, n)
-        disc = sum(dt * amp * amp * (1 - math.exp(-2 * lam * i * dt)) / (2 * lam)
-                   for i in range(n))
-        assert c * disc == pytest.approx(exact, rel=1e-12)
-
-    def test_rejects_hopeless_grid(self):
-        with pytest.raises(RuntimeError, match="too coarse"):
-            _grid_correction(50.0, 1.0, 0.0099, 0.25, 4)
-
-
 class TestMomentCheck:
     def test_small_truncation_passes(self):
         rng = np.random.default_rng(8)
@@ -491,6 +475,20 @@ class TestMomentCheck:
         rep = linear_moment_check(DEFAULTS, 2, 200, rng, n_var_modes=3)
         assert len(rep.var_keys) == 3
         assert len(set(rep.var_keys)) == 3
+
+    def test_default_variance_spot_checks_pass(self):
+        # the computation of `pespec linear-validate` on the defaults
+        rep = linear_moment_check(DEFAULTS, 8, 200, np.random.default_rng(2026))
+        assert len(rep.var_z) == 10
+        assert np.all(np.abs(rep.var_z) <= 3.5)
+
+    def test_variance_check_draws_nothing(self):
+        # it reads the mean check's draws, so the generator ends where it
+        # would with no spot checks at all
+        rngs = [np.random.default_rng(3), np.random.default_rng(3)]
+        for rng, n_var in zip(rngs, (0, 10)):
+            linear_moment_check(DEFAULTS, 4, 50, rng, n_var_modes=n_var)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestConsistencyRun:
@@ -751,6 +749,20 @@ class TestCli:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"pespec: error: config {keys} ")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_linear_validate_needs_two_replications(self, tmp_path, capsys):
+        # a sample variance needs two paths; refused before any is drawn
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["linear-validate", "--config", str(cfg), "--out", str(tmp_path),
+                      "--replications", "1"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("pespec: error: config key replications must be at least 2 ")
+        assert list(tmp_path.iterdir()) == [cfg]
+        with pytest.raises(ValueError, match="^config key replications"):
+            run_linear_validation(load_config(cfg, {"output_dir": str(tmp_path),
+                                                    "replications": "1"}))
 
     @pytest.mark.parametrize("command,lines", [
         ("estimate", "N = 4\nT = 0.005\ndt = 0.001\nN_obs = 6\n"),

@@ -1,23 +1,22 @@
-"""Tests for the per-mode linear dynamics and its closed-form statistics.
+"""Tests for the per-mode linear dynamics and the exact law of its energy sums.
 
 Reference values were frozen from direct numerical integration (matrix
 exponentials, adaptive double quadrature) and Monte Carlo, computed
-independently of the package code.
+independently of the package code.  The continuous-time references are
+met as the dt -> 0 limits of the exact discrete laws.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from norm_orders import exact_norm_sum, expected_norm_order
+from pespec.harness import _left_sums
 from pespec.linear import (
     StrandSampler,
     decay_sq_integral,
-    expected_time_energy,
+    energy_sum_cumulants,
     mode_rates,
     mode_strands,
     strand_noise_chol,
-    variance_time_energy,
 )
 from pespec.modes import ALL, BAROCLINIC, BAROTROPIC, ModeSelector, mode_table
 from pespec.params import ModelParams
@@ -38,12 +37,20 @@ def rates_at(k, params, N=4):
     return tuple(r[i] for r in mode_rates(params, tab.kp_sq, tab.k3_sq))
 
 
+def strand_moments(lam, f0, amp, zeta, T, n=40):
+    """Mean and variance of the left-endpoint time energy dt sum_{i<n} |Z_i|^2
+    of one strand on the grid dt = T / n, from the closed-form mean
+    `_left_sums` and the exact cumulants."""
+    dt = T / n
+    k2 = energy_sum_cumulants(lam, f0, amp, zeta, dt, n)[1]
+    return amp * amp * dt * float(_left_sums(lam, dt, n)[1]), dt * dt * k2
+
+
 def stored_mode_moments(k, params, T, N=4):
-    """Mean and variance of int_0^T |U_k|^2 dt for stored mode k, summed
-    over the independent strands that `mode_strands` unfolds it into."""
-    _, lam, f0, amp, _ = mode_strands(params, N, [mode_table(N).keys().index(k)])
-    mean = sum(expected_time_energy(l, a, T) for l, a in zip(lam, amp))
-    var = sum(variance_time_energy(l, f, a, T) for l, f, a in zip(lam, f0, amp))
+    """`strand_moments` of stored mode k, summed over the independent
+    strands that `mode_strands` unfolds it into."""
+    _, *strands = mode_strands(params, N, [mode_table(N).keys().index(k)])
+    mean, var = np.sum([strand_moments(*s, T) for s in zip(*strands)], axis=0)
     return mean, var
 
 
@@ -185,24 +192,18 @@ class TestTimeEnergyMean:
 
     @pytest.mark.parametrize("lam,ref", FROZEN)
     def test_from_rest(self, lam, ref):
-        assert expected_time_energy(lam, 1.0, 1.0) == pytest.approx(ref, abs=1e-9)
+        # E int_0^1 |X|^2 dt as the dt -> 0 limit of the closed-form
+        # left-endpoint mean, Richardson-extrapolated over n and 2n steps
+        def mean(n):
+            return float(_left_sums(lam, 1.0 / n, n)[1]) / n
+
+        assert 2.0 * mean(2 ** 21) - mean(2 ** 20) == pytest.approx(ref, abs=1e-9)
 
     def test_rotation_does_not_change_energy(self):
         still, rotating = ModelParams(f0=0.0), ModelParams(f0=7.0)
         for k in [(1, 0, 1), (0, 0, 2), (1, 1, 0)]:
             assert stored_mode_moments(k, rotating, 1.0)[0] == \
                 stored_mode_moments(k, still, 1.0)[0]
-
-    def test_small_damping_series_is_continuous(self):
-        ratio = expected_time_energy(1.01e-4, 1.0, 1.0) / expected_time_energy(0.99e-4, 1.0, 1.0)
-        # the exact ratio is 1 - 2/3 (hi - lo) + O(lam^2); both branches must
-        # agree with it to well under a part per billion
-        assert ratio == pytest.approx(1.0 - (2.0 / 3.0) * 0.02e-4, abs=2e-10)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=0.1, max_value=4.0))
-    def test_monotone_in_horizon(self, t1, dt):
-        assert expected_time_energy(0.8, 1.0, t1 + dt) > expected_time_energy(0.8, 1.0, t1)
 
 
 class TestTimeEnergyVariance:
@@ -216,47 +217,67 @@ class TestTimeEnergyVariance:
         (2.0, 0.0, 2.0, 8.603184974328e-02),
     ]
 
-    @pytest.mark.parametrize("lam,f0,T,ref", FROZEN)
-    def test_against_double_quadrature(self, lam, f0, T, ref):
-        assert variance_time_energy(lam, f0, 1.0, T) == pytest.approx(ref, rel=1e-8)
+    @pytest.mark.parametrize("lam,f0,T,ref", [r for r in FROZEN if r[0] * r[2] <= 2.0])
+    def test_continuum_limit_matches_double_quadrature(self, lam, f0, T, ref):
+        # Var[int_0^T |X|^2 dt] as the dt -> 0 limit of dt^2 k2, Richardson-
+        # extrapolated over 128 and 256 steps; the rest is O(dt^2)
+        def var(n):
+            dt = T / n
+            return dt * dt * energy_sum_cumulants(lam, f0, 1.0, 1.0, dt, n)[1]
 
-    def test_zero_damping_limit(self):
-        assert variance_time_energy(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_heavy_damping_scaling(self):
-        # lam^3 Var / amp^4 approaches T/2 once lam T is large
-        scaled = variance_time_energy(80.0, 0.0, 1.3, 1.0) * 80.0**3 / 1.3**4
-        assert scaled == pytest.approx(0.5, rel=0.02)
+        assert 2.0 * var(256) - var(128) == pytest.approx(ref, rel=1e-4)
 
     def test_amplitude_enters_fourth_power(self):
-        assert variance_time_energy(1.0, 1.0, 2.0, 1.0) == pytest.approx(
-            16.0 * variance_time_energy(1.0, 1.0, 1.0, 1.0))
+        assert energy_sum_cumulants(1.0, 1.0, 2.0, 1.0, 0.025, 40)[1] == pytest.approx(
+            16.0 * energy_sum_cumulants(1.0, 1.0, 1.0, 1.0, 0.025, 40)[1])
 
-    def test_branches_agree_at_crossover(self):
-        """Quadrature and closed form must meet smoothly at weak damping."""
-        vlo = variance_time_energy(0.0499, 2.0, 1.0, 1.0)
-        vhi = variance_time_energy(0.0501, 2.0, 1.0, 1.0)
-        assert 0 < (vlo - vhi) / vlo < 1e-3
-        mid_quad = variance_time_energy(0.05 - 1e-12, 2.0, 1.0, 1.0)
-        mid_form = variance_time_energy(0.05 + 1e-12, 2.0, 1.0, 1.0)
-        assert mid_quad == pytest.approx(mid_form, rel=1e-9)
+
+class TestEnergySumCumulants:
+    """The exact law of one strand's left-endpoint energy sum on its grid."""
+
+    @pytest.mark.parametrize("k", [(0, 0, 1), (1, -6, 2), (5, -1, 4), (8, 0, 0), (3, -3, 0)])
+    def test_mean_is_the_left_sum_closed_form(self, k):
+        _, *strands = mode_strands(DEFAULTS, 8, [mode_table(8).keys().index(k)])
+        n = 48
+        dt = 1.0 / n
+        for lam, f0, amp, zeta in zip(*strands):
+            k1 = energy_sum_cumulants(lam, f0, amp, zeta, dt, n)[0]
+            assert k1 == pytest.approx(amp * amp * float(_left_sums(lam, dt, n)[1]),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("f0", [0.0, 1.7])
+    def test_two_point_variance(self, f0):
+        # n = 2 leaves S = |eta|^2 of one step's noise, whose variance is
+        # Gamma^2 + |P|^2 for E|eta|^2 = Gamma and E eta^2 = P
+        lam, amp, zeta, dt = 1.3, 0.8, complex(0.6, 0.8), 0.3
+        gamma = amp * amp * decay_sq_integral(complex(lam, 0.0), dt).real
+        pseudo = amp * amp * zeta * zeta * decay_sq_integral(complex(lam, f0), dt)
+        k2 = energy_sum_cumulants(lam, f0, amp, zeta, dt, 2)[1]
+        assert k2 == pytest.approx(gamma * gamma + abs(pseudo) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("f0", [0.0, 1.7])
+    def test_phase_of_zeta_does_not_enter(self, f0):
+        ref = energy_sum_cumulants(2.0, f0, 1.1, 1.0, 0.05, 20)
+        for phase in (0.3, 1.0, 2.5, -1.9):
+            got = energy_sum_cumulants(2.0, f0, 1.1, np.exp(1j * phase), 0.05, 20)
+            np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 class TestStoredModeStatistics:
     def test_paired_mode_mean_counts_both_sites(self):
-        lam, _, amp = rates_at((1, 0, 0), DEFAULTS)
+        lam, f0, amp = rates_at((1, 0, 0), DEFAULTS)
         assert stored_mode_moments((1, 0, 0), DEFAULTS, 1.0)[0] == pytest.approx(
-            expected_time_energy(lam, amp, 1.0))
+            strand_moments(lam, f0, amp, 1.0, 1.0)[0])
 
     def test_paired_variance_is_halved(self):
         """Two independent half-power strands give half the fluctuation."""
         assert stored_mode_moments((1, 0, 1), DEFAULTS, 1.0)[1] == pytest.approx(
-            0.5 * variance_time_energy(*rates_at((1, 0, 1), DEFAULTS), 1.0), rel=1e-12
+            0.5 * strand_moments(*rates_at((1, 0, 1), DEFAULTS), 1.0, 1.0)[1], rel=1e-12
         )
 
     def test_self_paired_variance_is_full(self):
         assert stored_mode_moments((0, 0, 1), DEFAULTS, 1.0)[1] == pytest.approx(
-            variance_time_energy(*rates_at((0, 0, 1), DEFAULTS), 1.0), rel=1e-12
+            strand_moments(*rates_at((0, 0, 1), DEFAULTS), 1.0, 1.0)[1], rel=1e-12
         )
 
 
