@@ -88,6 +88,13 @@ class ExperimentConfig:
         object.__setattr__(self, "N_sweep", sweep)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # the runs read params.alpha and params.q, so a differing estimator
+        # copy would be ignored without a word
+        for name in ("alpha", "q"):
+            est, par = getattr(self.estimator, name), getattr(self.params, name)
+            if est != par:
+                raise ValueError(f"estimator.{name} = {est} differs from params.{name} = {par}; "
+                                 f"the runs estimate at params.{name}, so set both alike")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
@@ -997,14 +1004,13 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
                                    bool(np.all(np.abs(moment.var_z) <= 3.5)),
                                    float(np.max(np.abs(moment.var_z))), 3.5))
 
-    rows = [[f"({k[0]},{k[1]},{k[2]})", float(z)]
-            for k, z in zip(moment.mode_keys, moment.mean_z)]
-    report.outputs.append(_write_csv(out / "linear_mode_z.csv",
-                                     ["mode", "z_mean"], rows))
+    # a mode is three integer columns, so every row has its header's fields
     report.outputs.append(_write_csv(
-        out / "linear_variance_z.csv", ["mode", "z_variance"],
-        [[f"({k[0]},{k[1]},{k[2]})", float(z)]
-         for k, z in zip(moment.var_keys, moment.var_z)]))
+        out / "linear_mode_z.csv", ["k1", "k2", "k3", "z_mean"],
+        [[*k, float(z)] for k, z in zip(moment.mode_keys, moment.mean_z)]))
+    report.outputs.append(_write_csv(
+        out / "linear_variance_z.csv", ["k1", "k2", "k3", "z_variance"],
+        [[*k, float(z)] for k, z in zip(moment.var_keys, moment.var_z)]))
 
     # solver cross-check on a small truncation
     n_small, reps_small, dt_small = 3, 200, 1e-3
@@ -1028,8 +1034,8 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
     report.gates.append(GateResult("solver_vs_exact_within_3se",
                                    frac_cross >= 0.95, frac_cross, 0.95))
     report.outputs.append(_write_csv(
-        out / "linear_solver_vs_exact.csv", ["mode", "z_cross"],
-        [[f"({k})", float(z)] for k, z in zip(tab.key_text, z_cross)]))
+        out / "linear_solver_vs_exact.csv", ["k1", "k2", "k3", "z_cross"],
+        [[*k, float(z)] for k, z in zip(tab.keys(), z_cross)]))
     report.outputs.append(_write_manifest(
         out / "linear_validation_manifest.jsonl", report.manifest_entry(cfg)))
     return report

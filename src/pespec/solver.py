@@ -6,11 +6,12 @@ solved exactly in the complex-rate picture of `linear`) and the
 projected advection term P B(V, V).  B is computed in flux form on a
 collocation grid dealiased by the 3/2 rule, exact on the truncation, by
 depth parity: every field it involves is a cosine or a sine series in
-z, so real 2D transforms (`numpy.fft`) run on the N + 1 coefficient
-planes m3 = 0..N and small real matrix products (GEMMs), one per grid
-row, map them to the half period along z or back (B(u, u): 13
-numpy.fft calls and 8 z products); the exact convolution over lattice
-site pairs (Direct) is only a test oracle.  All
+z, so it lives on the N + 1 coefficient planes m3 = 0..N.  Its
+transforms are pruned DFT matrix products on the kept modes alone: a
+complex one along y, a real one along x and small real ones (GEMMs),
+one per grid row, along z to the half period or back (B(u, u): 3
+inverse and 5 forward transforms, 24 products, no FFT); the exact
+convolution over lattice site pairs (Direct) is only a test oracle.  All
 schemes take the per-step noise vectors as an argument, so trajectories
 are reproducible and the applied increments can be logged for the
 estimator validation identities.
@@ -122,21 +123,28 @@ class _SiteLayout:
     those sites are each stored mode's own (k1, k2, k3), and, for a
     conjugate pair with k1 = 0, the partner (0, -k2, k3).  `rows`,
     `conj` and `scale` turn a stored coefficient array into these
-    per-site values in one fancy-indexing pass, and `fill_index` places
-    them in the (N + 1, G, G//2 + 1) coefficient planes [m3, m2, m1].
+    per-site values in one fancy-indexing pass, and `fill_even` places
+    them in the flat (2N + 1, N + 1, N + 1) box [m2, m3, m1] of a cosine
+    series; `fill_odd` places the sites with m3 > 0 (`odd`) in the
+    (2N + 1, N, N + 1) box of a sine series, whose planes start at
+    m3 = 1.  Mode k reads an even flux's box at `read_even` and an odd
+    one's at `read_odd`.
 
-    The transform grid takes G = _fast_len(3N + 1) points along x
-    and y and the M + 1 points z_j = pi j / M of the even extension of
-    length Gz = 2M, M = ceil((3N + 1)/2): the z transforms are matrix
-    products, which need no fast length.  `cos_syn` and `sin_syn` map
-    the cosine planes 0..N or sine planes 1..N to the grid (the sine
-    to its interior rows), `cos_ana` and `sin_ana` map it back; each is
-    the DCT-I or DST-I of an identity, the rfft of its even or odd
-    extension, as scipy.fft computes it.  Mode k reads an even flux at
-    `read_index`, (k3, k2, k1), and an odd one, whose planes start at
-    m3 = 1, at `read_odd`.  `deriv` holds the per-mode factors i k1,
-    i k2 and k3 of the three flux divergence terms, each times the
-    weight of the mode's z-images (sqrt(2) for k3 > 0).
+    The grid takes G = 3N + 1 points along x and y, the fewest that
+    dealias, and the M + 1 points z_j = pi j / M of the even extension
+    of length 2M, M = ceil((3N + 1)/2).  Every transform is a matrix
+    product on the kept modes alone.  `y_syn`, complex (G, 2N + 1), maps
+    m2 = -N..N to y; `x_syn`, real (2(N + 1), G), maps the real and
+    imaginary parts of m1 = 0..N to x, weighted 1 for m1 = 0 and 2
+    otherwise, the Hermitian completion of a real grid.  `cos_syn` and
+    `sin_syn` map the cosine planes 0..N or sine planes 1..N to z (the
+    sine to its interior rows); each is the DCT-I or DST-I of an
+    identity, the rfft of its even or odd extension, as scipy.fft
+    computes it.  `x_ana`, `y_ana`, `cos_ana` and `sin_ana` map a grid
+    back to the kept modes, the first two each carrying 1/G.  `deriv`
+    holds the per-mode factors i k1, i k2 and k3 of the three flux
+    divergence terms, each times the weight of the mode's z-images
+    (sqrt(2) for k3 > 0).
     """
 
     def __init__(self, N: int):
@@ -147,34 +155,32 @@ class _SiteLayout:
         self.scale = np.where(tab.k3 > 0, 1.0 / _SQRT2, 1.0)[self.rows]
         m2 = np.where(self.conj, -tab.k2[self.rows], tab.k2[self.rows])
         self.sites = np.stack([tab.k1[self.rows], m2, tab.k3[self.rows]], axis=1)
-        self.G = G = _fast_len(3 * N + 1)
+        self.G = G = 3 * N + 1
         self.M = M = (3 * N + 2) // 2
         self.cos_syn = _dct1(np.eye(M + 1, N + 1))
         self.cos_ana = _dct1(np.eye(M + 1), norm="forward")[:N + 1]
         self.sin_syn = _dst1(np.eye(M - 1, N))
         self.sin_ana = _dst1(np.eye(M - 1), norm="forward")[:N]
         m1, m2, m3 = self.sites.T
-        self.fill_index = (m3, m2 % G, m1)
-        self.read_index = (tab.k3, tab.k2 % G, tab.k1)
+        P = N + 1
+        self.odd = m3 > 0
+        self.fill_even = ((m2 + N) * P + m3) * P + m1
+        self.fill_odd = (((m2 + N) * N + m3 - 1) * P + m1)[self.odd]
+        self.read_even = ((tab.k2 + N) * P + tab.k3) * P + tab.k1
         # a k3 = 0 mode reads plane m3 = 1 here, and its factor k3 zeroes it
-        self.read_odd = (np.maximum(tab.k3 - 1, 0), tab.k2 % G, tab.k1)
+        self.read_odd = ((tab.k2 + N) * N + np.maximum(tab.k3 - 1, 0)) * P + tab.k1
+        # angles 2 pi (m n mod G) / G, reduced in integers
+        y_ang = 2 * np.pi / G * (np.arange(G)[:, None] * np.arange(-N, N + 1) % G)
+        self.y_syn = np.exp(1j * y_ang)
+        self.y_ana = np.ascontiguousarray(self.y_syn.conj().T) / G
+        x_ang = 2 * np.pi / G * (np.arange(P)[:, None] * np.arange(G) % G)
+        # rows 2 m1 and 2 m1 + 1 act on the real and imaginary parts of m1
+        self.x_syn = np.stack([np.cos(x_ang), -np.sin(x_ang)], axis=1).reshape(2 * P, G)
+        self.x_ana = np.ascontiguousarray(self.x_syn.T) / G
+        self.x_syn[2:] *= 2.0
         s = np.where(tab.k3 > 0, _SQRT2, 1.0)
         self.deriv = (1j * tab.k1 * s, 1j * tab.k2 * s, tab.k3 * s)
         self.self_paired = tab.self_paired_rows
-
-
-def _fast_len(n: int) -> int:
-    """The smallest 11-smooth integer >= n, scipy.fft.next_fast_len(n):
-    a length that pocketfft factors into fast passes."""
-    def smooth(m: int) -> bool:
-        for p in (2, 3, 5, 7, 11):
-            while m % p == 0:
-                m //= p
-        return m == 1
-    m = n
-    while not smooth(m):
-        m += 1
-    return m
 
 
 def _dct1(x: np.ndarray, norm: str = "backward") -> np.ndarray:
@@ -211,61 +217,55 @@ def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """B(f, g) in flux form by cosine and sine transforms on a zero-padded grid.
+    """B(f, g) in flux form by matrix products on the smallest dealiased grid.
 
     Component c is d1(f1 g_c) + d2(f2 g_c) + dz(w g_c) (see `nonlinear_B`).
-    With G, Gz >= 3N + 1 points per period every kept flux coefficient
+    With G, 2M >= 3N + 1 points per period every kept flux coefficient
     is exact up to roundoff: products of modes bounded by N alias only
     beyond N.  f_a and g_c are cosine series in z and w a sine series,
-    its sites times i so that each m3 plane is Hermitian: irfft2 on the
-    N + 1 planes m3 >= 0, then a product along z by `cos_syn` or
-    `sin_syn`: G GEMMs of the matrix by one (planes, G) row slab each,
-    small enough that BLAS runs each on one thread, so B's bits do not
-    depend on the thread count.  The even fluxes f_a g_c go back by
-    `cos_ana` and a forward transform to F, so d_a is i m_a F; the odd
-    fluxes w g_c by `sin_ana` and a forward transform to i times their
-    coefficients, S, so dz is m3 S.  A forward transform is an rfft
-    along x, scaled by 1/G^2, and an fft along y of the columns m1 <= N
-    only, which rounds as scipy.fft's rfft2 does on those columns.
-    When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3 inverse and
-    5 forward transforms, 13 numpy.fft calls and 8 z products, in place
-    of 5 and 6.
+    its sites times i so that each m3 plane is Hermitian.  An inverse
+    transform fills the box [m2, m3, m1] and takes three matrix
+    products: `y_syn` along y, `x_syn` along x on the real view of the
+    complex planes, and `cos_syn` or `sin_syn` along z.  The grids are
+    laid out [y, z, x], so no product transposes.  The z product is G
+    GEMMs of the matrix by one (planes, G) row slab each, small enough
+    that BLAS runs each on one thread, so B's bits do not depend on the
+    thread count.  The even fluxes f_a g_c go back by `cos_ana`, `x_ana`
+    and `y_ana` to F, so d_a is i m_a F; the odd fluxes w g_c by
+    `sin_ana` and the same two to i times their coefficients, S, so dz
+    is m3 S.  When g is f, f's grids serve as g's and f1 g2 as f2 g1: 3
+    inverse and 5 forward transforms in place of 5 and 6.
     """
     lay = _site_layout(f.N)
-    G, M, N = lay.G, lay.M, f.N
-
-    def along_z(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.matmul(mat, p.transpose(1, 0, 2)).transpose(1, 0, 2)
+    G, M, N, P = lay.G, lay.M, f.N, f.N + 1
 
     def grid(vals: np.ndarray, odd: bool = False) -> np.ndarray:
-        c = np.zeros((N + 1, G, G // 2 + 1), dtype=complex)
-        c[lay.fill_index] = vals
-        if odd:  # rows z_1..z_{M-1}: a sine vanishes at z = 0 and pi
-            return along_z(lay.sin_syn, np.fft.irfft2(c[1:], s=(G, G), norm="forward"))
-        return along_z(lay.cos_syn, np.fft.irfft2(c, s=(G, G), norm="forward"))
+        fill, z_syn = (lay.fill_odd, lay.sin_syn) if odd else (lay.fill_even, lay.cos_syn)
+        planes = z_syn.shape[1]
+        c = np.zeros((2 * N + 1) * planes * P, dtype=complex)
+        c[fill] = vals
+        c = lay.y_syn @ c.reshape(2 * N + 1, planes * P)
+        p = c.view(float).reshape(G * planes, 2 * P) @ lay.x_syn
+        return np.matmul(z_syn, p.reshape(G, planes, G))
 
-    def forward(p: np.ndarray) -> np.ndarray:
-        h = np.fft.rfft(p, axis=-1)[..., :N + 1]
-        h.view(float)[...] *= 1.0 / (G * G)  # a real scale, not a complex product
-        return np.fft.fft(h, axis=-2)
-
-    def even_flux(p: np.ndarray) -> np.ndarray:
-        return forward(along_z(lay.cos_ana, p))[lay.read_index]
-
-    def odd_flux(p: np.ndarray) -> np.ndarray:
-        return forward(along_z(lay.sin_ana, p))[lay.read_odd]
+    def forward(p: np.ndarray, odd: bool = False) -> np.ndarray:
+        z_ana, read = (lay.sin_ana, lay.read_odd) if odd else (lay.cos_ana, lay.read_even)
+        planes = z_ana.shape[0]
+        h = np.matmul(z_ana, p).reshape(G * planes, G) @ lay.x_ana
+        return (lay.y_ana @ h.view(complex).reshape(G, planes * P)).ravel()[read]
 
     fv = _site_values(lay, f)
     u = [grid(fv[:, 0]), grid(fv[:, 1])]
-    w = grid(1j * _w_site_values(lay.sites, fv), odd=True)
+    w = grid(1j * _w_site_values(lay.sites, fv)[lay.odd], odd=True)
     v = u if g is f else [grid(gc) for gc in _site_values(lay, g).T]
     d1, d2, d3 = lay.deriv
     flux = {}
     out = np.empty((len(d1), 2), dtype=complex)
     for c in range(2):
         for a in range(2):
-            flux[a, c] = flux[c, a] if g is f and a < c else even_flux(u[a] * v[c])
-        out[:, c] = d1 * flux[0, c] + d2 * flux[1, c] + d3 * odd_flux(w * v[c][1:M])
+            flux[a, c] = flux[c, a] if g is f and a < c else forward(u[a] * v[c])
+        # rows z_1..z_{M-1}: a sine vanishes at z = 0 and pi
+        out[:, c] = d1 * flux[0, c] + d2 * flux[1, c] + d3 * forward(w * v[c][:, 1:M], odd=True)
     # self-paired rows are real analytically: drop the residual imaginary part
     sp = lay.self_paired
     out[sp] = out[sp].real

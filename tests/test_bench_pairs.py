@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: reading one benchmark run, reporting a failed one,
 judging each end-to-end metric against its bound, and the machine record
-with its bytecode setting."""
+with its bytecode and malloc settings and its BLAS."""
 import importlib.util
 import os
 from pathlib import Path
@@ -167,3 +167,23 @@ def test_machine_records_malloc_settings(bench_pairs, monkeypatch):
     assert machine["MALLOC_PERTURB_"] == "7"
     assert machine["GLIBC_TUNABLES"] == "glibc.malloc.mmap_threshold=4000000"
     assert machine["MALLOC_MMAP_THRESHOLD_"] is None
+
+
+def test_machine_records_the_blas(bench_pairs):
+    # B is a chain of matrix products, so its time depends on the BLAS
+    # kernels NumPy links; OpenBLAS's configuration names the core type
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    machine = bench_pairs._machine()
+    assert machine["blas"] == blas["name"]
+    assert machine["blas_version"] == blas["version"]
+    assert machine["blas_config"] == blas.get("openblas configuration")
+
+
+def test_blas_is_null_without_dict_config(bench_pairs, monkeypatch):
+    # numpy < 1.26 has no mode argument to show_config
+    def show_config():
+        print("blas_opt_info: ...")
+    monkeypatch.setattr(np, "show_config", show_config)
+    machine = bench_pairs._machine()
+    assert (machine["blas"], machine["blas_version"], machine["blas_config"]) == \
+        (None, None, None)

@@ -5,6 +5,7 @@ shift of the left-endpoint estimator on a deliberately coarse grid,
 where the shift is many standard errors wide; a sampler or weight bug
 would land far outside the band.
 """
+import csv
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from pespec.estimators import confidence_interval, theoretical_covariance
+from pespec.estimators import EstimatorConfig, confidence_interval, theoretical_covariance
 from pespec.harness import (
     ExperimentConfig,
     _anderson_normal,
@@ -163,6 +164,19 @@ class TestConfig:
         # NumPy's generators take no negative seed
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             ExperimentConfig(seed=-1)
+
+    def test_estimator_alpha_and_q_must_match_the_params(self):
+        # the runs estimate at params.alpha and params.q; a differing
+        # estimator copy used to be ignored, so run_estimate on alpha = 5
+        # estimated at alpha = 4 and wrote 4.0
+        with pytest.raises(ValueError, match=r"estimator\.alpha = 5\.0 differs from "
+                                              r"params\.alpha = 4\.0"):
+            ExperimentConfig(estimator=EstimatorConfig(alpha=5.0, variant="V2"))
+        with pytest.raises(ValueError, match=r"estimator\.q = 1/2 differs from params\.q = 1"):
+            ExperimentConfig(estimator=EstimatorConfig(q=Fraction(1, 2), variant="V2"))
+        cfg = ExperimentConfig(params=DEFAULTS.with_(alpha=5.0, q=Fraction(1, 2)),
+                               estimator=EstimatorConfig(alpha=5.0, q="1/2", variant="V2"))
+        assert (cfg.estimator.alpha, cfg.estimator.q) == (5.0, Fraction(1, 2))
 
     def test_removed_scheme_is_named(self, tmp_path):
         path = self.write(tmp_path, "scheme = SemiImplicitEuler\n")
@@ -559,6 +573,7 @@ class TestNormalityRun:
 
     def test_needs_normal_regime(self, tmp_path):
         cfg = ExperimentConfig(params=DEFAULTS.with_(alpha=2.0),
+                               estimator=EstimatorConfig(alpha=2.0, variant="V2"),
                                replications=40, output_dir=tmp_path)
         with pytest.raises(ValueError, match="alpha > gamma - 1"):
             run_normality(cfg)
@@ -574,6 +589,27 @@ class TestLinearValidationRun:
         assert report.hard_ok
         assert (tmp_path / "linear_mode_z.csv").exists()
         assert (tmp_path / "linear_solver_vs_exact.csv").exists()
+
+    def test_csv_rows_have_the_header_fields(self, tmp_path):
+        # a mode is written as three integer columns k1, k2, k3, so csv
+        # reads every row with exactly the fields its header names
+        cfg = ExperimentConfig(params=DEFAULTS.with_(T=0.1),
+                               solver=SolverConfig(N=2, dt=1e-3),
+                               replications=20, seed=8, output_dir=tmp_path)
+        run_linear_validation(cfg)
+        for name, column in (("linear_mode_z.csv", "z_mean"),
+                             ("linear_variance_z.csv", "z_variance"),
+                             ("linear_solver_vs_exact.csv", "z_cross")):
+            with open(tmp_path / name, newline="") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert reader.fieldnames == ["k1", "k2", "k3", column], name
+            assert rows, name
+            for row in rows:
+                assert list(row) == reader.fieldnames, (name, row)
+                assert None not in row.values(), (name, row)
+                assert all(re.fullmatch(r"-?\d+", row[k]) for k in ("k1", "k2", "k3")), row
+                float(row[column])
 
     def test_rejects_nonlinear_mode(self, tmp_path):
         cfg = ExperimentConfig(mode="FullNonlinear", output_dir=tmp_path)

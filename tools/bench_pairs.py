@@ -18,9 +18,10 @@ median stays within the metric's `bound` (a fraction of the base
 median) of the base's, and whether the runs resolve the metric at all:
 `resolved` is false when the base's interquartile range exceeds the
 bound, unless every head run beats every base run.  Its machine block
-names the core count, the platform, the library versions and the values
-of PYTHONDONTWRITEBYTECODE, on which `setup_s` depends, and of
-GLIBC_TUNABLES and the MALLOC_* variables, on which B's time depends.
+names the core count, the platform, the library versions, the BLAS that
+NumPy links, and the values of PYTHONDONTWRITEBYTECODE, on which
+`setup_s` depends, and of GLIBC_TUNABLES and the MALLOC_* variables,
+on which B's time depends with the BLAS.
 """
 from __future__ import annotations
 
@@ -60,17 +61,32 @@ _TIMING_ENV = ("PYTHONDONTWRITEBYTECODE", "GLIBC_TUNABLES", "MALLOC_ARENA_MAX",
                "MALLOC_TRIM_THRESHOLD_")
 
 
+def _blas() -> dict:
+    """The BLAS that NumPy links: its name, its version and OpenBLAS's
+    configuration string, which names the core type its kernels were
+    picked for.  All null where `np.show_config(mode="dicts")` is missing
+    (numpy < 1.26), and each null where the record lacks it."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_config": blas.get("openblas configuration")}
+
+
 def _machine() -> dict:
-    """The machine block: cores, platform, library versions, and the
-    environment variables that move the timings (`_TIMING_ENV`, null when
-    unset, and any other MALLOC_* variable that is set).  `setup_s`
-    compares across BENCH files only when PYTHONDONTWRITEBYTECODE matches,
-    and B's time only when the malloc settings do."""
+    """The machine block: cores, platform, library versions, the BLAS
+    (`_blas`), and the environment variables that move the timings
+    (`_TIMING_ENV`, null when unset, and any other MALLOC_* variable that
+    is set).  `setup_s` compares across BENCH files only when
+    PYTHONDONTWRITEBYTECODE matches, and B's time only when the malloc
+    settings and the BLAS kernels do: B is a chain of matrix products."""
     env = {name: os.environ.get(name) for name in _TIMING_ENV}
     env.update({k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")})
     return {"cores": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(),
-            "numpy": _version("numpy"), "scipy": _version("scipy"), **env}
+            "numpy": _version("numpy"), "scipy": _version("scipy"), **_blas(), **env}
 
 
 def _extract(commit: str, into: Path) -> Path:
