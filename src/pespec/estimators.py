@@ -20,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Dict, Optional, Tuple
 
@@ -101,6 +102,22 @@ class EstimateResult:
 _RIEMANN_KINDS = ("energy", "advection")
 
 
+@lru_cache(maxsize=256)
+def _mode_weights(n: int, sel: ModeSelector, exponents: Tuple[float, float, float],
+                  squared: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The observed columns of `sel` at truncation n and their weights
+    w_k lambda_k (lambda_k squared when `squared`), both read-only."""
+    mask = selector_mask(n, sel)
+    if not mask.any():
+        raise ValueError(f"no observed modes for selector {sel.label()}")
+    eig = eigenvalue_array(n, *exponents, mask=mask)
+    wgt = mode_table(n).weight[mask] * (eig * eig if squared else eig)
+    cols = np.flatnonzero(mask)
+    cols.setflags(write=False)
+    wgt.setflags(write=False)
+    return cols, wgt
+
+
 def _left_sum(traj: Trajectory, kind: str, exponents: Tuple[float, float, float],
               sel: ModeSelector, n_obs: Optional[int] = None, squared: bool = False,
               cut: Optional[int] = None) -> float:
@@ -111,16 +128,12 @@ def _left_sum(traj: Trajectory, kind: str, exponents: Tuple[float, float, float]
     `traj.left_pairing(kind, cut)`, w_k the conjugate-pair weight of
     `inner_product` and lambda_k the operator eigenvalue with
     `exponents`, squared when `squared`.  The observed modes are a
-    prefix of X's columns.
+    prefix of X's columns; their weights are cached per truncation,
+    selector, exponents and `squared` (`_mode_weights`).
     """
-    n = _observed_truncation(traj.N, n_obs)
-    mask = selector_mask(n, sel)
-    if not mask.any():
-        raise ValueError(f"no observed modes for selector {sel.label()}")
-    eig = eigenvalue_array(n, *exponents, mask=mask)
-    tab = mode_table(n)
-    wgt = tab.weight[mask] * (eig * eig if squared else eig)
-    per_sample = traj.left_pairing(kind, cut)[:, :tab.n][:, mask] @ wgt
+    cols, wgt = _mode_weights(_observed_truncation(traj.N, n_obs), sel,
+                              tuple(exponents), squared)
+    per_sample = traj.left_pairing(kind, cut)[:, cols] @ wgt
     if kind in _RIEMANN_KINDS:
         return float(np.diff(traj.times) @ per_sample)
     return float(per_sample.sum())

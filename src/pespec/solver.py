@@ -121,14 +121,14 @@ class _SiteLayout:
     in z, so it is fixed by its sites with m3 >= 0, and real, so each of
     its planes is fixed by m1 >= 0.  Canonical modes have k1 >= 0, so
     those sites are each stored mode's own (k1, k2, k3), and, for a
-    conjugate pair with k1 = 0, the partner (0, -k2, k3).  `rows`,
-    `conj` and `scale` turn a stored coefficient array into these
-    per-site values in one fancy-indexing pass, and `fill_even` places
-    them in the flat (2N + 1, N + 1, N + 1) box [m2, m3, m1] of a cosine
-    series; `fill_odd` places the sites with m3 > 0 (`odd`) in the
-    (2N + 1, N, N + 1) box of a sine series, whose planes start at
-    m3 = 1.  Mode k reads an even flux's box at `read_even` and an odd
-    one's at `read_odd`.
+    conjugate pair with k1 = 0 (rows `pairs`), the partner (0, -k2, k3).
+    `box` places a field's two components at these sites of the
+    (2, 2N + 1, N + 1, N + 1) cosine box [c, m2, m3, m1] with one
+    scatter at `fill`: the stored rows times `scale`, then the partner
+    rows conjugated.  `w_box` computes i w(f) on the (2N + 1, N, N + 1)
+    sine box, whose planes start at m3 = 1, from f's cosine box.  Mode k
+    reads an even flux's box at `read_even` and an odd one's at
+    `read_odd`.
 
     The grid takes G = 3N + 1 points along x and y, the fewest that
     dealias, and the M + 1 points z_j = pi j / M of the even extension
@@ -149,26 +149,26 @@ class _SiteLayout:
 
     def __init__(self, N: int):
         tab = mode_table(N)
-        pairs = np.flatnonzero((tab.k1 == 0) & ~tab.self_paired)
-        self.rows = np.concatenate([np.arange(tab.n), pairs])
-        self.conj = np.arange(self.rows.size) >= tab.n
-        self.scale = np.where(tab.k3 > 0, 1.0 / _SQRT2, 1.0)[self.rows]
-        m2 = np.where(self.conj, -tab.k2[self.rows], tab.k2[self.rows])
-        self.sites = np.stack([tab.k1[self.rows], m2, tab.k3[self.rows]], axis=1)
+        self.pairs = np.flatnonzero((tab.k1 == 0) & ~tab.self_paired)
+        self.scale = np.where(tab.k3 > 0, 1.0 / _SQRT2, 1.0)[:, None]
         self.G = G = 3 * N + 1
         self.M = M = (3 * N + 2) // 2
         self.cos_syn = _dct1(np.eye(M + 1, N + 1))
         self.cos_ana = _dct1(np.eye(M + 1), norm="forward")[:N + 1]
         self.sin_syn = _dst1(np.eye(M - 1, N))
         self.sin_ana = _dst1(np.eye(M - 1), norm="forward")[:N]
-        m1, m2, m3 = self.sites.T
         P = N + 1
-        self.odd = m3 > 0
-        self.fill_even = ((m2 + N) * P + m3) * P + m1
-        self.fill_odd = (((m2 + N) * N + m3 - 1) * P + m1)[self.odd]
         self.read_even = ((tab.k2 + N) * P + tab.k3) * P + tab.k1
+        # a stored mode fills its own site, a k1 = 0 pair also (0, -k2, k3)
+        partner = ((N - tab.k2[self.pairs]) * P + tab.k3[self.pairs]) * P
+        sites = np.concatenate([self.read_even, partner])
+        self.fill = np.stack([sites, sites + (2 * N + 1) * P * P], axis=1).ravel()
         # a k3 = 0 mode reads plane m3 = 1 here, and its factor k3 zeroes it
         self.read_odd = ((tab.k2 + N) * N + np.maximum(tab.k3 - 1, 0)) * P + tab.k1
+        # the exponents of the sine box [m2, m3 - 1, m1], broadcast
+        self.m1 = np.arange(P)
+        self.m2 = np.arange(-N, N + 1)[:, None, None]
+        self.m3 = np.arange(1, P)[:, None]
         # angles 2 pi (m n mod G) / G, reduced in integers
         y_ang = 2 * np.pi / G * (np.arange(G)[:, None] * np.arange(-N, N + 1) % G)
         self.y_syn = np.exp(1j * y_ang)
@@ -181,6 +181,19 @@ class _SiteLayout:
         s = np.where(tab.k3 > 0, _SQRT2, 1.0)
         self.deriv = (1j * tab.k1 * s, 1j * tab.k2 * s, tab.k3 * s)
         self.self_paired = tab.self_paired_rows
+
+    def box(self, f: SpectralField) -> np.ndarray:
+        """The cosine box [c, m2, m3, m1] of f's two components."""
+        vals = f.coeffs * self.scale
+        N = f.N
+        b = np.zeros((2, 2 * N + 1, N + 1, N + 1), dtype=complex)
+        b.reshape(-1)[self.fill] = np.concatenate([vals, np.conj(vals[self.pairs])]).ravel()
+        return b
+
+    def w_box(self, b: np.ndarray) -> np.ndarray:
+        """i w(f) on the sine box [m2, m3 - 1, m1] from f's cosine box b:
+        w = -int_0^z div_h f puts -(m1 f1 + m2 f2) / m3 on a site m3 > 0."""
+        return 1j * (-(self.m1 * b[0, :, 1:] + self.m2 * b[1, :, 1:]) / self.m3)
 
 
 def _dct1(x: np.ndarray, norm: str = "backward") -> np.ndarray:
@@ -202,20 +215,6 @@ def _site_layout(N: int) -> _SiteLayout:
     return _SiteLayout(int(N))
 
 
-def _site_values(lay: _SiteLayout, f: SpectralField) -> np.ndarray:
-    """Per-site values of f on the half-spectrum sites of `lay`."""
-    vals = f.coeffs[lay.rows] * lay.scale[:, None]
-    vals[lay.conj] = np.conj(vals[lay.conj])
-    return vals
-
-
-def _w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Exponential coefficients of w(f) from the per-site values of f."""
-    m3 = sites[:, 2]
-    div = sites[:, 0] * vals[:, 0] + sites[:, 1] * vals[:, 1]
-    return np.where(m3 != 0, -div / np.where(m3 != 0, m3, 1), 0.0)
-
-
 def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     """B(f, g) in flux form by matrix products on the smallest dealiased grid.
 
@@ -223,11 +222,13 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     With G, 2M >= 3N + 1 points per period every kept flux coefficient
     is exact up to roundoff: products of modes bounded by N alias only
     beyond N.  f_a and g_c are cosine series in z and w a sine series,
-    its sites times i so that each m3 plane is Hermitian.  An inverse
-    transform fills the box [m2, m3, m1] and takes three matrix
-    products: `y_syn` along y, `x_syn` along x on the real view of the
-    complex planes, and `cos_syn` or `sin_syn` along z.  The grids are
-    laid out [y, z, x], so no product transposes.  The z product is G
+    its sites times i so that each m3 plane is Hermitian.  `box`
+    scatters f's stored coefficients into the cosine boxes [m2, m3, m1]
+    of f1 and f2, and `w_box` computes i w on the sine box from them, so
+    no per-site array is built.  An inverse transform takes three matrix
+    products of a box: `y_syn` along y, `x_syn` along x on the real view
+    of the complex planes, and `cos_syn` or `sin_syn` along z.  The grids
+    are laid out [y, z, x], so no product transposes.  The z product is G
     GEMMs of the matrix by one (planes, G) row slab each, small enough
     that BLAS runs each on one thread, so B's bits do not depend on the
     thread count.  The even fluxes f_a g_c go back by `cos_ana`, `x_ana`
@@ -239,11 +240,8 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     lay = _site_layout(f.N)
     G, M, N, P = lay.G, lay.M, f.N, f.N + 1
 
-    def grid(vals: np.ndarray, odd: bool = False) -> np.ndarray:
-        fill, z_syn = (lay.fill_odd, lay.sin_syn) if odd else (lay.fill_even, lay.cos_syn)
+    def grid(c: np.ndarray, z_syn: np.ndarray) -> np.ndarray:
         planes = z_syn.shape[1]
-        c = np.zeros((2 * N + 1) * planes * P, dtype=complex)
-        c[fill] = vals
         c = lay.y_syn @ c.reshape(2 * N + 1, planes * P)
         p = c.view(float).reshape(G * planes, 2 * P) @ lay.x_syn
         return np.matmul(z_syn, p.reshape(G, planes, G))
@@ -254,10 +252,10 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
         h = np.matmul(z_ana, p).reshape(G * planes, G) @ lay.x_ana
         return (lay.y_ana @ h.view(complex).reshape(G, planes * P)).ravel()[read]
 
-    fv = _site_values(lay, f)
-    u = [grid(fv[:, 0]), grid(fv[:, 1])]
-    w = grid(1j * _w_site_values(lay.sites, fv)[lay.odd], odd=True)
-    v = u if g is f else [grid(gc) for gc in _site_values(lay, g).T]
+    fb = lay.box(f)
+    u = [grid(fb[0], lay.cos_syn), grid(fb[1], lay.cos_syn)]
+    w = grid(lay.w_box(fb), lay.sin_syn)
+    v = u if g is f else [grid(gc, lay.cos_syn) for gc in lay.box(g)]
     d1, d2, d3 = lay.deriv
     flux = {}
     out = np.empty((len(d1), 2), dtype=complex)
@@ -421,11 +419,24 @@ def _observed_truncation(N: int, n_obs: Optional[int]) -> int:
 
 
 def _pairing_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Re sum_c v_k,c conj(x_k,c) per stored mode k, over the last axis c."""
+    """Re sum_c v_k,c conj(x_k,c) per stored mode k, over the last axis c.
+
+    The complex product is NumPy's, which rounds its real part with an
+    FMA, and the length-2 sum is `_sum_pair`: the bits of
+    `(np.conj(v) * x).real.sum(axis=-1)` at a fraction of its time.
+    """
     # Re(v conj(x)) = Re(conj(v) x), with conj(v) as the product buffer
     prod = np.conj(v)
     prod *= x
-    return prod.real.sum(axis=-1)
+    return _sum_pair(prod.real)
+
+
+def _sum_pair(r: np.ndarray) -> np.ndarray:
+    """r.sum(axis=-1) over a last axis of length 2, bit for bit.  NumPy's
+    sum starts from +0.0, so two -0.0 sum to +0.0; the `+ 0.0` does too."""
+    out = r[..., 0] + 0.0
+    out += r[..., 1]
+    return out
 
 
 @dataclass(eq=False)
@@ -500,7 +511,9 @@ class Trajectory:
         "energy" and "ito" come from one `coefficient_stack` call;
         "noise", which no estimator reads, is built only when asked for,
         from its own.  B is evaluated once per sample and truncation:
-        `simulate_path` hands over the full-truncation rows.
+        `simulate_path` hands over the full-truncation rows.  "energy"
+        squares |V| in place, and every kind sums its two components
+        with `_sum_pair`, bit for bit as `np.sum(..., axis=2)` would.
         """
         key: Union[int, str] = kind
         if kind == "advection":
@@ -525,7 +538,9 @@ class Trajectory:
         else:
             stack = self.coefficient_stack()
             left = stack[:-1]
-            self._pairing["energy"] = np.sum(np.abs(left) ** 2, axis=2)
+            sq = np.abs(left)
+            sq *= sq
+            self._pairing["energy"] = _sum_pair(sq)
             self._pairing["ito"] = _pairing_rows(left, np.diff(stack, axis=0))
         return self._pairing[key]
 

@@ -3,12 +3,13 @@
 `direct_B(f, g)` sums the advection term over every pair of exponential
 lattice sites, with no transform and no grid, so it shares nothing with
 the production backend: it unfolds the stored modes onto all their sites
-itself (`full_unfolding`), where the backend keeps only the half
-spectrum.  It is quadratic in the site count (about 0.6 s per call at
-N = 8), which is why the program evaluates B on the dealiased grid only
-and this sum lives with the tests.  Both backends take w from
-`_w_site_values`, so `vertical_velocity`, which builds w per stored mode
-instead, is the separate oracle for that map.
+itself (`full_unfolding`, `site_values`), where the backend keeps only
+the half spectrum, and it builds w per site (`w_site_values`), where the
+backend builds it on its sine box.  It is quadratic in the site count
+(about 0.6 s per call at N = 8), which is why the program evaluates B on
+the dealiased grid only and this sum lives with the tests.
+`vertical_velocity`, which builds w per stored mode, is the separate
+oracle for both maps from f to w.
 """
 import math
 from functools import lru_cache
@@ -17,7 +18,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from pespec.modes import SpectralField, mode_table
-from pespec.solver import _w_site_values
 
 
 @lru_cache(maxsize=None)
@@ -48,6 +48,21 @@ def site_values(f: SpectralField) -> np.ndarray:
     vals = f.coeffs[rows] * scale[:, None]
     vals[conj] = np.conj(vals[conj])
     return vals
+
+
+def half_spectrum(f: SpectralField):
+    """(sites, values) of f on its sites with m1 >= 0 and m3 >= 0, the
+    sites the dealiased grid's boxes hold."""
+    sites = full_unfolding(f.N)[0]
+    half = (sites[:, 0] >= 0) & (sites[:, 2] >= 0)
+    return sites[half], site_values(f)[half]
+
+
+def w_site_values(sites: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Exponential coefficients of w(f) from the per-site values of f."""
+    m3 = sites[:, 2]
+    div = sites[:, 0] * vals[:, 0] + sites[:, 1] * vals[:, 1]
+    return np.where(m3 != 0, -div / np.where(m3 != 0, m3, 1), 0.0)
 
 
 def vertical_velocity(f: SpectralField) -> Dict[Tuple[int, int, int], complex]:
@@ -100,7 +115,7 @@ def direct_B(f: SpectralField, g: SpectralField) -> SpectralField:
     gsites = full_unfolding(N)[0]
     fv = site_values(f)
     gv = site_values(g)
-    wv = _w_site_values(gsites, fv)
+    wv = w_site_values(gsites, fv)
 
     side = 2 * N + 1
     acc = np.zeros((side ** 3, 2), dtype=complex)

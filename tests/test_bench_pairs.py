@@ -130,6 +130,24 @@ def test_narrow_base_is_resolved(bench_pairs):
     assert summary["within_bound"] is True
 
 
+def test_summary_lines_quote_every_metric(bench_pairs):
+    runs = [{"seed": i,
+             "base": {"correct": True, "failed": 0, "setup_s": b, "job_s": 2 * b, "rate": 90.0},
+             "head": {"correct": True, "failed": 0, "setup_s": h, "job_s": 2 * h, "rate": 95.0}}
+            for i, (b, h) in enumerate([(0.5, 0.4), (0.7, 0.45)])]
+    report = {"estimate-default": {"summary": bench_pairs._summary(runs, END_TO_END),
+                                   "runs": runs}}
+    lines = bench_pairs._summary_lines(report)
+    assert lines == [
+        "estimate-default setup_s: base 0.6 (0.55-0.65), head 0.425, head won 2 of 2, "
+        "within_bound True, resolved True",
+        "estimate-default job_s: base 1.2 (1.1-1.3), head 0.85, head won 2 of 2, "
+        "within_bound True, resolved True",
+        "estimate-default rate: base 90 (90-90), head 95, head won 2 of 2, "
+        "within_bound True, resolved True",
+    ]
+
+
 def test_missing_package_version_is_null(bench_pairs):
     # a runtime-only environment has no SciPy; the machine record says null
     assert bench_pairs._version("numpy") == np.__version__

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pespec import solver
+from pespec import estimators, solver
 from lattice_oracle import field_from_keys
 from pespec.estimators import (
     EstimateResult,
@@ -182,6 +182,41 @@ class TestPathFunctionals:
         traj = constant_trajectory(random_field(2, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="negative horizontal exponent"):
             ito_integral(traj, (-1.0, 0.0, 0.0), BAROCLINIC)
+
+
+class TestWeightCache:
+    """The cached columns and weights of the path functionals."""
+
+    def test_cached_arrays_are_read_only(self):
+        cols, wgt = estimators._mode_weights(3, BAROCLINIC, (0.0, 1.0, 2.0), True)
+        with pytest.raises(ValueError, match="read-only"):
+            wgt[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0] = 0
+
+    def test_empty_selector_raises_on_every_call(self):
+        # lru_cache stores no exception, so the error is raised afresh
+        traj = constant_trajectory(random_field(2, np.random.default_rng(0)))
+        before = estimators._mode_weights.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no observed modes"):
+                ito_integral(traj, (0.0, 1.0, 0.0), ModeSelector.resonant(3))
+        assert estimators._mode_weights.cache_info().currsize == before
+
+    def test_one_selector_leaves_another_unchanged(self, em_trajectory):
+        weights = (0.0, 1.0, 2.0)
+        estimators._mode_weights.cache_clear()
+        first = quadratic_integral(em_trajectory, weights, BAROCLINIC)
+        for sel in (BAROTROPIC, ALL, ModeSelector.resonant(1)):
+            quadratic_integral(em_trajectory, weights, sel)
+            ito_integral(em_trajectory, weights, sel)
+        assert quadratic_integral(em_trajectory, weights, BAROCLINIC) == first
+        # and the sum equals the uncached weights of its definition
+        mask = BAROCLINIC.mask(*(getattr(mode_table(4), k) for k in ("k1", "k2", "k3")))
+        eig = eigenvalue_array(4, *weights, mask=mask)
+        per_sample = (em_trajectory.left_pairing("energy")[:, mask]
+                      @ (mode_table(4).weight[mask] * (eig * eig)))
+        assert first == float(np.diff(em_trajectory.times) @ per_sample)
 
 
 class TestNonlinearIntegral:

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from scipy import fft as sfft
 from scipy import stats
 
-from advection_oracle import direct_B, full_unfolding, site_values, vertical_velocity
+import pairing_oracle
+from advection_oracle import direct_B, full_unfolding, half_spectrum, vertical_velocity
 from lattice_oracle import field_from_keys
 from pespec import linear
 from pespec.linear import mode_rates, noise_direction_array
@@ -40,10 +41,9 @@ from pespec.solver import (
     BlowUpError,
     SolverConfig,
     Trajectory,
+    _pairing_rows,
     _site_layout,
-    _site_values,
     _step_factors,
-    _w_site_values,
     draw_increments,
     nonlinear_B,
     simulate_path,
@@ -110,41 +110,37 @@ class TestVerticalVelocity:
 
     @pytest.mark.parametrize("N,seed", [(3, 0), (5, 1)])
     def test_site_values_match_the_stored_mode_oracle(self, N, seed):
-        # the sine element sqrt(2) w_k sin(k3 z) puts +-w_k / (i sqrt(2)) on
-        # the sites (k', +-k3); the reality partner (-k', -+k3) conjugates
+        # B's sine box holds i w on the sites m1 >= 0, m3 > 0: the sine
+        # element sqrt(2) w_k sin(k3 z) puts w_k / (i sqrt(2)) on (k', k3),
+        # and the reality partner (-k', -k3) conjugates; nothing else
         f = random_field(N, np.random.default_rng(seed))
+        lay = _site_layout(N)
+        w = lay.w_box(lay.box(f))
+        assert w.shape == (2 * N + 1, N, N + 1)
         sites, rows, conj, _ = full_unfolding(N)
-        w = _w_site_values(sites, site_values(f))
         oracle = vertical_velocity(f)
-        m3 = sites[:, 2]
         keys = mode_table(N).keys()
-        assert np.all(w[m3 == 0] == 0)
-        for j in np.flatnonzero(m3 != 0):
-            k = keys[rows[j]]
-            sign = np.sign(m3[j]) * (-1 if conj[j] else 1)
-            want = sign * oracle[k] / (1j * math.sqrt(2.0))
+        filled = np.zeros(w.shape, dtype=bool)
+        for j in np.flatnonzero((sites[:, 0] >= 0) & (sites[:, 2] > 0)):
+            m1, m2, m3 = sites[j]
+            want = (-1 if conj[j] else 1) * oracle[keys[rows[j]]] / (1j * math.sqrt(2.0))
             if conj[j]:
                 want = np.conj(want)
-            assert abs(w[j] - want) <= 1e-12 * max(1.0, abs(want))
+            got = w[m2 + N, m3 - 1, m1]
+            assert abs(got - 1j * want) <= 1e-12 * max(1.0, abs(want))
+            filled[m2 + N, m3 - 1, m1] = True
+        assert np.all(w[~filled] == 0)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
     def test_half_spectrum_layout_is_the_oracle_restricted(self, N):
-        # B fills exactly the sites with m3 >= 0 and m1 >= 0 of the full
-        # unfolding, each with the same stored row, conjugation and scale
-        def site_map(sites, rows, conj, scale):
-            return {tuple(k): (r, c, s) for k, r, c, s in
-                    zip(sites.tolist(), rows.tolist(), conj.tolist(), scale.tolist())}
-
-        sites, rows, conj, scale = full_unfolding(N)
-        half = (sites[:, 2] >= 0) & (sites[:, 0] >= 0)
-        lay = _site_layout(N)
-        assert len(lay.sites) == int(half.sum())
-        assert site_map(lay.sites, lay.rows, lay.conj, lay.scale) == \
-            site_map(sites[half], rows[half], conj[half], scale[half])
+        # B's cosine box holds exactly the oracle's sites with m3 >= 0 and
+        # m1 >= 0, each with the oracle's value to the bit, and zeros elsewhere
         f = random_field(N, np.random.default_rng(700 + N))
-        got = dict(zip(map(tuple, lay.sites.tolist()), _site_values(lay, f)))
-        for k, want in zip(map(tuple, sites[half].tolist()), site_values(f)[half]):
-            assert got[k].tobytes() == want.tobytes()
+        sites, vals = half_spectrum(f)
+        m1, m2, m3 = sites.T
+        want = np.zeros((2, 2 * N + 1, N + 1, N + 1), dtype=complex)
+        want[:, m2 + N, m3, m1] = vals.T
+        assert _site_layout(N).box(f).tobytes() == want.tobytes()
 
 
 class TestNonlinearB:
@@ -479,6 +475,44 @@ class TestNonlinearStepping:
         e1 = np.abs(final[0.05] - ref).max()
         e2 = np.abs(final[0.025] - ref).max()
         assert 1.6 < e1 / e2 < 2.6
+
+
+class TestPairingBits:
+    """The pairings' two-term sums keep the bits of `np.sum` (pairing_oracle)."""
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("N", [4, 12])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_kind_matches_the_oracle(self, scheme, N, start):
+        # the rows simulate_path hands over and those left_pairing builds on
+        # the path read back from text; a zero start gives zero rows
+        V0 = None if start == "zero" else random_field(N, np.random.default_rng(900 + N))
+        traj = simulate_path(ModelParams(N=N, T=4e-3), V0,
+                             SolverConfig(N=N, dt=1e-3, scheme=scheme), 40 + N)
+        back = trajectory_from_text(trajectory_to_text(traj, include_noise=True))
+        for path in (traj, back):
+            for kind in ("energy", "ito", "noise", "advection"):
+                want = pairing_oracle.left_pairing(path, kind)
+                assert path.left_pairing(kind).tobytes() == want.tobytes(), kind
+        if start == "zero":
+            assert not np.any(traj.left_pairing("energy")[0])
+
+    def test_special_values_keep_their_bits(self):
+        # signed zeros, subnormals and infinities (and the NaNs inf * 0 makes)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            np.inf, -np.inf, 1.5, -2.25, 1e300, -1e300])
+        rng = np.random.default_rng(28)
+        n = mode_table(2).n
+        v, x = (rng.choice(special, size=(6, n, 2, 2)).view(complex)[..., 0]
+                for _ in range(2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _pairing_rows(v, x).tobytes() == pairing_oracle.pairing_rows(v, x).tobytes()
+            # a state's self-paired rows are real
+            v[:, mode_table(2).self_paired_rows] = v[:, mode_table(2).self_paired_rows].real
+            traj = Trajectory(times=np.arange(6.0), states=[SpectralField(2, c) for c in v],
+                              params=ModelParams(), config=SolverConfig(N=2, dt=1.0))
+            want = pairing_oracle.energy_rows(traj.coefficient_stack()[:-1])
+            assert traj.left_pairing("energy").tobytes() == want.tobytes()
 
 
 class TestSimulatePath:

@@ -17,7 +17,10 @@ BENCHMARK.json, the number of pairs the head won, whether the head's
 median stays within the metric's `bound` (a fraction of the base
 median) of the base's, and whether the runs resolve the metric at all:
 `resolved` is false when the base's interquartile range exceeds the
-bound, unless every head run beats every base run.  Its machine block
+bound, unless every head run beats every base run.  Once the file is
+written, one line per workload and metric on stderr quotes the base
+median and quartiles, the head median, the head's wins and the two
+verdicts.  Its machine block
 names the core count, the platform, the library versions, the BLAS that
 NumPy links, and the values of PYTHONDONTWRITEBYTECODE, on which
 `setup_s` depends, and of GLIBC_TUNABLES and the MALLOC_* variables,
@@ -144,6 +147,25 @@ def _summary(runs, end_to_end) -> dict:
     return out
 
 
+def _summary_lines(report) -> list:
+    """One line per workload and end-to-end metric of `report` (workload
+    name -> {"summary": `_summary`, "runs": [...]}): the base median and
+    quartiles, the head median, the head's wins and the two verdicts."""
+    lines = []
+    for workload, entry in report.items():
+        summary, pairs = entry["summary"], len(entry["runs"])
+        for name, m in summary.items():
+            if name == "all_correct":
+                continue
+            base, head = m["base"], m["head"]
+            lines.append(
+                f"{workload} {name}: base {base['median']:.4g} "
+                f"({base['q1']:.4g}-{base['q3']:.4g}), head {head['median']:.4g}, "
+                f"head won {m['head_wins']} of {pairs}, within_bound {m['within_bound']}, "
+                f"resolved {m['resolved']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
@@ -186,6 +208,8 @@ def main(argv=None) -> int:
         "order": "pair i runs the base first when i is even, the head first when odd",
         "workloads": report,
     }, indent=2) + "\n")
+    for line in _summary_lines(report):
+        print(line, file=sys.stderr)
     return 0
 
 
