@@ -35,7 +35,7 @@ from .linear import (ShellSampler, StrandSampler, _psi_array, energy_sum_cumulan
                      mode_rates, mode_strands)
 from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
 from .params import ModelParams, as_fraction
-from .solver import SolverConfig, Trajectory, simulate_path, trajectory_to_text
+from .solver import SolverConfig, Trajectory, check_grid, simulate_path, trajectory_to_text
 
 __all__ = [
     "ExperimentConfig",
@@ -536,14 +536,12 @@ def _simulate(cfg: ExperimentConfig, N: int, nonlinear: bool,
     solver = replace(cfg.solver, N=N, include_nonlinear=nonlinear)
     V0 = random_field(N, rng) if params.sigma0 == 0.0 else None
     traj = simulate_path(params, V0, solver, rng, log_noise=False)
-    ecfg = EstimatorConfig(alpha=cfg.params.alpha, q=cfg.params.q,
-                           variant=cfg.estimator.variant if nonlinear else "V3",
-                           N_obs=cfg.estimator.N_obs)
-    return traj, ecfg
+    return traj, cfg.estimator if nonlinear else replace(cfg.estimator, variant="V3")
 
 
 def run_simulate(cfg: ExperimentConfig) -> RunReport:
     """Simulate one path at the configured truncation into trajectory.txt."""
+    _check_config("simulate", cfg)
     report = RunReport(command="simulate")
     traj, _ = _simulate(cfg, cfg.solver.N, cfg.solver.include_nonlinear,
                         np.random.default_rng(cfg.seed))
@@ -585,10 +583,26 @@ def run_estimate(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _solver_estimates(cfg: ExperimentConfig, N: int, rep_rng: np.random.Generator):
-    """One replication through the time stepper; returns (nu_h, nu_z_hat)."""
-    traj, ecfg = _simulate(cfg, N, cfg.mode == "FullNonlinear", rep_rng)
-    return estimate_nu_h(traj, ecfg).value, estimate_nu_z_hat(traj, ecfg).value
+def _replications(cfg: ExperimentConfig, N: int, rng: np.random.Generator
+                  ) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
+    """(nu_h, nu_z_hat) of every replication at truncation N, and the error
+    text of each that failed, by index; a failed one's estimates are NaN.
+
+    A solver replication fails on a ValueError or RuntimeError (`BlowUpError`
+    is one); LinearExact samples all in one exact draw and never fails.
+    """
+    if cfg.mode == "LinearExact":
+        return (*linear_exact_estimates(cfg.params, N, cfg.params.alpha, cfg.params.q,
+                                        cfg.replications, rng), {})
+    est = np.full((cfg.replications, 2), np.nan)
+    failed: Dict[int, str] = {}
+    for rep in range(cfg.replications):
+        try:
+            traj, ecfg = _simulate(cfg, N, cfg.mode == "FullNonlinear", rng)
+            est[rep] = estimate_nu_h(traj, ecfg).value, estimate_nu_z_hat(traj, ecfg).value
+        except (ValueError, RuntimeError) as exc:
+            failed[rep] = str(exc)
+    return est[:, 0], est[:, 1], failed
 
 
 def run_consistency(cfg: ExperimentConfig) -> RunReport:
@@ -608,28 +622,14 @@ def run_consistency(cfg: ExperimentConfig) -> RunReport:
     truth = {"nu_h": cfg.params.nu_h, "nu_z_hat": cfg.params.nu_z}
 
     for N in cfg.N_sweep:
-        samples: Dict[str, List[float]] = {"nu_h": [], "nu_z_hat": []}
-        if cfg.mode == "LinearExact":
-            nu_h, nu_z = linear_exact_estimates(
-                cfg.params, N, cfg.params.alpha, cfg.params.q,
-                cfg.replications, rng)
-            for rep in range(cfg.replications):
-                rows.append([N, rep, "ok", float(nu_h[rep]), float(nu_z[rep]), ""])
-            samples["nu_h"] = list(map(float, nu_h))
-            samples["nu_z_hat"] = list(map(float, nu_z))
-        else:
-            for rep in range(cfg.replications):
-                try:
-                    vh, vz = _solver_estimates(cfg, N, rng)
-                except (ValueError, RuntimeError) as exc:
-                    rows.append([N, rep, "failed", "", "", str(exc).replace(",", ";")])
-                    continue
-                rows.append([N, rep, "ok", vh, vz, ""])
-                samples["nu_h"].append(vh)
-                samples["nu_z_hat"].append(vz)
+        nu_h, nu_z, failed = _replications(cfg, N, rng)
+        for rep in range(cfg.replications):
+            rows.append([N, rep, "failed", "", "", failed[rep].replace(",", ";")]
+                        if rep in failed else
+                        [N, rep, "ok", float(nu_h[rep]), float(nu_z[rep]), ""])
+        kept = [rep for rep in range(cfg.replications) if rep not in failed]
 
-        for name in ("nu_h", "nu_z_hat"):
-            vals = np.asarray(samples[name])
+        for name, vals in (("nu_h", nu_h[kept]), ("nu_z_hat", nu_z[kept])):
             if vals.size == 0:
                 summary.append([N, name, 0, "", "", ""])
                 continue
@@ -666,6 +666,9 @@ def run_consistency(cfg: ExperimentConfig) -> RunReport:
 # D'Agostino and Stephens 1986, Goodness-of-Fit Techniques); the same
 # value scipy.stats.anderson uses
 _AD_NORMAL_1PCT = 1.035
+
+# usable replications a normality run needs; `_normaltest_p` is meant for n >= 20
+_NORMALITY_FLOOR = 20
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -741,9 +744,9 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
     if command == "normality" and p.alpha <= p.gamma - 1.0:
         raise ValueError("config keys alpha and gamma must satisfy alpha > gamma - 1 in a "
                          f"normality run, not alpha = {p.alpha!r}, gamma = {p.gamma!r}")
-    if command == "normality" and cfg.replications < 20:
-        raise ValueError("config key replications must be at least 20 in a normality run, "
-                         f"not {cfg.replications}")
+    if command == "normality" and cfg.replications < _NORMALITY_FLOOR:
+        raise ValueError(f"config key replications must be at least {_NORMALITY_FLOOR} "
+                         f"in a normality run, not {cfg.replications}")
     if command == "linear-validate" and cfg.replications < 2:
         raise ValueError("config key replications must be at least 2 in a linear "
                          f"validation, not {cfg.replications}")
@@ -752,6 +755,12 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
                          f"not {cfg.mode!r}")
     if command in ("estimate", "consistency", "normality"):
         _check_observation(command, cfg)
+    # the largest truncation the run steps; LinearExact studies step none
+    N = cfg.solver.N if command in ("simulate", "estimate") else None
+    if command in ("consistency", "normality") and cfg.mode != "LinearExact":
+        N = cfg.N_sweep[-1]
+    if N is not None:
+        check_grid(cfg.params.with_(N=N), replace(cfg.solver, N=N))
 
 
 def _check_observation(command: str, cfg: ExperimentConfig) -> None:
@@ -797,28 +806,24 @@ def run_normality(cfg: ExperimentConfig) -> RunReport:
     soft gate.  The raw means carry a known left-endpoint grid shift many
     standard errors wide, so the mean gate compares against that
     predicted shift instead of zero; the unshifted z-scores are reported
-    as soft context.
+    as soft context.  A failed replication is a warning and is left out;
+    fewer than 20 usable ones raise a RuntimeError before any report.
     """
     _check_config("normality", cfg)
     report = RunReport(command="normality")
     N = cfg.N_sweep[-1]
-    reps = cfg.replications
-    rng = np.random.default_rng(cfg.seed)
-
-    if cfg.mode == "LinearExact":
-        nu_h, nu_z = linear_exact_estimates(
-            cfg.params, N, cfg.params.alpha, cfg.params.q, reps, rng)
-    else:
-        hs, zs = [], []
-        for _ in range(reps):
-            vh, vz = _solver_estimates(cfg, N, rng)
-            hs.append(vh)
-            zs.append(vz)
-        nu_h, nu_z = np.asarray(hs), np.asarray(zs)
+    nu_h, nu_z, failed = _replications(cfg, N, np.random.default_rng(cfg.seed))
+    kept = [rep for rep in range(cfg.replications) if rep not in failed]
+    reps = len(kept)
+    if reps < _NORMALITY_FLOOR:
+        rep, err = next(iter(failed.items()))
+        raise RuntimeError(f"normality needs {_NORMALITY_FLOOR} usable replications, "
+                           f"not {reps} of {cfg.replications}; replication {rep} failed: {err}")
+    report.warnings.extend(f"replication {rep} failed: {err}" for rep, err in failed.items())
 
     scale = N * N
-    e1 = scale * (nu_h - cfg.params.nu_h)
-    e2 = scale * (nu_z - cfg.params.nu_z)
+    e1 = scale * (nu_h[kept] - cfg.params.nu_h)
+    e2 = scale * (nu_z[kept] - cfg.params.nu_z)
     sample = np.column_stack([e1, e2])
     emp_mean = sample.mean(axis=0)
     emp_cov = np.cov(sample.T, ddof=1)
@@ -858,7 +863,7 @@ def run_normality(cfg: ExperimentConfig) -> RunReport:
     out = cfg.output_dir
     report.outputs.append(_write_csv(
         out / "normality_rows.csv", ["rep", "e1", "e2"],
-        [[i, float(e1[i]), float(e2[i])] for i in range(reps)]))
+        [[rep, float(a), float(b)] for rep, a, b in zip(kept, e1, e2)]))
 
     quantile = NormalDist().inv_cdf
     e1s, e2s = np.sort(e1), np.sort(e2)

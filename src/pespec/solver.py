@@ -46,6 +46,7 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "BlowUpError",
+    "check_grid",
     "nonlinear_B",
     "step",
     "simulate_path",
@@ -545,14 +546,36 @@ class Trajectory:
         return self._pairing[key]
 
 
+def check_grid(params: ModelParams, cfg: SolverConfig) -> int:
+    """The number of steps over [0, params.T], or a ValueError naming the config key.
+
+    dt must divide T into whole steps and store_every must divide the
+    step count, so the final sample lands on T; an EulerMaruyama step
+    must keep dt * lambda_max below 2, or its diffusion grows.
+    """
+    n_steps = int(round(params.T / cfg.dt))
+    if n_steps < 1 or abs(n_steps * cfg.dt - params.T) > 1e-8 * max(1.0, params.T):
+        raise ValueError(f"config key dt must divide the horizon T = {_fmt(params.T)} "
+                         f"into whole steps, not {_fmt(cfg.dt)}")
+    if n_steps % cfg.store_every != 0:
+        raise ValueError(f"config key store_every must divide the number of steps "
+                         f"{n_steps}, not {cfg.store_every}")
+    if cfg.scheme == "EulerMaruyama":
+        dt_lam = cfg.dt * _step_factors(cfg.N, cfg.dt, params).lam_max
+        if dt_lam >= 2.0:
+            raise ValueError(f"config key dt must keep dt*lambda_max below 2 in an "
+                             f"EulerMaruyama step at N = {cfg.N}, not {_fmt(cfg.dt)} "
+                             f"(dt*lambda_max = {dt_lam:.3g}: unstable)")
+    return n_steps
+
+
 def simulate_path(params: ModelParams, V0: Optional[SpectralField],
                   cfg: SolverConfig, rng: Union[int, np.random.Generator],
                   log_noise: bool = True) -> Trajectory:
     """Integrate one sample path over [0, params.T].
 
     `rng` may be a seed (recorded in the trajectory for provenance) or a
-    Generator.  dt must divide T into whole steps and store_every must
-    divide the step count, so the final sample always lands on T.
+    Generator.  The grid must pass `check_grid`.
     """
     if isinstance(rng, (int, np.integer)):
         seed: Optional[int] = int(rng)
@@ -560,11 +583,7 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
     else:
         seed = None
         gen = rng
-    n_steps = int(round(params.T / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - params.T) > 1e-8 * max(1.0, params.T):
-        raise ValueError("dt must divide the horizon T into whole steps")
-    if n_steps % cfg.store_every != 0:
-        raise ValueError("store_every must divide the number of steps")
+    n_steps = check_grid(params, cfg)
     if V0 is None:
         V0 = SpectralField.zeros(cfg.N)
     if V0.N != cfg.N:
@@ -572,11 +591,6 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
     if not V0.is_divergence_free():
         raise ValueError("initial state must have a divergence-free horizontal average")
     fac = _step_factors(cfg.N, cfg.dt, params)
-    if cfg.scheme == "EulerMaruyama" and cfg.dt * fac.lam_max >= 2.0:
-        raise ValueError(
-            f"explicit Euler diffusion step unstable: dt*lambda_max = "
-            f"{cfg.dt * fac.lam_max:.3g} >= 2"
-        )
     times = [0.0]
     states = [V0]
     noise_log: List[np.ndarray] = []

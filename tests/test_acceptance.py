@@ -312,18 +312,23 @@ class TestCriterion8Determinism:
 
     def test_reports_byte_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
-        a, b = tmp_path / "ra", tmp_path / "rb"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert cli.main(["consistency", "--config", str(cfg),
-                             "--out", str(a)]) == 0
-            assert cli.main(["consistency", "--config", str(cfg),
-                             "--out", str(b)]) == 0
-        for name in ("consistency_rows.csv", "consistency_summary.csv",
-                     "consistency_manifest.jsonl"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-        manifest = json.loads((a / "consistency_manifest.jsonl").read_text())
-        assert manifest["seed"] == 6
+        for i, (command, flags) in enumerate([("consistency", []), ("normality", []),
+                                              ("consistency", ["--mode", "LinearViaSolver"])]):
+            a, b = tmp_path / f"ra{i}", tmp_path / f"rb{i}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                codes = [cli.main([command, "--config", str(cfg), "--out", str(out)] + flags)
+                         for out in (a, b)]
+            assert codes[0] == codes[1]
+            if command == "consistency":
+                assert codes == [0, 0]
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            assert f"{command}_manifest.jsonl" in names and len(names) >= 3
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+            manifest = json.loads((a / f"{command}_manifest.jsonl").read_text())
+            assert manifest["seed"] == 6
 
 
 if __name__ == "__main__":

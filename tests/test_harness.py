@@ -48,8 +48,8 @@ from pespec.linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_
                            strand_noise_chol)
 from pespec.modes import BAROTROPIC, ModeSelector, mode_table, selector_mask
 from pespec.params import ModelParams
-from pespec.solver import SolverConfig, trajectory_from_text
-from pespec import cli
+from pespec.solver import BlowUpError, SolverConfig, trajectory_from_text
+from pespec import cli, harness
 
 DEFAULTS = ModelParams()
 
@@ -579,6 +579,102 @@ class TestNormalityRun:
             run_normality(cfg)
 
 
+class TestReplicationFailures:
+    """Both studies take their replications from one helper, with one failure policy."""
+
+    def make_cfg(self, tmp_path, **kw):
+        base = dict(params=DEFAULTS.with_(T=0.05), replications=22, N_sweep=(2,), seed=3,
+                    mode="LinearViaSolver", output_dir=tmp_path,
+                    solver=SolverConfig(N=2, dt=0.01, include_nonlinear=False))
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    @staticmethod
+    def read_rows(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def failing(self, monkeypatch, bad):
+        """Make replications `bad` raise after their path is drawn, so the
+        others draw what they would have drawn anyway."""
+        real, calls = harness._simulate, []
+
+        def flaky(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) - 1 in bad:
+                raise BlowUpError("trajectory blew up at step 2 of 5, in a test")
+            return out
+
+        monkeypatch.setattr(harness, "_simulate", flaky)
+        return calls
+
+    def test_solver_normality_writes_one_row_per_replication(self, tmp_path):
+        cfg = self.make_cfg(tmp_path)
+        report = run_normality(cfg)
+        assert report.warnings == []
+        lines = (tmp_path / "normality_rows.csv").read_text().splitlines()
+        assert lines[0] == "rep,e1,e2" and len(lines) == 1 + 22
+        # the rows are the helper's estimates, scaled by N^2
+        nu_h, nu_z, failed = harness._replications(cfg, 2, np.random.default_rng(cfg.seed))
+        assert failed == {}
+        rows = self.read_rows(tmp_path / "normality_rows.csv")
+        assert [int(r["rep"]) for r in rows] == list(range(22))
+        assert [float(r["e1"]) for r in rows] == list(4 * (nu_h - DEFAULTS.nu_h))
+        assert [float(r["e2"]) for r in rows] == list(4 * (nu_z - DEFAULTS.nu_z))
+
+    def test_failed_replications_are_skipped_and_named(self, tmp_path, monkeypatch):
+        whole = self.read_rows(
+            run_normality(self.make_cfg(tmp_path / "whole")).outputs[0])
+        calls = self.failing(monkeypatch, {3, 7})
+        report = run_normality(self.make_cfg(tmp_path / "n"))
+        assert len(calls) == 22
+        named = [f"replication {rep} failed: trajectory blew up at step 2 of 5, in a test"
+                 for rep in (3, 7)]
+        assert report.warnings == named
+        manifest = json.loads((tmp_path / "n" / "normality_manifest.jsonl").read_text())
+        assert manifest["warnings"] == named
+        rows = self.read_rows(tmp_path / "n" / "normality_rows.csv")
+        assert rows == [r for r in whole if r["rep"] not in ("3", "7")]
+        summary = dict(line.split(",")[:2] for line in
+                       (tmp_path / "n" / "normality_summary.csv").read_text().splitlines())
+        assert summary["n_replications"] == "20"
+        qq = (tmp_path / "n" / "normality_qq.csv").read_text().splitlines()
+        assert len(qq) == 1 + 20
+
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_consistency(self.make_cfg(tmp_path / "c"))
+        assert report.hard_ok
+        rows = self.read_rows(tmp_path / "c" / "consistency_rows.csv")
+        assert [r["status"] for r in rows] == ["failed" if i in (3, 7) else "ok"
+                                               for i in range(22)]
+        assert rows[3]["error"] == "trajectory blew up at step 2 of 5; in a test"
+        assert rows[3]["nu_h"] == rows[3]["nu_z_hat"] == ""
+        summary = self.read_rows(tmp_path / "c" / "consistency_summary.csv")
+        assert [r["n_ok"] for r in summary] == ["20", "20"]
+
+    def test_too_few_usable_replications_write_no_report(self, tmp_path, capsys):
+        # every path blows up at step 9 of 50
+        cfg_file = tmp_path / "blowup.cfg"
+        cfg_file.write_text("T = 0.05\nN_sweep = 4\nsigma0 = 1e6\nmode = FullNonlinear\n"
+                            "replications = 20\n")
+        out = tmp_path / "out"
+        cfg = load_config(cfg_file, {"output_dir": str(out)})
+        with pytest.raises(RuntimeError, match=r"^normality needs 20 usable replications, "
+                                               r"not 0 of 20; replication 0 failed: "
+                                               r"trajectory blew up at step 9 of 50"):
+            run_normality(cfg)
+        assert not out.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["consistency", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert "gate usable_replications: FAIL" in capsys.readouterr().out
+        rows = self.read_rows(out / "consistency_rows.csv")
+        assert {r["status"] for r in rows} == {"failed"} and len(rows) == 20
+
+
 class TestLinearValidationRun:
     def test_small_truncation(self, tmp_path):
         cfg = ExperimentConfig(params=DEFAULTS.with_(T=0.5),
@@ -832,6 +928,45 @@ class TestCli:
     def test_observable_n_obs_passes_the_check(self, tmp_path, command, lines):
         _check_config(command, load_config(self.write_cfg(tmp_path,
                                                           "replications = 20\n" + lines)))
+
+    @pytest.mark.parametrize("command,lines,key", [
+        ("simulate", "dt = 0.3\n", "dt"),
+        ("estimate", "dt = 0.3\n", "dt"),
+        ("consistency", "mode = LinearViaSolver\ndt = 0.3\n", "dt"),
+        ("normality", "mode = FullNonlinear\nreplications = 20\ndt = 0.3\n", "dt"),
+        ("simulate", "store_every = 3\n", "store_every"),
+        ("estimate", "store_every = 3\n", "store_every"),
+        ("consistency", "mode = FullNonlinear\nstore_every = 3\n", "store_every"),
+        ("simulate", "N = 8\ndt = 0.05\nscheme = EulerMaruyama\n", "dt"),
+        ("estimate", "N = 8\ndt = 0.05\nscheme = EulerMaruyama\n", "dt"),
+        # stable at N = 2, unstable at the sweep's last truncation
+        ("consistency", "mode = LinearViaSolver\nN_sweep = 2,8\ndt = 0.05\n"
+                        "scheme = EulerMaruyama\n", "dt"),
+        ("normality", "mode = FullNonlinear\nreplications = 20\nN_sweep = 8\ndt = 0.05\n"
+                      "scheme = EulerMaruyama\n", "dt"),
+    ])
+    def test_unsteppable_grid_is_a_usage_error(self, tmp_path, capsys, command, lines, key):
+        # T = 0.5 is 50 steps of 0.01; dt*lambda_max = 3.2 at N = 8, dt = 0.05
+        cfg = self.write_cfg(tmp_path, lines)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("pespec: error:")] == err[-1:]
+        assert err[-1].startswith(f"pespec: error: config key {key} must ")
+        assert list(tmp_path.iterdir()) == [cfg]
+        # the runner makes the same check
+        with pytest.raises(ValueError, match=f"^config key {key} must "):
+            cli.RUNNERS[command](load_config(cfg, {"output_dir": str(tmp_path)}))
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_linear_exact_study_steps_no_solver_grid(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, "dt = 0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["consistency", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "consistency_rows.csv").read_text().splitlines()
+        assert len(rows) == 1 + 10 and all(",ok," in r for r in rows[1:])
 
     def test_estimate_below_the_truncation(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "N = 4\nT = 0.005\ndt = 0.001\n"

@@ -44,6 +44,7 @@ from pespec.solver import (
     _pairing_rows,
     _site_layout,
     _step_factors,
+    check_grid,
     draw_increments,
     nonlinear_B,
     simulate_path,
@@ -544,6 +545,12 @@ class TestSimulatePath:
             simulate_path(p, None, SolverConfig(N=2, dt=0.3), 0)
         with pytest.raises(ValueError, match="store_every"):
             simulate_path(p, None, SolverConfig(N=2, dt=0.25, store_every=3), 0)
+
+    def test_check_grid_counts_the_steps(self):
+        assert check_grid(ModelParams(), SolverConfig(N=2, dt=0.25, store_every=2)) == 4
+        # dt * lambda_max = 1.6 at N = 8: stable, if barely
+        assert check_grid(ModelParams(), SolverConfig(N=8, dt=0.025,
+                                                      scheme="EulerMaruyama")) == 40
 
     def test_rejects_initial_state_outside_h(self):
         p = ModelParams()
