@@ -9,7 +9,9 @@ Each command returns a RunReport, printed the same way: result lines,
 gate lines, warnings, then the files written.  The exit code is 0 when
 all hard gates pass and 1 otherwise, so shell pipelines can chain on
 success; a flag or config value the command cannot take exits 2 with a
-one-line usage error.
+one-line usage error, and a run that cannot finish (a blown-up path, too
+few usable replications: a RuntimeError) exits 1 with one error line and
+no report.
 """
 from __future__ import annotations
 
@@ -110,6 +112,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "ntcheck":
+        for flag, value in (("--n-max", args.n_max), ("--lattice-N", args.lattice_N)):
+            if value < 1:
+                parser.error(f"argument {flag}: must be >= 1, not {value}")
         report = number_theory_checks(n_max=args.n_max, N=args.lattice_N,
                                       output_dir=args.out)
     else:
@@ -121,7 +126,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"cannot read config file {args.config}: {reason}")
         except ValueError as exc:  # a malformed config is a usage error: exit 2
             parser.error(str(exc))
-        report = RUNNERS[args.command](cfg)
+        try:
+            report = RUNNERS[args.command](cfg)
+        except RuntimeError as exc:  # BlowUpError is one
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1
     _print_report(report)
     return 0 if report.hard_ok else 1
 

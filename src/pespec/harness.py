@@ -761,6 +761,8 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
         N = cfg.N_sweep[-1]
     if N is not None:
         check_grid(cfg.params.with_(N=N), replace(cfg.solver, N=N))
+    if command == "linear-validate":
+        check_grid(cfg.params, _cross_check_solver(cfg))
 
 
 def _check_observation(command: str, cfg: ExperimentConfig) -> None:
@@ -984,14 +986,20 @@ def linear_moment_check(params: ModelParams, N: int, reps: int,
     return LinearMomentReport(mode_keys, z, frac, var_keys, var_z)
 
 
+def _cross_check_solver(cfg: ExperimentConfig) -> SolverConfig:
+    """The linear solver of linear-validate's cross-check: N = 3, the configured dt."""
+    return SolverConfig(N=3, dt=cfg.solver.dt, scheme="ExponentialEuler",
+                        include_nonlinear=False)
+
+
 def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
     """Linear-model statistics against closed forms and across backends.
 
     Three blocks: per-mode mean time-energy z-scores at the configured N
     (hard gate: at least 95% within 3), a variance spot check on ten
     modes against their exact law (hard gate: all within 3.5), and
-    solver-versus-exact means on a small truncation at dt=1e-3 (hard
-    gate: at least 95% within 3 combined standard errors).
+    solver-versus-exact means on a small truncation at the configured dt
+    (hard gate: at least 95% within 3 combined standard errors).
     """
     _check_config("linear-validate", cfg)
     report = RunReport(command="linear-validate")
@@ -1018,9 +1026,8 @@ def run_linear_validation(cfg: ExperimentConfig) -> RunReport:
         [[*k, float(z)] for k, z in zip(moment.var_keys, moment.var_z)]))
 
     # solver cross-check on a small truncation
-    n_small, reps_small, dt_small = 3, 200, 1e-3
-    solver_cfg = SolverConfig(N=n_small, dt=dt_small, scheme="ExponentialEuler",
-                              include_nonlinear=False)
+    solver_cfg = _cross_check_solver(cfg)
+    n_small, reps_small, dt_small = solver_cfg.N, 200, solver_cfg.dt
     params_small = cfg.params
     tab = mode_table(n_small)
     sums = np.zeros((reps_small, tab.n))

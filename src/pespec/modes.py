@@ -265,15 +265,18 @@ def project(f: SpectralField, sel: ModeSelector) -> SpectralField:
     return f.with_coeffs(f.coeffs * mask[:, None])
 
 
-def hydrostatic_leray(f: SpectralField) -> SpectralField:
-    """Leray-project the barotropic part, pass the baroclinic part through:
-    remove the gradient component k'(k'.v)/|k'|^2 of every k3 = 0 row."""
-    tab = f.table
+def _leray_rows(tab: _ModeTable, coeffs: np.ndarray) -> None:
+    """Remove k'(k'.v)/|k'|^2 from every k3 = 0 row of the (n, 2) block `coeffs`, in place."""
     baro, kp = tab.baro_rows, tab.baro_kp
-    out = np.array(f.coeffs)
-    rows = out[baro]
+    rows = coeffs[baro]
     dot = kp[:, 0] * rows[:, 0] + kp[:, 1] * rows[:, 1]
-    out[baro] = rows - kp * (dot / tab.baro_kp_sq)[:, None]
+    coeffs[baro] = rows - kp * (dot / tab.baro_kp_sq)[:, None]
+
+
+def hydrostatic_leray(f: SpectralField) -> SpectralField:
+    """Leray-project the barotropic part, pass the baroclinic part through."""
+    out = np.array(f.coeffs)
+    _leray_rows(f.table, out)
     return f.with_coeffs(out)
 
 
@@ -299,9 +302,9 @@ def random_field(
     raw = rng.standard_normal((tab.n, 2)) + 1j * rng.standard_normal((tab.n, 2))
     raw[tab.self_paired_rows] = rng.standard_normal((tab.self_paired_rows.size, 2))
     scale = amplitude * tab.k_sq ** (-spectral_exponent / 2.0)
-    f = SpectralField(N, raw * scale[:, None])
-    f = project(f, sel)
-    return hydrostatic_leray(f)
+    coeffs = raw * scale[:, None] * selector_mask(N, sel)[:, None]
+    _leray_rows(tab, coeffs)
+    return SpectralField(N, coeffs)
 
 
 # the cells of a field row that hold values, after its three key cells

@@ -34,10 +34,10 @@ from .modes import (
     SpectralField,
     _field_from_lines,
     _fmt,
+    _leray_rows,
     _rows_from_text,
     _rows_to_text,
     field_to_text,
-    hydrostatic_leray,
     mode_table,
 )
 from .params import ModelParams
@@ -271,25 +271,26 @@ def _convolve_pseudospectral(f: SpectralField, g: SpectralField) -> np.ndarray:
     return out
 
 
-def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> SpectralField:
-    """Projected advection term B(f, g) = f . grad_h g + w(f) dz g.
+def nonlinear_B(f: SpectralField, g: SpectralField, method: str = "auto") -> np.ndarray:
+    """Projected advection term P B(f, g), B(f, g) = f . grad_h g + w(f) dz g.
 
-    Returns the coefficients of P_N B in the stored cosine basis with the
-    zero mode discarded.  The output is generally not divergence-free in
-    its horizontal average; the solver applies the hydrostatic Leray
-    projection separately.  B is evaluated in flux form, on the dealiased
-    grid, which equals the form above only when the horizontal average
-    of `f` is divergence-free, as every solver state is; otherwise the
-    two differ by (div_h of that average) g.  `method` accepts the legacy
-    names of `SolverConfig.convolution` and rejects any other.  The
-    exact Direct sum over lattice site pairs, O(sites^2), lives with the
-    tests as the oracle this grid is checked against.
+    Returns the (n, 2) complex coefficients of P_N B in the stored cosine
+    basis, zero mode discarded, with the horizontal average Leray projected
+    in place.  B is evaluated in flux form, on the dealiased grid, which
+    equals the form above only when the horizontal average of `f` is
+    divergence-free, as every solver state is; otherwise the two differ
+    by (div_h of that average) g.  `method` accepts the legacy names of
+    `SolverConfig.convolution` and rejects any other.  The exact Direct
+    sum over lattice site pairs, O(sites^2), lives with the tests as the
+    oracle for the unprojected product `_convolve_pseudospectral`.
     """
     if f.N != g.N:
         raise ValueError(f"truncation mismatch: {f.N} vs {g.N}")
     if method not in CONVOLUTIONS:
         raise ValueError(f"unknown convolution method {method!r}")
-    return SpectralField(f.N, _convolve_pseudospectral(f, g))
+    out = _convolve_pseudospectral(f, g)
+    _leray_rows(f.table, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +393,7 @@ def _step(state: SpectralField, cfg: SolverConfig, params: ModelParams,
     if incr.shape != state.coeffs.shape:
         raise ValueError("increments must match the stored coefficient shape")
     c = state.coeffs
-    b = None
-    if cfg.include_nonlinear:
-        bf = nonlinear_B(state, state)
-        b = hydrostatic_leray(bf).coeffs
+    b = nonlinear_B(state, state) if cfg.include_nonlinear else None
     dt = cfg.dt
     if cfg.scheme == "ExponentialEuler":
         new = _apply_pair(fac.decay, c)
@@ -530,8 +528,7 @@ class Trajectory:
             rows = np.empty((self.n_samples - 1, n))
             for i, state in enumerate(self.states[:-1]):
                 src = SpectralField(key, state.coeffs[:n])
-                b = hydrostatic_leray(nonlinear_B(src, src)).coeffs
-                rows[i] = _pairing_rows(src.coeffs, b)
+                rows[i] = _pairing_rows(src.coeffs, nonlinear_B(src, src))
             self._pairing[key] = rows
         elif kind == "noise":
             self._pairing[key] = _pairing_rows(self.coefficient_stack()[:-1],

@@ -9,7 +9,7 @@ tests compare the two with `tobytes()`.
 """
 import numpy as np
 
-from pespec.modes import SpectralField, hydrostatic_leray, mode_table
+from pespec.modes import SpectralField, mode_table
 from pespec.solver import nonlinear_B
 
 
@@ -38,5 +38,5 @@ def left_pairing(traj, kind, cut=None):
     rows = []
     for state in traj.states[:-1]:
         src = SpectralField(n_cut, state.coeffs[:n])
-        rows.append(pairing_rows(src.coeffs, hydrostatic_leray(nonlinear_B(src, src)).coeffs))
+        rows.append(pairing_rows(src.coeffs, nonlinear_B(src, src)))
     return np.array(rows)

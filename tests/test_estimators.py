@@ -40,7 +40,6 @@ from pespec.modes import (
     ModeSelector,
     SpectralField,
     eigenvalue_array,
-    hydrostatic_leray,
     inner_product,
     mode_table,
     project,
@@ -261,7 +260,7 @@ class TestNonlinearIntegral:
         traj = em_trajectory
         ref = 0.0
         for dt, f in zip(np.diff(traj.times), traj.states[:-1]):
-            b = hydrostatic_leray(solver.nonlinear_B(f, f))
+            b = SpectralField(f.N, solver.nonlinear_B(f, f))
             p = project(f, sel)
             wp = p.with_coeffs(p.coeffs * eigenvalue_array(f.N, *weights)[:, None])
             ref += dt * inner_product(wp, b)

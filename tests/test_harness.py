@@ -960,6 +960,55 @@ class TestCli:
             cli.RUNNERS[command](load_config(cfg, {"output_dir": str(tmp_path)}))
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command,lines,message", [
+        ("estimate", "N = 4\n", "trajectory blew up at step 9 of 50 "),
+        ("simulate", "N = 4\n", "trajectory blew up at step 9 of 50 "),
+        ("normality", "N_sweep = 4\nmode = FullNonlinear\nreplications = 20\n",
+         "normality needs 20 usable replications, not 0 of 20; "),
+    ])
+    def test_runner_failure_is_one_error_line(self, tmp_path, capsys, command, lines,
+                                              message):
+        # every path blows up: exit 1 with one line on stderr and no report
+        cfg = tmp_path / "blowup.cfg"
+        cfg.write_text("T = 0.05\nsigma0 = 1e6\n" + lines)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"pespec: error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--lattice-N"])
+    def test_ntcheck_sizes_are_usage_errors(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ntcheck", flag, "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("pespec: error:")] == [
+            f"pespec: error: argument {flag}: must be >= 1, not 0"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_linear_validate_cross_check_steps_the_configured_dt(self, tmp_path, capsys):
+        # T = 0.0505 is no whole number of the default dt = 0.001 steps,
+        # but 101 of dt = 0.0005
+        cfg = self.write_cfg(tmp_path, "T = 0.0505\ndt = 0.001\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["linear-validate", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("pespec: error: config key dt must ")
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^config key dt must "):
+            run_linear_validation(load_config(cfg, {"output_dir": str(out)}))
+        assert not out.exists()
+        cfg = self.write_cfg(tmp_path, "T = 0.0505\ndt = 0.0005\n")
+        assert cli.main(["linear-validate", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "linear_mode_z.csv", "linear_solver_vs_exact.csv",
+            "linear_validation_manifest.jsonl", "linear_variance_z.csv"]
+
     def test_linear_exact_study_steps_no_solver_grid(self, tmp_path):
         cfg = self.write_cfg(tmp_path, "dt = 0.3\n")
         with warnings.catch_warnings():

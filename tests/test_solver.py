@@ -23,7 +23,7 @@ from scipy import stats
 import pairing_oracle
 from advection_oracle import direct_B, full_unfolding, half_spectrum, vertical_velocity
 from lattice_oracle import field_from_keys
-from pespec import linear
+from pespec import linear, modes
 from pespec.linear import mode_rates, noise_direction_array
 from pespec.modes import (
     BAROTROPIC,
@@ -41,6 +41,7 @@ from pespec.solver import (
     BlowUpError,
     SolverConfig,
     Trajectory,
+    _convolve_pseudospectral,
     _pairing_rows,
     _site_layout,
     _step_factors,
@@ -54,9 +55,15 @@ from pespec.solver import (
 )
 from scalar_ou import ou_exact_step
 
+
+def raw_B(f, g):
+    """The dealiased grid's unprojected product B(f, g), as a field."""
+    return SpectralField(f.N, _convolve_pseudospectral(f, g))
+
+
 # the Direct oracle and the production dealiased grid, under the names
 # the two backends went by when both were selectable
-METHODS = {"Direct": direct_B, "PseudoSpectralDealiased": nonlinear_B}
+METHODS = {"Direct": direct_B, "PseudoSpectralDealiased": raw_B}
 
 
 def norm(f):
@@ -164,7 +171,7 @@ class TestNonlinearB:
         for seed in (0, 1, 2):
             f = random_field(4, np.random.default_rng(seed))
             bd = direct_B(f, f)
-            bp = nonlinear_B(f, f)
+            bp = raw_B(f, f)
             diff = norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
             assert diff <= 1e-10 * norm(bd)
 
@@ -179,7 +186,7 @@ class TestNonlinearB:
         f = random_field(N, np.random.default_rng(100 + N))
         g = f if same else random_field(N, np.random.default_rng(200 + N))
         bd = direct_B(f, g)
-        bp = nonlinear_B(f, g)
+        bp = raw_B(f, g)
         diff = norm(bd.with_coeffs(bd.coeffs - bp.coeffs))
         if N == 1:
             # no two nonzero sites of the unit ball add up to a third one
@@ -203,7 +210,7 @@ class TestNonlinearB:
         # product, so B has nothing on any row with k3 > 0
         f = random_field(N, np.random.default_rng(300 + N), sel=BAROTROPIC)
         g = random_field(N, np.random.default_rng(400 + N), sel=BAROTROPIC)
-        B = nonlinear_B(f, g)
+        B = SpectralField(N, nonlinear_B(f, g))
         baroclinic = B.table.k3 > 0
         assert norm(B) > 0.0
         assert np.abs(B.coeffs[baroclinic]).max() <= 1e-14 * np.abs(B.coeffs).max()
@@ -213,8 +220,8 @@ class TestNonlinearB:
         # B(f, f) reuses f's grids and the flux f1 f2; an equal copy of f
         # takes the general path with its own grids and all four fluxes
         f = random_field(N, np.random.default_rng(500 + N))
-        shared = nonlinear_B(f, f)
-        general = nonlinear_B(f, f.with_coeffs(f.coeffs.copy()))
+        shared = SpectralField(N, nonlinear_B(f, f))
+        general = SpectralField(N, nonlinear_B(f, f.with_coeffs(f.coeffs.copy())))
         diff = norm(shared.with_coeffs(shared.coeffs - general.coeffs))
         assert diff <= 1e-14 * norm(general)
 
@@ -233,7 +240,7 @@ class TestNonlinearB:
             "    rng = np.random.default_rng(N)",
             "    f, g = random_field(N, rng), random_field(N, rng)",
             "    for B in (nonlinear_B(f, f), nonlinear_B(f, g)):",
-            "        print(N, hashlib.sha256(B.coeffs.tobytes()).hexdigest())",
+            "        print(N, hashlib.sha256(B.tobytes()).hexdigest())",
         ])
         hashes = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                  timeout=120, check=True,
@@ -297,10 +304,22 @@ class TestNonlinearB:
 
     def test_output_needs_projection(self):
         # the raw advection term has a pressure-gradient component in its
-        # horizontal average; the hydrostatic Leray projection removes it
-        B = nonlinear_B(two_mode_field(), two_mode_field())
-        assert not B.is_divergence_free()
-        assert hydrostatic_leray(B).is_divergence_free()
+        # horizontal average; nonlinear_B's Leray projection removes it
+        f = two_mode_field()
+        assert not raw_B(f, f).is_divergence_free()
+        assert SpectralField(3, nonlinear_B(f, f)).is_divergence_free()
+
+    @pytest.mark.parametrize("N", [*range(1, 13), 16])
+    def test_projects_the_raw_product_bit_for_bit(self, N):
+        # B projects the grid's product in place with hydrostatic_leray's
+        # expressions, so it has the bits of the field-wrapped chain
+        rng = np.random.default_rng(40 + N)
+        f, g = random_field(N, rng), random_field(N, rng)
+        for a, b in ((f, f), (f, g)):
+            want = hydrostatic_leray(SpectralField(N, _convolve_pseudospectral(a, b))).coeffs
+            got = nonlinear_B(a, b)
+            assert got.shape == (mode_table(N).n, 2) and got.dtype == complex
+            assert got.tobytes() == want.tobytes()
 
     def test_truncation_mismatch(self):
         with pytest.raises(ValueError, match="truncation mismatch"):
@@ -322,9 +341,9 @@ class TestNonlinearB:
                 cfg = SolverConfig(N=N, dt=0.1, convolution=name)
                 assert cfg.resolved_convolution() == "PseudoSpectralDealiased"
         f = random_field(4, np.random.default_rng(5))
-        want = nonlinear_B(f, f, "PseudoSpectralDealiased").coeffs
+        want = nonlinear_B(f, f, "PseudoSpectralDealiased")
         for name in ("auto", "Direct"):
-            assert nonlinear_B(f, f, name).coeffs.tobytes() == want.tobytes()
+            assert nonlinear_B(f, f, name).tobytes() == want.tobytes()
 
 
 class TestConfigValidation:
@@ -450,7 +469,7 @@ class TestNonlinearStepping:
             want = np.empty((2, n))
             for i, state in enumerate(states[:-1]):
                 padded = state.with_coeffs(state.coeffs * (k_sq <= cut * cut)[:, None])
-                b = hydrostatic_leray(nonlinear_B(padded, padded)).coeffs[:n]
+                b = nonlinear_B(padded, padded)[:n]
                 want[i] = (np.conj(state.coeffs[:n]) * b).real.sum(axis=1)
             pairing = traj.left_pairing("advection", cut)
             assert pairing.shape == (2, n)
@@ -476,6 +495,32 @@ class TestNonlinearStepping:
         e1 = np.abs(final[0.05] - ref).max()
         e2 = np.abs(final[0.025] - ref).max()
         assert 1.6 < e1 / e2 < 2.6
+
+
+class TestFieldCoercions:
+    def test_each_field_is_checked_once(self, monkeypatch):
+        # B returns its projected coefficients as an array, so a field is
+        # built, copied and checked only where the program keeps one: a
+        # k-step nonlinear path makes V0 and one state per step, a loaded
+        # path's advection pairing one source field per left sample and
+        # random_field one field
+        calls = []
+        real = modes._coerce_coeffs
+
+        def counting(N, coeffs):
+            calls.append(N)
+            return real(N, coeffs)
+
+        monkeypatch.setattr(modes, "_coerce_coeffs", counting)
+        random_field(4, np.random.default_rng(0))
+        assert len(calls) == 1
+        calls.clear()
+        traj = simulate_path(ModelParams(T=0.01), None, SolverConfig(N=4, dt=1e-3), 3)
+        assert len(calls) == 10 + 1
+        loaded = trajectory_from_text(trajectory_to_text(traj))
+        calls.clear()
+        loaded.left_pairing("advection")
+        assert len(calls) == loaded.n_samples - 1 == 10
 
 
 class TestPairingBits:
