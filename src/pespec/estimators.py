@@ -174,6 +174,24 @@ def _pair_weights(sel: ModeSelector, alpha: float) -> Tuple[float, float, float]
     return (0.0, 1.0, alpha)
 
 
+def _den_weights(sel: ModeSelector, alpha: float) -> Tuple[float, float, float]:
+    # the denominators square the half powers: ||A_h^{1+alpha/2} f||^2 on
+    # the horizontal average, ||A_z A^{alpha/2} f||^2 on the k3 != 0 families
+    if sel.kind == "barotropic":
+        return (1.0 + alpha / 2.0, 0.0, 0.0)
+    return (0.0, 1.0, alpha / 2.0)
+
+
+def _family_weights(n: int, sel: ModeSelector,
+                    alpha: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observed columns of `sel` at truncation n and the w_k lambda_k
+    Ito and denominator weights the estimators sum over them.  A family
+    without modes raises the ValueError of `_mode_weights`."""
+    cols, ito = _mode_weights(n, sel, _pair_weights(sel, alpha), False)
+    _, den = _mode_weights(n, sel, _den_weights(sel, alpha), True)
+    return cols, ito, den
+
+
 def nonlinear_integral(traj: Trajectory, alpha: float, sel: ModeSelector,
                        variant: str, n_obs: Optional[int] = None) -> float:
     """Left-endpoint sum of the weighted pairing with P B(V, V).
@@ -234,17 +252,15 @@ def _guard_denominator(d: float) -> float:
 
 def _estimate(traj: Trajectory, cfg: EstimatorConfig, sel: ModeSelector) -> EstimateResult:
     a = cfg.alpha
-    horizontal = sel.kind == "barotropic"
     ito = ito_integral(traj, _pair_weights(sel, a), sel, cfg.N_obs)
     nl = 0.0
     if cfg.variant != "V3":
         nl = nonlinear_integral(traj, a, sel, cfg.variant, cfg.N_obs)
     cross = 0.0
-    if not horizontal:
+    if sel.kind != "barotropic":
         cross = (_estimate(traj, cfg, BAROTROPIC).value
                  * cross_integral(traj, a, sel, cfg.N_obs))
-    den_weights = (1.0 + a / 2.0, 0.0, 0.0) if horizontal else (0.0, 1.0, a / 2.0)
-    den = _guard_denominator(quadratic_integral(traj, den_weights, sel, cfg.N_obs))
+    den = _guard_denominator(quadratic_integral(traj, _den_weights(sel, a), sel, cfg.N_obs))
     return EstimateResult(
         value=-(ito + nl + cross) / den,
         numerator_parts={"ito": ito, "nonlinear": nl, "cross": cross},

@@ -29,11 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .estimators import (EstimatorConfig, _smallest_resonant_truncation, estimate_nu_h,
-                         estimate_nu_z, estimate_nu_z_hat, theoretical_covariance)
+from .estimators import (EstimatorConfig, _family_weights, _smallest_resonant_truncation,
+                         estimate_nu_h, estimate_nu_z, estimate_nu_z_hat,
+                         theoretical_covariance)
 from .linear import (ShellSampler, StrandSampler, _psi_array, energy_sum_cumulants,
                      mode_rates, mode_strands)
-from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field, selector_mask
+from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field
 from .params import ModelParams, as_fraction
 from .solver import SolverConfig, Trajectory, check_grid, simulate_path, trajectory_to_text
 
@@ -314,22 +315,21 @@ class _StrandSystem:
 
 
 def _family_strands(params: ModelParams, N: int, alpha: float, q):
-    """The estimator families' strands and weights.
+    """The estimator families' strands and weights: the one unfolding that
+    the exact sampler and both closed forms read.
 
     Returns the per-strand (lam, f0, amp, zeta) of `linear.mode_strands` and
     (strands, 2) Ito and denominator weights: column 0 the barotropic
-    family, column 1 the resonant one, zero off each family.
+    family, column 1 the resonant one, zero off each family.  A strand
+    carries its mode's w_k lambda_k, the weights the estimators sum
+    (`estimators._family_weights`); a family without modes raises there.
     """
-    weight = mode_table(N).weight
-    families = _oracle_families(N, alpha, q)
-    (mask_h, *_), (mask_r, *_) = families
-    owner, *strands = mode_strands(params, N, np.flatnonzero(mask_h | mask_r))
-
-    def per_strand(j):  # the Ito (j = 0) or denominator (j = 1) weights
-        return np.column_stack([(weight * np.where(mask, mu[j], 0.0))[owner]
-                                for mask, *mu in families])
-
-    return strands, per_strand(0), per_strand(1)
+    families = [_family_weights(N, sel, alpha) for sel in (BAROTROPIC, ModeSelector.resonant(q))]
+    owner, *strands = mode_strands(params, N, np.union1d(families[0][0], families[1][0]))
+    ito, den = np.zeros((2, mode_table(N).n, 2))
+    for j, (cols, mu_i, mu_d) in enumerate(families):
+        ito[cols, j], den[cols, j] = mu_i, mu_d
+    return strands, ito[owner], den[owner]
 
 
 def _build_strands(params: ModelParams, N: int, alpha: float, q,
@@ -396,29 +396,18 @@ def linear_exact_estimates(params: ModelParams, N: int, alpha: float, q,
         Z, Z_new = Z_new, Z
     # over a class, sum x (x' - x) = (a - 1) R + r sqrt(R) g
     pair = np.hstack([(shells.decay - 1.0) * sum_R + shells.scale * sum_cross, sum_pair])
-    I_h, I_r = (pair @ sysm.ito).T
-    D_h, D_r = dt * (np.hstack([sum_R, sum_sq]) @ sysm.den).T
-    if not (D_h > 0).all() or not (D_r > 0).all():
+    D = dt * (np.hstack([sum_R, sum_sq]) @ sysm.den)
+    if not (D > 0).all():
         raise ValueError("degenerate denominator in exact linear sampling")
-    nu_h = -I_h / D_h
-    nu_z = -I_r / D_r - float(q) * nu_h
-    return nu_h, nu_z
+    return _family_estimates(pair @ sysm.ito, D, q)
 
 
-def _oracle_families(N: int, alpha: float, q):
-    """(mask, Ito weight, denominator weight) per estimator family.
-
-    The barotropic family pairs A_h^{1+alpha} with the increments, the
-    resonant family A_z A^alpha; the denominators square the half powers.
-    Each family must hold a mode.
-    """
-    tab = mode_table(N)
-    mask_h = np.array(selector_mask(N, BAROTROPIC))
-    mask_r = np.array(selector_mask(N, ModeSelector.resonant(q)))
-    if not mask_h.any() or not mask_r.any():
-        raise ValueError("estimator families need barotropic and resonant modes")
-    return ((mask_h, tab.kp_sq ** (1.0 + alpha), tab.kp_sq ** (2.0 + alpha)),
-            (mask_r, tab.k3_sq * tab.k_sq ** alpha, tab.k3_sq ** 2 * tab.k_sq ** alpha))
+def _family_estimates(I: np.ndarray, D: np.ndarray, q) -> Tuple[np.ndarray, np.ndarray]:
+    """(nu_h, resonant nu_z) from the families' Ito and denominator sums,
+    barotropic then resonant on the last axis: nu_h = -I_h / D_h and
+    nu_z = -I_r / D_r - q nu_h, the rotation's cross term removed."""
+    nu_h = -I[..., 0] / D[..., 0]
+    return nu_h, -I[..., 1] / D[..., 1] - float(q) * nu_h
 
 
 def _left_sums(z, dt: float, n_steps: int):
@@ -434,33 +423,6 @@ def _left_sums(z, dt: float, n_steps: int):
     return g_dt, (n_steps - g_horizon / g_dt) / (2.0 * z)
 
 
-@dataclass(frozen=True)
-class _OracleFamily:
-    """One estimator family's modes, as the closed-form oracles read them."""
-
-    weight: np.ndarray   # conjugate weight: 2 for a pair, 1 when self-paired
-    ito: np.ndarray      # Ito weight
-    den: np.ndarray      # denominator weight
-    a2: np.ndarray       # squared noise amplitude
-    z: np.ndarray        # lam + i f0
-    g0: Tuple[np.ndarray, np.ndarray]   # `_left_sums` at lam
-    g2: Tuple[np.ndarray, np.ndarray]   # `_left_sums` at z
-
-
-def _oracle_table(params: ModelParams, N: int, alpha: float, q,
-                  dt: float, n_steps: int) -> Tuple[_OracleFamily, _OracleFamily]:
-    """The barotropic and resonant families on the grid t_i = i dt, i < n_steps."""
-    tab = mode_table(N)
-    lam, f0, amp = mode_rates(params, tab.kp_sq, tab.k3_sq)
-    table = []
-    for mask, mu_i, mu_d in _oracle_families(N, alpha, q):
-        z = lam[mask] + 1j * f0[mask]
-        table.append(_OracleFamily(tab.weight[mask], mu_i[mask], mu_d[mask],
-                                   amp[mask] ** 2, z, _left_sums(lam[mask], dt, n_steps),
-                                   _left_sums(z, dt, n_steps)))
-    return tuple(table)
-
-
 def _predicted_grid_bias(params: ModelParams, N: int, alpha: float, q,
                          dt: float, n_steps: int) -> Tuple[float, float]:
     """Expected shift of the scaled errors from the left-endpoint grid.
@@ -468,19 +430,16 @@ def _predicted_grid_bias(params: ModelParams, N: int, alpha: float, q,
     Exact first moments of the Ito and quadratic sums (transient OU from
     zero) give the expected numerator and denominator; the ratio of
     expectations predicts where the ensemble mean sits at finite dt.  At
-    step i, E|c_i|^2 = amp^2 g0(t_i) and
-    E Re conj(c_i)(c_{i+1} - c_i) = (Re exp(-z dt) - 1) amp^2 g0(t_i).
+    step i a strand of amplitude a has E|c_i|^2 = a^2 g0(t_i) and
+    E Re conj(c_i)(c_{i+1} - c_i) = (Re exp(-z dt) - 1) a^2 g0(t_i),
+    summed over the strands of `_family_strands` with their weights.
     """
-    def family(fam: _OracleFamily) -> float:
-        energy = fam.weight * fam.a2 * fam.g0[1]
-        num = np.sum(fam.ito * (np.exp(-fam.z * dt).real - 1.0) * energy)
-        return float(-num / (dt * np.sum(fam.den * energy)))
-
-    fam_h, fam_r = _oracle_table(params, N, alpha, q, dt, n_steps)
-    nu_h_pred = family(fam_h)
-    nu_r_pred = family(fam_r) - float(q) * nu_h_pred
+    (lam, f0, amp, _), ito, den = _family_strands(params, N, alpha, q)
+    energy = amp * amp * _left_sums(lam, dt, n_steps)[1]
+    step = np.exp(-(lam + 1j * f0) * dt).real - 1.0
+    nu_h, nu_z = _family_estimates((step * energy) @ ito, dt * (energy @ den), q)
     scale = N * N
-    return scale * (nu_h_pred - params.nu_h), scale * (nu_r_pred - params.nu_z)
+    return float(scale * (nu_h - params.nu_h)), float(scale * (nu_z - params.nu_z))
 
 
 def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
@@ -491,12 +450,13 @@ def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
     t_i = i dt, i < n_steps: each family's error is -M/D with M the
     martingale part of its Ito sum and D its denominator sum, and
     Var(M/D) is taken as E[M^2] / E[D]^2, both expectations exact.  A
-    strand of amplitude a (conjugate pairs split into two strands of
-    a/sqrt(2)) contributes a^4/2 [g0(t_i) g0(dt) + Re(g2(t_i) conj g2(dt))]
-    to E[M^2] at step i, with g0 and g2 the decay-squared integrals at
-    rates lam and lam + i f0; the g2 term is the rotation-aware
-    E<U_k, zeta_k>^2 and equals the g0 term on the barotropic modes.  It
-    does not depend on the noise direction zeta_k.
+    strand of `_family_strands` with amplitude a and Ito weight mu
+    (conjugate pairs split into two strands of amp/sqrt(2)) contributes
+    (mu a^2)^2 / 2 [g0(t_i) g0(dt) + Re(g2(t_i) conj g2(dt))] to E[M^2] at
+    step i, with g0 and g2 the decay-squared integrals at rates lam and
+    lam + i f0; the g2 term is the rotation-aware E<U_k, zeta_k>^2 and
+    equals the g0 term on the barotropic modes.  It does not depend on
+    the noise direction zeta_k.
 
     The families ride on disjoint noise and e2 = -N^2 M_r/D_r - q e1, so
     cov12 = -q cov11 and cov22 = q^2 cov11 + N^4 Var(M_r/D_r).  The
@@ -505,19 +465,16 @@ def finite_n_covariance(params: ModelParams, N: int, q, dt: float,
     |k'|^2 = q k3^2 holds about N log N lattice sites, not the N^2 of a
     two-dimensional ball.
     """
-    def ratio_variance(fam: _OracleFamily) -> float:
-        (g0_dt, s0), (g2_dt, s2) = fam.g0, fam.g2
-        # the weight w equals the strand count, and each strand carries amp^2 / w
-        qv = np.sum(fam.weight / 2.0 * (fam.ito * fam.a2) ** 2
-                    * (g0_dt * s0 + (np.conj(g2_dt) * s2).real))
-        den = np.sum(fam.weight * fam.den * fam.a2 * dt * s0)
-        return float(qv / den ** 2)
-
-    fam_h, fam_r = _oracle_table(params, N, params.alpha, q, dt, n_steps)
+    (lam, f0, amp, _), ito, den = _family_strands(params, N, params.alpha, q)
+    a2 = amp * amp
+    g0_dt, s0 = _left_sums(lam, dt, n_steps)
+    g2_dt, s2 = _left_sums(lam + 1j * f0, dt, n_steps)
+    qv = ((g0_dt * s0 + (np.conj(g2_dt) * s2).real) / 2.0) @ (ito * a2[:, None]) ** 2
+    var_h, var_r = qv / (dt * ((a2 * s0) @ den)) ** 2
     scale = float(N) ** 4
     qq = float(q)
-    c11 = scale * ratio_variance(fam_h)
-    c22 = qq * qq * c11 + scale * ratio_variance(fam_r)
+    c11 = scale * var_h
+    c22 = qq * qq * c11 + scale * var_r
     return np.array([[c11, -qq * c11], [-qq * c11, c22]])
 
 
@@ -753,6 +710,13 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
     if command == "linear-validate" and cfg.mode == "FullNonlinear":
         raise ValueError("config key mode must be a linear mode in a linear validation, "
                          f"not {cfg.mode!r}")
+    # exact linear paths start at zero, and without noise they stay there
+    run = ("a linear validation" if command == "linear-validate"
+           else f"a LinearExact {command} run")
+    if p.sigma0 == 0.0 and (command == "linear-validate" or (
+            command in ("consistency", "normality") and cfg.mode == "LinearExact")):
+        raise ValueError(f"config key sigma0 must be positive in {run}, whose exact paths "
+                         f"start at zero, not {p.sigma0!r}")
     if command in ("estimate", "consistency", "normality"):
         _check_observation(command, cfg)
     # the largest truncation the run steps; LinearExact studies step none
@@ -766,20 +730,21 @@ def _check_config(command: str, cfg: ExperimentConfig) -> None:
 
 
 def _check_observation(command: str, cfg: ExperimentConfig) -> None:
-    """Raise a ValueError naming N_obs when the run's estimates cannot observe it.
+    """Raise a ValueError naming the config key at fault when the run's
+    estimates cannot observe what they need.
 
-    N_obs must fit the smallest truncation the run simulates: N for
-    estimate, the first of the sweep for consistency and the last, the
-    only one it samples, for normality.
+    The run observes N_obs, or else the smallest truncation it samples:
+    N for estimate, the first of the sweep for consistency and the last,
+    the only one it samples, for normality.  N_obs must fit that
+    truncation, and the observed modes must hold a resonant one.
     """
     n_obs = cfg.estimator.N_obs
-    if command != "estimate" and cfg.mode == "LinearExact":
-        if n_obs is not None:
-            raise ValueError("config key N_obs must be empty in LinearExact mode, which "
-                             f"observes every mode, not {n_obs}")
-        return
-    N = {"estimate": cfg.solver.N, "consistency": cfg.N_sweep[0],
-         "normality": cfg.N_sweep[-1]}[command]
+    key, N, what = {"estimate": ("N", cfg.solver.N, "be"),
+                    "consistency": ("N_sweep", cfg.N_sweep[0], "start at"),
+                    "normality": ("N_sweep", cfg.N_sweep[-1], "end at")}[command]
+    if n_obs is not None and command != "estimate" and cfg.mode == "LinearExact":
+        raise ValueError("config key N_obs must be empty in LinearExact mode, which "
+                         f"observes every mode, not {n_obs}")
     if n_obs is not None and n_obs > N:
         raise ValueError(f"config key N_obs must be at most the truncation N = {N} of "
                          f"this {command} run, not {n_obs}")
@@ -789,10 +754,17 @@ def _check_observation(command: str, cfg: ExperimentConfig) -> None:
         raise ValueError(f"config key N_obs must be below the truncation N = {N} with "
                          "variant V1, which pairs against the modes beyond N_obs, not "
                          f"{'empty' if n_obs is None else n_obs}")
-    n_min = _smallest_resonant_truncation(cfg.params.q)
-    if n_obs is not None and n_min is not None and n_obs < n_min:
-        raise ValueError(f"config key N_obs must be at least {n_min}, the smallest "
-                         f"truncation with resonant modes at q = {cfg.params.q}, not {n_obs}")
+    q, limit = cfg.params.q, max(64, N)
+    n_min = _smallest_resonant_truncation(q, limit)
+    if n_min is None:
+        raise ValueError("config key q must have resonant modes |k'|^2 = q k3^2 up to the "
+                         f"truncation N = {limit}, not {q}")
+    if n_obs is not None:
+        key, N, what = "N_obs", n_obs, "be"
+    if N < n_min:
+        value = f"'{','.join(map(str, cfg.N_sweep))}'" if key == "N_sweep" else N
+        raise ValueError(f"config key {key} must {what} {n_min} or more, the smallest "
+                         f"truncation with resonant modes at q = {q}, not {value}")
 
 
 def run_normality(cfg: ExperimentConfig) -> RunReport:

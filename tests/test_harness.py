@@ -45,11 +45,13 @@ from pespec.harness import (
     run_normality,
 )
 from pespec.linear import (ShellSampler, StrandSampler, decay_sq_integral, mode_rates,
-                           strand_noise_chol)
-from pespec.modes import BAROTROPIC, ModeSelector, mode_table, selector_mask
+                           mode_strands, strand_noise_chol)
+from pespec.modes import mode_table
 from pespec.params import ModelParams
 from pespec.solver import BlowUpError, SolverConfig, trajectory_from_text
 from pespec import cli, harness
+
+import family_oracle
 
 DEFAULTS = ModelParams()
 
@@ -232,7 +234,8 @@ class TestExactEngine:
 
     def test_requires_both_families(self):
         # q = 3 has no resonant representations inside small truncations
-        with pytest.raises(ValueError, match="barotropic and resonant"):
+        with pytest.raises(ValueError, match=re.escape("no observed modes for selector "
+                                                       "resonant(3)")):
             linear_exact_estimates(DEFAULTS, 3, 4.0, Fraction(3), 4,
                                    np.random.default_rng(0), dt=0.1)
 
@@ -368,13 +371,46 @@ class TestFiniteNCovariance:
         assert part24 > part12
 
     def test_requires_resonant_modes(self):
-        with pytest.raises(ValueError, match="barotropic and resonant"):
+        with pytest.raises(ValueError, match=re.escape("no observed modes for selector "
+                                                       "resonant(3)")):
             finite_n_covariance(DEFAULTS, 3, Fraction(3), 0.1, 10)
 
     def test_default_cov22_at_twelve(self):
         # the delta-method value quoted in README's known limitation, far
         # above the quoted constant 11.25/pi
         assert self.at(12)[1, 1] == pytest.approx(73.6, rel=0.03)
+
+
+class TestFamilyStrands:
+    """The one unfolding of the estimator families that the sampler and the
+    closed forms read."""
+
+    @pytest.mark.parametrize("N", [4, 12])
+    def test_weights_are_the_estimator_weights_bit_for_bit(self, N):
+        # at alpha = 4 every weight is an exact product of integers
+        alpha, q = 4.0, Fraction(1)
+        weight = mode_table(N).weight
+        fams = family_oracle.families(N, alpha, q)
+        owner, *_ = mode_strands(DEFAULTS, N, np.flatnonzero(fams[0][0] | fams[1][0]))
+        _, ito, den = _family_strands(DEFAULTS, N, alpha, q)
+        for j, (mask, mu_i, mu_d) in enumerate(fams):
+            want_i = np.where(mask, weight * mu_i, 0.0)[owner]
+            want_d = np.where(mask, weight * mu_d, 0.0)[owner]
+            assert ito[:, j].tobytes() == want_i.tobytes()
+            assert den[:, j].tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 8, 12, 16])
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(2)])
+    @pytest.mark.parametrize("alpha", [4.0, 3.3])
+    def test_closed_forms_match_the_per_mode_sums(self, N, q, alpha):
+        params = DEFAULTS.with_(alpha=alpha, q=q)
+        dt, n_steps = _estimation_grid(N, params.T)
+        np.testing.assert_allclose(
+            _predicted_grid_bias(params, N, alpha, q, dt, n_steps),
+            family_oracle.predicted_grid_bias(params, N, alpha, q, dt, n_steps), rtol=1e-10)
+        np.testing.assert_allclose(
+            finite_n_covariance(params, N, q, dt, n_steps),
+            family_oracle.finite_n_covariance(params, N, q, dt, n_steps), rtol=1e-10)
 
 
 class TestAndersonDarling:
@@ -454,13 +490,8 @@ class TestPredictedGridBias:
         N, dt, n, alpha, q = 3, 0.02, 50, 4.0, Fraction(1)
         tab = mode_table(N)
         lam, f0, amp = mode_rates(DEFAULTS, tab.kp_sq, tab.k3_sq)
-        families = [
-            (selector_mask(N, BAROTROPIC), tab.kp_sq ** (1 + alpha), tab.kp_sq ** (2 + alpha)),
-            (selector_mask(N, ModeSelector.resonant(q)), tab.k3_sq * tab.k_sq ** alpha,
-             tab.k3_sq ** 2 * tab.k_sq ** alpha),
-        ]
         ratios = []
-        for mask, mu_i, mu_d in families:
+        for mask, mu_i, mu_d in family_oracle.families(N, alpha, q):
             num = den = 0.0
             for k in np.flatnonzero(mask):
                 step = math.exp(-lam[k] * dt) * math.cos(f0[k] * dt) - 1.0
@@ -918,6 +949,46 @@ class TestCli:
         assert [line for line in err if line.startswith("pespec: error:")] == err[-1:]
         assert err[-1].startswith("pespec: error: config key N_obs ")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command,lines,key", [
+        ("estimate", "q = 3\n", "q"),
+        ("consistency", "q = 3\n", "q"),
+        ("normality", "q = 3\nreplications = 20\n", "q"),
+        ("estimate", "N = 1\n", "N"),
+        ("consistency", "mode = FullNonlinear\nN_sweep = 1,4\n", "N_sweep"),
+        ("consistency", "N_sweep = 1,4\n", "N_sweep"),
+        ("normality", "N_sweep = 1\nreplications = 20\n", "N_sweep"),
+        ("consistency", "sigma0 = 0\n", "sigma0"),
+        ("normality", "sigma0 = 0\nreplications = 20\n", "sigma0"),
+        ("linear-validate", "sigma0 = 0\n", "sigma0"),
+        ("linear-validate", "mode = LinearViaSolver\nsigma0 = 0\n", "sigma0"),
+    ])
+    def test_unestimable_run_is_a_usage_error(self, tmp_path, capsys, command, lines, key):
+        # no resonant mode to observe, or exact linear paths that stay at zero
+        cfg = self.write_cfg(tmp_path, lines)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("pespec: error:")] == err[-1:]
+        assert err[-1].startswith(f"pespec: error: config key {key} ")
+        assert not out.exists()
+        # the runner makes the same check
+        with pytest.raises(ValueError, match=f"^config key {key} "):
+            cli.RUNNERS[command](load_config(cfg, {"output_dir": str(out)}))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,lines", [
+        ("consistency", "mode = LinearViaSolver\nsigma0 = 0\n"),
+        ("normality", "mode = FullNonlinear\nsigma0 = 0\n"),
+        ("consistency", "N_sweep = 2,4\nq = 2\n"),
+        ("estimate", "N = 3\nq = 1/2\n"),
+    ])
+    def test_estimable_run_passes_the_check(self, tmp_path, command, lines):
+        # solver studies start a noiseless path from a random field
+        _check_config(command, load_config(self.write_cfg(tmp_path,
+                                                          "replications = 20\n" + lines)))
 
     @pytest.mark.parametrize("command,lines", [
         ("consistency", "mode = FullNonlinear\nN_sweep = 4,8\nvariant = V1\nN_obs = 3\n"),
