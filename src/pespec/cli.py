@@ -81,18 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides: Dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["output_dir"] = str(args.out)
-    if getattr(args, "replications", None) is not None:
-        overrides["replications"] = str(args.replications)
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    return _config_from_dict(overrides)
+    flags = {"seed": args.seed, "output_dir": args.out,
+             "replications": getattr(args, "replications", None),
+             "mode": getattr(args, "mode", None)}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
+    return (_config_from_dict(overrides) if args.config is None
+            else load_config(args.config, overrides))
 
 
 def _print_report(report: RunReport) -> None:

@@ -22,7 +22,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,8 +33,9 @@ from .estimators import (EstimatorConfig, _family_weights, _smallest_resonant_tr
                          theoretical_covariance)
 from .linear import (ShellSampler, StrandSampler, _psi_array, energy_sum_cumulants,
                      mode_rates, mode_strands)
-from .modes import BAROTROPIC, ModeSelector, _fmt, mode_table, random_field
-from .params import ModelParams, as_fraction
+from .modes import (BAROTROPIC, ModeSelector, _fmt, _setting_types, _settings_from,
+                    _settings_text, mode_table, random_field)
+from .params import ModelParams
 from .solver import SolverConfig, Trajectory, check_grid, simulate_path, trajectory_to_text
 
 __all__ = [
@@ -84,8 +84,7 @@ class ExperimentConfig:
         if not sweep or any(b <= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("N_sweep must be nonempty and strictly ascending")
         if sweep[0] < 1:
-            raise ValueError("config key N_sweep must be truncations >= 1, "
-                             f"not '{','.join(map(str, sweep))}'")
+            raise ValueError(f"config key N_sweep must be truncations >= 1, not '{_fmt(sweep)}'")
         object.__setattr__(self, "N_sweep", sweep)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -102,91 +101,45 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # flat key=value configuration files
 
-_PARAM_KEYS = {"nu_h", "nu_z", "f0", "sigma0", "gamma", "T", "alpha"}
-_SOLVER_KEYS = {"N", "dt", "scheme", "convolution", "store_every", "include_nonlinear"}
+# the fields no config key sets: the truncation is the solver's N, and
+# the estimator's alpha and q are copied from the params
+_PARAMS_SKIP = ("N",)
+_ESTIMATOR_SKIP = ("alpha", "q")
 
 
 def load_config(path, overrides: Optional[Dict[str, str]] = None) -> ExperimentConfig:
     """Read a flat key=value file; later keys win, then `overrides`."""
     raw: Dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if eq:
+            raw[key.strip()] = value.strip()
+        elif key.strip():
             raise ValueError(f"config line without '=': {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
     raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return _config_from_dict(raw)
 
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", Fraction: "a rational number"}
-
-
-def _number(raw: Dict[str, str], key: str, kind, what: str = ""):
-    """raw[key] parsed by `kind`; a malformed or non-finite value raises a
-    ValueError naming the key."""
-    try:
-        value = kind(raw[key])
-        if kind is float and not math.isfinite(value):
-            raise ValueError
-        return value
-    except (ValueError, ZeroDivisionError):
-        what = what or _KIND_NAMES[kind]
-        raise ValueError(f"config key {key} must be {what}, not {raw[key]!r}") from None
-
-
 def _config_from_dict(raw: Dict[str, str]) -> ExperimentConfig:
-    known = (_PARAM_KEYS | _SOLVER_KEYS
-             | {"q", "variant", "N_obs", "replications", "N_sweep", "seed",
-                "mode", "output_dir"})
-    unknown = set(raw) - known
+    """`ExperimentConfig()` with the settings that `raw` (key -> text) names,
+    each a field of ModelParams, SolverConfig, EstimatorConfig or itself."""
+    parts = (ModelParams, SolverConfig, EstimatorConfig, ExperimentConfig)
+    unknown = set(raw).difference(*map(_setting_types, parts))
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    pk = {k: _number(raw, k, float) for k in _PARAM_KEYS if k in raw}
-    if "q" in raw:
-        pk["q"] = as_fraction(_number(raw, "q", Fraction))
-    params = ModelParams(**pk)
-
-    sk: Dict[str, object] = {k: raw[k] for k in ("scheme", "convolution") if k in raw}
-    for key, kind in (("N", int), ("dt", float), ("store_every", int)):
-        if key in raw:
-            sk[key] = _number(raw, key, kind)
-    if "include_nonlinear" in raw:
-        flag = raw["include_nonlinear"].lower()
-        if flag not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError("config key include_nonlinear must be one of 1/true/yes/0/false/no, "
-                             f"not {raw['include_nonlinear']!r}")
-        sk["include_nonlinear"] = flag in ("1", "true", "yes")
-    solver = SolverConfig(**{"N": 8, "dt": 1e-3, **sk})
-
-    ek: Dict[str, object] = {"alpha": params.alpha, "q": params.q,
-                             "variant": raw.get("variant", "V2")}
-    if raw.get("N_obs"):
-        ek["N_obs"] = _number(raw, "N_obs", int)
-    estimator = EstimatorConfig(**ek)
-
-    kwargs: Dict[str, object] = {"params": params, "solver": solver,
-                                 "estimator": estimator}
-    if "replications" in raw:
-        kwargs["replications"] = _number(raw, "replications", int)
-    if "N_sweep" in raw:
-        kwargs["N_sweep"] = _number(
-            raw, "N_sweep", lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
-            "a comma-separated list of integers")
-    if "seed" in raw:
-        kwargs["seed"] = _number(raw, "seed", int)
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    if "output_dir" in raw:
-        kwargs["output_dir"] = Path(raw["output_dir"])
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig()
+    params = replace(cfg.params, **_settings_from(ModelParams, raw, "config", _PARAMS_SKIP))
+    return replace(
+        cfg, params=params,
+        solver=replace(cfg.solver, **_settings_from(SolverConfig, raw, "config")),
+        estimator=replace(cfg.estimator, alpha=params.alpha, q=params.q,
+                          **_settings_from(EstimatorConfig, raw, "config", _ESTIMATOR_SKIP)),
+        **_settings_from(ExperimentConfig, raw, "config"))
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical flat rendering, the input to the config hash.
+    """Canonical flat rendering, the input to the config hash: a line
+    `key = value` per setting that a config file sets, in field order.
 
     The output directory is deliberately absent: where a run lands does
     not change what it computes, and the reports of two runs into
@@ -195,19 +148,11 @@ def config_text(cfg: ExperimentConfig) -> str:
     legacy `convolution` spellings of one backend share a hash.  Floats
     go through `_fmt`, so a NumPy float and the equal Python float do too.
     """
-    p, s, e = cfg.params, cfg.solver, cfg.estimator
-    lines = [
-        f"nu_h = {_fmt(p.nu_h)}", f"nu_z = {_fmt(p.nu_z)}", f"f0 = {_fmt(p.f0)}",
-        f"sigma0 = {_fmt(p.sigma0)}", f"gamma = {_fmt(p.gamma)}", f"q = {p.q}",
-        f"alpha = {_fmt(p.alpha)}", f"T = {_fmt(p.T)}",
-        f"N = {s.N}", f"dt = {_fmt(s.dt)}", f"scheme = {s.scheme}",
-        f"convolution = {s.resolved_convolution()}", f"store_every = {s.store_every}",
-        f"include_nonlinear = {s.include_nonlinear}",
-        f"variant = {e.variant}", f"N_obs = {'' if e.N_obs is None else e.N_obs}",
-        f"replications = {cfg.replications}",
-        f"N_sweep = {','.join(str(n) for n in cfg.N_sweep)}",
-        f"seed = {cfg.seed}", f"mode = {cfg.mode}",
-    ]
+    s = cfg.solver
+    lines = (_settings_text(cfg.params, " = ", _PARAMS_SKIP)
+             + _settings_text(replace(s, convolution=s.resolved_convolution()), " = ")
+             + _settings_text(cfg.estimator, " = ", _ESTIMATOR_SKIP)
+             + _settings_text(cfg, " = ", ("output_dir",)))
     return "\n".join(lines) + "\n"
 
 

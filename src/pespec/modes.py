@@ -12,11 +12,12 @@ weight 2 in every quadratic form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, cycle, repeat
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -313,10 +314,88 @@ _NOISE_ROW = "%r,%r,%r,%r\n"
 
 
 def _fmt(x) -> str:
-    """Text of one value; floats, NumPy's included, as their round-trip repr."""
+    """Text of one value: floats, NumPy's included, as their round-trip
+    repr, None as nothing and a tuple comma-joined."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    return str(x)
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
+    return "" if x is None else str(x)
+
+
+# ---------------------------------------------------------------------------
+# settings dataclasses as key=value text: config files, hashes, trajectory headers
+
+def _finite(text: str) -> float:
+    if math.isfinite(x := float(text)):
+        return x
+    raise ValueError(text)
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# annotated type -> (parse a value's text, what that text must be)
+_SETTING_TYPES = {
+    float: (_finite, "a finite number"),
+    int: (int, "an integer"),
+    Fraction: (Fraction, "a rational number"),
+    str: (str, "text"),
+    bool: (lambda text: _FLAGS[text.lower()], "one of 1/true/yes/0/false/no"),
+    Optional[int]: (lambda text: int(text) if text else None, "an integer or empty"),
+    Tuple[int, ...]: (lambda text: tuple(int(x) for x in text.split(",") if x.strip()),
+                      "a comma-separated list of integers"),
+    Path: (Path, "a path"),
+}
+
+
+@lru_cache(maxsize=None)
+def _setting_types(cls) -> Dict[str, tuple]:
+    """Name -> (parse, what) of the settings of the dataclass `cls`, its fields
+    whose annotated type has a text form, in field order; resolved once."""
+    hints = get_type_hints(cls)
+    return {f.name: _SETTING_TYPES[hints[f.name]] for f in fields(cls)
+            if hints[f.name] in _SETTING_TYPES}
+
+
+def _settings_text(obj, sep: str, skip: Sequence[str] = ()) -> List[str]:
+    """'name{sep}value' for each setting of the dataclass `obj` in field
+    order, but those named in `skip`, the values through `_fmt`."""
+    return [f"{name}{sep}{_fmt(getattr(obj, name))}"
+            for name in _setting_types(type(obj)) if name not in skip]
+
+
+def _settings_from(cls, raw: Dict[str, str], where: str,
+                   skip: Sequence[str] = ()) -> Dict[str, object]:
+    """The settings of the dataclass `cls` that `raw` (key -> text) names,
+    but those in `skip`, parsed by their annotated types.  A bad value
+    raises a ValueError '{where} key <key> must be <what>, not <text>'."""
+    types = _setting_types(cls)
+    out = {}
+    for key, text in raw.items():
+        if key in types and key not in skip:
+            parse, what = types[key]
+            try:
+                out[key] = parse(text)
+            except (ValueError, KeyError, ZeroDivisionError):
+                raise ValueError(f"{where} key {key} must be {what}, not {text!r}") from None
+    return out
+
+
+def _key_values(text: str, where: str, keys) -> Dict[str, str]:
+    """The key=value words of a header line, which names each of `keys`
+    once and nothing else; a ValueError after `where` names the word or key."""
+    out: Dict[str, str] = {}
+    for word in text.split():
+        key, eq, value = word.partition("=")
+        if not eq:
+            raise ValueError(f"{where} {word!r} is not key=value")
+        if key not in keys or key in out:
+            raise ValueError(f"{where} {'repeated' if key in out else 'unknown'} key {key}")
+        out[key] = value
+    for key in keys:
+        if key not in out:
+            raise ValueError(f"{where} missing key {key}")
+    return out
 
 
 def _rows_to_text(coeffs: np.ndarray, tab: Optional[_ModeTable] = None) -> str:
@@ -396,16 +475,16 @@ def field_from_text(text: str) -> SpectralField:
 def _field_from_lines(lines: Sequence[str], numbers: Sequence[int]) -> SpectralField:
     """The field of a header line lines[0] and the mode rows after it;
     lines[i] sits on text line numbers[i]."""
-    n0, header = numbers[0], lines[0]
-    if not header.startswith(f"# {FIELD_FORMAT_TAG}"):
+    n0, header, tag = numbers[0], lines[0], f"# {FIELD_FORMAT_TAG}"
+    if not header.startswith(tag):
         raise ValueError(f"line {n0}: unrecognized field header")
-    fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
-    if not fields.get("N", "").isdigit() or int(fields["N"]) < 1:
+    words = _key_values(header[len(tag):], f"line {n0}: bad field header:", ("N", "basis"))
+    if not words["N"].isdigit() or int(words["N"]) < 1:
         raise ValueError(f"line {n0}: field header needs N=<truncation> >= 1, "
-                         f"got {fields.get('N')!r}")
-    N = int(fields["N"])
-    if fields.get("basis") != BASIS_TAG:
-        raise ValueError(f"line {n0}: unsupported basis tag {fields.get('basis')!r}")
+                         f"got {words['N']!r}")
+    N = int(words["N"])
+    if words["basis"] != BASIS_TAG:
+        raise ValueError(f"line {n0}: unsupported basis tag {words['basis']!r}")
     tab = mode_table(N)
     rows = lines[1:]
     if len(rows) != tab.n:  # name the first surplus row or the last line

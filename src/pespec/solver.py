@@ -22,7 +22,6 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Union
 
@@ -34,9 +33,13 @@ from .modes import (
     SpectralField,
     _field_from_lines,
     _fmt,
+    _key_values,
     _leray_rows,
     _rows_from_text,
     _rows_to_text,
+    _setting_types,
+    _settings_from,
+    _settings_text,
     field_to_text,
     mode_table,
 )
@@ -75,14 +78,14 @@ class BlowUpError(RuntimeError):
 class SolverConfig:
     """Truncation, step size and scheme choices for one simulation.
 
+    Each field is a config key and a key of a trajectory's '# config'
+    header line, read by its annotated type (`modes._settings_from`).
     `scheme` picks the time discretization: ExponentialEuler treats the
     diffusion-rotation part and the noise exactly per mode, EulerMaruyama
     is fully explicit (kept because the estimator reconstruction
     identities are exact only for plain left-endpoint increments).
-    `convolution` is a legacy key kept so that old config files and
-    trajectory headers still parse: every accepted name ("auto",
-    "Direct", "PseudoSpectralDealiased") resolves to the dealiased grid,
-    the one production advection backend.
+    `convolution` is a legacy setting: every accepted name resolves to
+    the dealiased grid, the one production advection backend.
     `include_nonlinear` switches the advection term off entirely for
     linear-regime studies.
     """
@@ -633,20 +636,12 @@ def simulate_path(params: ModelParams, V0: Optional[SpectralField],
 
 def trajectory_to_text(traj: Trajectory, include_noise: bool = False) -> str:
     """Versioned text dump: header, one field block per sample, optional
-    per-step noise rows.  repr() float formatting keeps round trips exact."""
-    p, c = traj.params, traj.config
+    per-step noise rows.  The '# params' and '# config' header lines name each
+    field of ModelParams and SolverConfig once; repr() keeps floats exact."""
     buf = io.StringIO()
     buf.write(f"# {TRAJECTORY_FORMAT_TAG} basis={BASIS_TAG}\n")
-    buf.write(
-        f"# params nu_h={_fmt(p.nu_h)} nu_z={_fmt(p.nu_z)} f0={_fmt(p.f0)} "
-        f"sigma0={_fmt(p.sigma0)} gamma={_fmt(p.gamma)} q={p.q} "
-        f"alpha={_fmt(p.alpha)} N={p.N} T={_fmt(p.T)}\n"
-    )
-    buf.write(
-        f"# config N={c.N} dt={_fmt(c.dt)} scheme={c.scheme} "
-        f"convolution={c.convolution} store_every={c.store_every} "
-        f"include_nonlinear={c.include_nonlinear}\n"
-    )
+    buf.write(f"# params {' '.join(_settings_text(traj.params, '='))}\n")
+    buf.write(f"# config {' '.join(_settings_text(traj.config, '='))}\n")
     buf.write(f"# seed {'none' if traj.seed is None else traj.seed}\n")
     n_noise = len(traj.noise_log) if (include_noise and traj.noise_log) else 0
     buf.write(f"# samples {traj.n_samples} noise {n_noise}\n")
@@ -666,14 +661,20 @@ def _line(lines: List[str], i: int, what: str) -> str:
     return lines[i]
 
 
-def _parse_kv(lines: List[str], i: int, prefix: str) -> Dict[str, str]:
+def _header(lines: List[str], i: int, name: str, cls):
+    """The `cls` settings of line i (0-based), the '# <name>' header,
+    which names each setting of `cls` once as key=value."""
+    prefix = f"# {name}"
     line = _line(lines, i, f"the {prefix!r} header")
     if not line.startswith(prefix):
         raise ValueError(f"line {i + 1}: expected the {prefix!r} header")
-    parts = line[len(prefix):].split()
-    if not all("=" in part for part in parts):
-        raise ValueError(f"line {i + 1}: header fields must read key=value")
-    return dict(part.split("=", 1) for part in parts)
+    where = f"line {i + 1}: bad {name} header:"
+    raw = _key_values(line[len(prefix):], where, _setting_types(cls))
+    values = _settings_from(cls, raw, where)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def trajectory_from_text(text: str) -> Trajectory:
@@ -681,28 +682,8 @@ def trajectory_from_text(text: str) -> Trajectory:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(f"# {TRAJECTORY_FORMAT_TAG}"):
         raise ValueError("unrecognized trajectory header")
-    pk = _parse_kv(lines, 1, "# params")
-    ck = _parse_kv(lines, 2, "# config")
-    try:
-        params = ModelParams(
-            nu_h=float(pk["nu_h"]), nu_z=float(pk["nu_z"]), f0=float(pk["f0"]),
-            sigma0=float(pk["sigma0"]), gamma=float(pk["gamma"]),
-            q=Fraction(pk["q"]), alpha=float(pk["alpha"]), N=int(pk["N"]),
-            T=float(pk["T"]),
-        )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"line 2: bad params header ({exc!r})") from None
-    flag = ck.get("include_nonlinear")
-    if flag not in ("True", "False"):
-        raise ValueError(f"line 3: include_nonlinear must be True or False, not {flag!r}")
-    try:
-        cfg = SolverConfig(
-            N=int(ck["N"]), dt=float(ck["dt"]), scheme=ck["scheme"],
-            convolution=ck["convolution"], store_every=int(ck["store_every"]),
-            include_nonlinear=flag == "True",
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"line 3: bad config header ({exc!r})") from None
+    params = _header(lines, 1, "params", ModelParams)
+    cfg = _header(lines, 2, "config", SolverConfig)
     seed_line = _line(lines, 3, "the seed").split()
     try:
         seed = None if seed_line[-1] == "none" else int(seed_line[-1])

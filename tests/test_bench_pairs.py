@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: reading one benchmark run, reporting a failed one,
-judging each end-to-end metric against its bound, and the machine record
-with its bytecode and malloc settings and its BLAS."""
+judging each end-to-end metric against its bound, the machine record
+with its bytecode and malloc settings and its BLAS, and refusing an
+unknown workload name before any run."""
 import importlib.util
 import os
 from pathlib import Path
@@ -203,3 +204,32 @@ def test_blas_is_null_without_dict_config(bench_pairs, monkeypatch):
     machine = bench_pairs._machine()
     assert (machine["blas"], machine["blas_version"], machine["blas_config"]) == \
         (None, None, None)
+
+
+def test_unknown_workload_exits_before_any_run(bench_pairs, monkeypatch, tmp_path, capsys):
+    # a typo in the second --workload used to run every pair of the first
+    spec = '{"workloads": [{"name": "estimate-default"}, {"name": "nonlinear-replications"}]}'
+    shown = []
+
+    def fake_git(*args):
+        if args[0] == "show":
+            shown.append(args[1])
+            return spec
+        return "0" * 40
+
+    def no_run(*args):
+        raise AssertionError("nothing may be extracted or run")
+
+    monkeypatch.setattr(bench_pairs, "_git", fake_git)
+    monkeypatch.setattr(bench_pairs, "_extract", no_run)
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--base", "a", "--head", "b", "--workload", "estimate-default",
+                             "--workload", "estimate-defualt", "--out", str(out)])
+    assert code == 2
+    assert shown == ["0" * 40 + ":BENCHMARK.json"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "unknown workload estimate-defualt" in err[0]
+    assert "estimate-default, nonlinear-replications" in err[0]
+    assert not out.exists()

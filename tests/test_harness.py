@@ -10,6 +10,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,31 @@ class TestConfig:
         assert cfg.params == DEFAULTS.with_(N=DEFAULTS.N)
         assert cfg.estimator.variant == "V2"
         assert cfg.mode == "LinearExact"
+
+    NON_DEFAULT = ("q = 1/2\nN_obs = 5\nscheme = EulerMaruyama\ninclude_nonlinear = no\n"
+                   "N_sweep = 3,5\nalpha = 3.3\n")
+
+    @pytest.mark.parametrize("which", ["defaults", "non-default"])
+    def test_config_text_reads_back_as_itself(self, tmp_path, which):
+        if which == "defaults":
+            cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.cfg")
+        else:
+            cfg = load_config(self.write(tmp_path, self.NON_DEFAULT))
+            assert (cfg.params.q, cfg.estimator.N_obs, cfg.solver.scheme, cfg.N_sweep,
+                    cfg.params.alpha) == (Fraction(1, 2), 5, "EulerMaruyama", (3, 5), 3.3)
+            assert cfg.solver.include_nonlinear is False
+        text = config_text(cfg)
+        back = load_config(self.write(tmp_path, text))
+        assert config_text(back) == text
+        assert back == replace(cfg, solver=replace(
+            cfg.solver, convolution=cfg.solver.resolved_convolution()))
+
+    def test_defaults_hash_is_pinned(self):
+        # the run id of every default run
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "defaults.cfg")
+        assert config_hash(cfg) == ("0d798ddef53a9a51b2ebb297c980e2d7"
+                                    "0eacfdb6f7a8c0eaf37a7eed7b242d0d")
+        assert config_hash(ExperimentConfig()) == config_hash(cfg)
 
     def test_hash_ignores_output_dir(self):
         a = ExperimentConfig(output_dir=Path("here"))

@@ -180,6 +180,20 @@ class TestSpectralField:
         with pytest.raises(ValueError, match="line 1: field header needs N=<truncation> >= 1"):
             field_from_text("# pespec-field v1 N=0 basis=orthonormal-cos-halfpair")
 
+    @pytest.mark.parametrize("words, message", [
+        ("N=2 foo=1 basis=orthonormal-cos-halfpair", "unknown key foo"),
+        ("N=2 basis=x basis=orthonormal-cos-halfpair", "repeated key basis"),
+        ("N=2 N=2 basis=orthonormal-cos-halfpair", "repeated key N"),
+        ("N=2", "missing key basis"),
+        ("N=2 2 basis=orthonormal-cos-halfpair", "'2' is not key=value"),
+    ])
+    def test_header_names_each_key_once(self, words, message):
+        # unknown and repeated keys used to load, the last value winning
+        rows = field_to_text(SpectralField.zeros(2)).splitlines()[1:]
+        text = "\n".join([f"# pespec-field v1 {words}", *rows])
+        with pytest.raises(ValueError, match=f"^line 1: bad field header: {message}$"):
+            field_from_text(text)
+
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             field_from_text("")

@@ -725,9 +725,40 @@ class TestTrajectoryIO:
     def test_unknown_include_nonlinear_rejected(self):
         txt = trajectory_to_text(self.make())
         assert "include_nonlinear=False" in txt
-        with pytest.raises(ValueError, match="line 3: include_nonlinear"):
+        with pytest.raises(ValueError, match="^line 3: bad config header: key include_nonlinear "
+                                             "must be one of 1/true/yes/0/false/no, not 'flase'$"):
             trajectory_from_text(txt.replace("include_nonlinear=False",
                                              "include_nonlinear=flase"))
+
+    def test_header_flag_takes_the_config_spellings(self):
+        txt = trajectory_to_text(self.make())
+        back = trajectory_from_text(txt.replace("include_nonlinear=False", "include_nonlinear=no"))
+        assert back.config.include_nonlinear is False
+
+    def test_settings_lines_are_pinned(self):
+        # the header bytes of every trajectory text, and so of the benchmark's
+        lines = trajectory_to_text(self.make()).splitlines()
+        assert lines[1:3] == [
+            "# params nu_h=1.0 nu_z=0.5 f0=1.0 sigma0=1.0 gamma=4.5 q=1/2 alpha=4.0 N=8 T=0.5",
+            "# config N=2 dt=0.125 scheme=ExponentialEuler convolution=auto store_every=2 "
+            "include_nonlinear=False"]
+
+    @pytest.mark.parametrize("line, old, new, message", [
+        (2, " T=0.5", " T=0.5 foo=1", "unknown key foo"),
+        (2, " T=0.5", "", "missing key T"),
+        (2, "nu_h=1.0", "nu_h=1.0 nu_h=2.0", "repeated key nu_h"),
+        (3, " store_every=2", " store_every=2 foo=1", "unknown key foo"),
+        (3, " scheme=ExponentialEuler", "", "missing key scheme"),
+        (3, "dt=0.125", "dt=0.125 dt=0.25", "repeated key dt"),
+    ])
+    def test_settings_line_names_each_key_once(self, line, old, new, message):
+        # foo=1 used to be ignored, and a repeated key's last value to win
+        lines = trajectory_to_text(self.make()).splitlines()
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new)
+        name = "params" if line == 2 else "config"
+        with pytest.raises(ValueError, match=f"^line {line}: bad {name} header: {message}$"):
+            trajectory_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_time_rejected(self, value):

@@ -6,7 +6,8 @@
 The committed files of each revision are extracted with `git archive`
 into a fresh temporary directory, and `bench/run.py` runs there with
 `--trace 0`, one process at a time, for every workload the head's
-BENCHMARK.json lists.  Pair i runs both revisions with seed
+BENCHMARK.json lists, or each named by `--workload`; a name it does not
+list exits 2 before any run.  Pair i runs both revisions with seed
 first_seed + i, the base first on even pairs and the head first on odd
 ones, so a slow drift of the host favours neither side.  The file keeps
 every run's last-line metrics and, per workload and side, the median
@@ -181,11 +182,17 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2 for quartiles")
 
     commits = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", args.head)}
+    spec = json.loads(_git("show", f"{commits['head']}:BENCHMARK.json"))
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = [name for name in args.workload or () if name not in names]
+    if unknown:  # before any run, so a typo costs no pair of the other workloads
+        print(f"{parser.prog}: error: unknown workload {', '.join(unknown)}; the head's "
+              f"BENCHMARK.json lists {', '.join(names)}", file=sys.stderr)
+        return 2
+    workloads = args.workload or names
     seeds = [args.first_seed + i for i in range(args.pairs)]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: _extract(commit, Path(tmp) / side) for side, commit in commits.items()}
-        spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
         report = {}
         for workload in workloads:
             runs = []
