@@ -210,6 +210,8 @@ class TestSpectralField:
     def test_formatter_writes_plain_numbers(self):
         assert [_fmt(x) for x in (np.float64(0.5), 0.1, np.float32(2.0), 3, "V2")] == \
             ["0.5", "0.1", "2.0", "3", "V2"]
+        # a settings text writes an unset N_obs and the N_sweep tuple
+        assert [_fmt(x) for x in (None, (4, 8, 12), (np.float64(0.5),))] == ["", "4,8,12", "0.5"]
 
 
 # repr changes notation at 1e16 and below 1e-4; signed zeros, the
